@@ -10,7 +10,8 @@ Single commands print one report object; ``pfkit report`` prints the whole
 suite as a JSON array (or a markdown table with --format markdown).  Two
 runs with identical flags and seed produce identical output except for
 the elapsed_ms fields.  Exit code: 0 when everything passes, 1 when some
-check fails or is inconclusive, 2 when a check errors out.
+check fails or is inconclusive, 2 when a check errors out or the input is
+rejected (a bad argument or environment value, or a resource cap).
 
 The environment variable PFKIT_THREADS caps suite parallelism; reports
 are always emitted in registry order, never completion order.
@@ -26,8 +27,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import dihedral, dimgroup, paperfold, subst
-from .errors import ExtensionError, PfkitError
-from .report import CheckReport, Stopwatch, emit_report
+from .errors import DomainError, ExtensionError, PfkitError
+from .report import Check, CheckReport, emit_report
 from .words import Word, to_pfw_bytes, write_pfw
 
 DEFAULT_SEED = 42
@@ -69,52 +70,40 @@ PROFILES = {
 
 
 def _check_self_similarity_battery(budget: int) -> CheckReport:
-    watch = Stopwatch()
+    chk = Check("paperfold.self-similarity", {"budget": budget},
+                "block interleaving identity for all p+n+1 within budget")
     for p in range(budget):
         for n in range(budget - p):
             rep = paperfold.verify_self_similarity(p, n)
             if rep.status != "pass":
-                return dataclasses.replace(rep, elapsed_ms=watch.ms)
-    return CheckReport(
-        check="paperfold.self-similarity",
-        status="pass",
-        params={"budget": budget},
-        elapsed_ms=watch.ms,
-        certifies="block interleaving identity for all p+n+1 within budget",
-    )
+                return dataclasses.replace(rep, elapsed_ms=chk.ms)
+    return chk.passed()
 
 
-def _check_census(generation: int) -> CheckReport:
-    watch = Stopwatch()
-    census = paperfold.antipalindrome_census(generation, 8)
-    ok = (
-        census.saturated
-        and census.counts[8] == 0
-        and all(census.counts[ell] >= 1 for ell in (2, 4, 6))
-    )
-    return CheckReport(
-        check="paperfold.antipalindrome-census",
-        status="pass" if ok else "fail",
-        params={"generation": generation, "max_len": 8},
-        witness=census.to_json(),
-        elapsed_ms=watch.ms,
-        certifies="anti-palindromic factors exist up to length 6 and stop at 8",
-    )
+def _check_census(generation: int, max_len: int) -> CheckReport:
+    """Anti-palindrome census, the same rule in the suite and the CLI: an
+    unsaturated census is inconclusive; a saturated one passes when there
+    are anti-palindromic factors of lengths 2, 4 and 6 (those <= max_len)
+    and none of any length from 8 to max_len."""
+    chk = Check("paperfold.antipalindrome-census", {"generation": generation, "max_len": max_len},
+                "anti-palindromic factors exist up to length 6 and stop at 8")
+    census = paperfold.antipalindrome_census(generation, max_len)
+    if not census.saturated:
+        return chk.report("inconclusive", census.to_json())
+    counts = census.counts
+    present = all(counts[ell] >= 1 for ell in (2, 4, 6) if ell <= max_len)
+    absent = all(counts[ell] == 0 for ell in range(8, max_len + 1, 2))
+    return chk.report("pass" if present and absent else "fail", census.to_json())
 
 
 def _check_recurrence_battery(p_max: int) -> CheckReport:
-    watch = Stopwatch()
+    chk = Check("paperfold.recurrence", {"p_max": p_max},
+                "every window of length 3*2^(p+1) contains generation p, p <= p_max")
     for p in range(p_max + 1):
         rep = paperfold.verify_recurrence(p, p + 8)
         if rep.status != "pass":
-            return dataclasses.replace(rep, elapsed_ms=watch.ms)
-    return CheckReport(
-        check="paperfold.recurrence",
-        status="pass",
-        params={"p_max": p_max},
-        elapsed_ms=watch.ms,
-        certifies="every window of length 3*2^(p+1) contains generation p, p <= p_max",
-    )
+            return dataclasses.replace(rep, elapsed_ms=chk.ms)
+    return chk.passed()
 
 
 def _check_closure(generation: int, closure_len: int) -> CheckReport:
@@ -123,25 +112,18 @@ def _check_closure(generation: int, closure_len: int) -> CheckReport:
 
 
 def _check_freeness(generation: int) -> CheckReport:
-    watch = Stopwatch()
+    chk = Check("dihedral.freeness", {"generation": generation},
+                "closure plus bounded anti-palindromes: the dihedral action has no fixed points")
     oracle = dihedral.LanguageOracle.from_generation(generation, 8)
     cert = dihedral.freeness_certificate(oracle)
     status = cert.verdict if cert.verdict in ("pass", "fail", "inconclusive") else "error"
-    return CheckReport(
-        check="dihedral.freeness",
-        status=status,
-        params={"generation": generation},
-        witness=cert.to_json(),
-        elapsed_ms=watch.ms,
-        certifies="closure plus bounded anti-palindromes: the dihedral action has no fixed points",
-    )
+    return chk.report(status, cert.to_json())
 
 
 def _check_subst_structure() -> CheckReport:
-    watch = Stopwatch()
+    chk = Check("subst.structure", {}, "substitution is primitive at 3, left-proper at 2 "
+                "with head '3', matrix and fixed prefix match")
     s = subst.PAPERFOLD_SUBSTITUTION
-    params = {}
-    certifies = "substitution is primitive at 3, left-proper at 2 with head '3', matrix and fixed prefix match"
     facts = {
         "primitive_index": subst.is_primitive(s, 6),
         "left_proper_index": subst.is_left_proper(s, 6),
@@ -156,14 +138,7 @@ def _check_subst_structure() -> CheckReport:
         and tuple(map(tuple, facts["matrix"])) == dimgroup.PAPERFOLD_MATRIX
         and facts["fixed_prefix_32"] == "31213021312030213121302031203021"
     )
-    return CheckReport(
-        check="subst.structure",
-        status="pass" if ok else "fail",
-        params=params,
-        witness=facts,
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+    return chk.report("pass" if ok else "fail", facts)
 
 
 def _check_recoding(exp: int) -> CheckReport:
@@ -177,7 +152,7 @@ def _check_intertwining(exp: int) -> CheckReport:
 REGISTRY = (
     ("paperfold.generation-fidelity", lambda p, seed: paperfold.verify_generation_fidelity()),
     ("paperfold.self-similarity", lambda p, seed: _check_self_similarity_battery(p["selfsim_budget"])),
-    ("paperfold.antipalindrome-census", lambda p, seed: _check_census(p["generation"])),
+    ("paperfold.antipalindrome-census", lambda p, seed: _check_census(p["generation"], 8)),
     ("paperfold.recurrence", lambda p, seed: _check_recurrence_battery(p["recurrence_p_max"])),
     (
         "paperfold.aperiodicity",
@@ -206,7 +181,10 @@ REGISTRY = (
 def _max_threads() -> int:
     env = os.environ.get("PFKIT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(f"PFKIT_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -221,18 +199,11 @@ def run_all(profile: str = "quick", seed: int = DEFAULT_SEED, threads: int | Non
 
     def run_one(entry):
         name, fn = entry
+        chk = Check(name, {"profile": profile}, "")
         try:
-            rep = fn(params, seed)
+            return fn(params, seed)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            watch = Stopwatch()
-            rep = CheckReport(
-                check=name,
-                status="error",
-                params={"profile": profile},
-                witness={"exception": f"{type(exc).__name__}: {exc}"},
-                elapsed_ms=watch.ms,
-            )
-        return rep
+            return chk.report("error", {"exception": f"{type(exc).__name__}: {exc}"})
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -290,23 +261,7 @@ def _single(report, args) -> int:
 
 
 def _cmd_census(args) -> int:
-    return _single(_check_census_at(args.generation, args.max_len), args)
-
-
-def _check_census_at(generation: int, max_len: int) -> CheckReport:
-    watch = Stopwatch()
-    census = paperfold.antipalindrome_census(generation, max_len)
-    ok = census.saturated and all(
-        census.counts.get(ell, 0) == 0 for ell in range(8, max_len + 1, 2)
-    )
-    return CheckReport(
-        check="paperfold.antipalindrome-census",
-        status="pass" if ok else ("inconclusive" if not census.saturated else "fail"),
-        params={"generation": generation, "max_len": max_len},
-        witness=census.to_json(),
-        elapsed_ms=watch.ms,
-        certifies="saturated anti-palindrome census; no counts at length 8 or beyond",
-    )
+    return _single(_check_census(args.generation, args.max_len), args)
 
 
 def _cmd_selfsim(args) -> int:
@@ -332,35 +287,17 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    watch = Stopwatch()
+    params = {"seed": args.seed, "steps": args.steps, "horizon": args.horizon,
+              "generation": args.generation}
+    chk = Check("dihedral.left-extend", params, "the seed extends leftwards inside the language")
     seed_word = Word(args.seed)
     max_len = len(seed_word) + args.steps + args.horizon
     oracle = dihedral.LanguageOracle.from_generation(args.generation, max_len)
-    params = {
-        "seed": args.seed,
-        "steps": args.steps,
-        "horizon": args.horizon,
-        "generation": args.generation,
-    }
     try:
         extended = dihedral.left_extend(oracle, seed_word, args.steps, args.horizon)
-        report = CheckReport(
-            check="dihedral.left-extend",
-            status="pass",
-            params=params,
-            witness={"word": str(extended)},
-            elapsed_ms=watch.ms,
-            certifies="the seed extends leftwards inside the language",
-        )
+        report = chk.passed({"word": str(extended)})
     except ExtensionError as exc:
-        report = CheckReport(
-            check="dihedral.left-extend",
-            status="error",
-            params=params,
-            witness={"stuck_prefix": str(exc.stuck_prefix), "horizon": exc.horizon},
-            elapsed_ms=watch.ms,
-            certifies="the seed extends leftwards inside the language",
-        )
+        report = chk.report("error", {"stuck_prefix": str(exc.stuck_prefix), "horizon": exc.horizon})
     return _single(report, args)
 
 
@@ -372,7 +309,8 @@ def _load_substitution(path):
 
 
 def _cmd_subst_info(args) -> int:
-    watch = Stopwatch()
+    chk = Check("subst.info", {"rules": args.rules or "builtin"},
+                "structural facts of the substitution")
     s = _load_substitution(args.rules)
     info = {
         "rules": json.loads(s.to_json())["rules"],
@@ -380,15 +318,7 @@ def _cmd_subst_info(args) -> int:
         "left_proper_index": subst.is_left_proper(s, 8),
         "matrix": subst.abelianization(s).to_json(),
     }
-    report = CheckReport(
-        check="subst.info",
-        status="pass",
-        params={"rules": args.rules or "builtin"},
-        witness=info,
-        elapsed_ms=watch.ms,
-        certifies="structural facts of the substitution",
-    )
-    return _single(report, args)
+    return _single(chk.passed(info), args)
 
 
 def _cmd_subst_fixed_prefix(args) -> int:
@@ -415,17 +345,9 @@ def _cmd_dim_verify(args) -> int:
 
 
 def _cmd_dim_matpow(args) -> int:
-    watch = Stopwatch()
+    chk = Check("dimgroup.matpow", {"n": args.n}, "exact matrix power")
     power = dimgroup.mat_pow(dimgroup.PAPERFOLD_MATRIX, args.n)
-    report = CheckReport(
-        check="dimgroup.matpow",
-        status="pass",
-        params={"n": args.n},
-        witness={"matrix": [list(row) for row in power]},
-        elapsed_ms=watch.ms,
-        certifies="exact matrix power",
-    )
-    return _single(report, args)
+    return _single(chk.passed({"matrix": [list(row) for row in power]}), args)
 
 
 def _cmd_dim_discrepancy(args) -> int:

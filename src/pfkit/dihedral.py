@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ExtensionError
 from .paperfold import pf_word
-from .report import CheckReport, Stopwatch
+from .report import Check, CheckReport
 from .words import (
     BINARY,
     Window,
@@ -127,37 +127,16 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
         raise DomainError("n_max exceeds the oracle's max_len")
     if oracle.source.alphabet != BINARY:
         raise DomainError("closure under anti-reversal needs a binary oracle")
-    watch = Stopwatch()
-    params = {"n_max": n_max, "source_len": oracle.source.length}
-    certifies = "factor language closed under anti-reversal up to n_max"
+    chk = Check("dihedral.antireversal-closure", {"n_max": n_max, "source_len": oracle.source.length},
+                "factor language closed under anti-reversal up to n_max")
     for ell in range(1, n_max + 1):
         if not oracle.is_saturated(ell):
-            return CheckReport(
-                check="dihedral.antireversal-closure",
-                status="inconclusive",
-                params=params,
-                witness={"unsaturated_length": ell},
-                elapsed_ms=watch.ms,
-                certifies=certifies,
-            )
+            return chk.report("inconclusive", {"unsaturated_length": ell})
         codes = oracle.factor_codes(ell)
         for c in codes:
             if anti_reverse_code(c, ell) not in codes:
-                return CheckReport(
-                    check="dihedral.antireversal-closure",
-                    status="fail",
-                    params=params,
-                    witness={"factor": str(code_to_word(c, ell))},
-                    elapsed_ms=watch.ms,
-                    certifies=certifies,
-                )
-    return CheckReport(
-        check="dihedral.antireversal-closure",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+                return chk.failed({"factor": str(code_to_word(c, ell))})
+    return chk.passed()
 
 
 def is_phi_sigma_fixed_window(x: Window) -> bool:
@@ -308,13 +287,12 @@ def parity_class_separation(K: int, generation: int) -> CheckReport:
     n_len = 2 ** (generation + 1) - 1
     if 2 * K + 8 > n_len:
         raise DomainError("generation too small for the requested K")
-    watch = Stopwatch()
+    chk = Check("dihedral.parity-separation", {"K": K, "generation": generation},
+                "even and odd 7-windows are disjoint and match their pattern families")
     arr = pf_word(generation).to_array()
     codes = window_codes(arr, 7)
     even = codes[0 : 2 * K + 1 : 2]
     odd = codes[1 : 2 * K + 2 : 2]
-    params = {"K": K, "generation": generation}
-    certifies = "even and odd 7-windows are disjoint and match their pattern families"
 
     even_set, odd_set = set(even.tolist()), set(odd.tolist())
     clash = even_set & odd_set
@@ -322,14 +300,7 @@ def parity_class_separation(K: int, generation: int) -> CheckReport:
         c = min(clash)
         k = int(np.nonzero(even == c)[0][0])
         ell = int(np.nonzero(odd == c)[0][0])
-        return CheckReport(
-            check="dihedral.parity-separation",
-            status="fail",
-            params=params,
-            witness={"k": k, "l": ell, "window": str(code_to_word(c, 7))},
-            elapsed_ms=watch.ms,
-            certifies=certifies,
-        )
+        return chk.failed({"k": k, "l": ell, "window": str(code_to_word(c, 7))})
 
     for name, vals, patterns in (
         ("even", even, EVEN_WINDOW_PATTERNS),
@@ -341,22 +312,6 @@ def parity_class_separation(K: int, generation: int) -> CheckReport:
             ok |= (vals & mask) == value
         if not ok.all():
             i = int(np.argmin(ok))
-            return CheckReport(
-                check="dihedral.parity-separation",
-                status="fail",
-                params=params,
-                witness={
-                    "family": name,
-                    "offset_index": i,
-                    "window": str(code_to_word(int(vals[i]), 7)),
-                },
-                elapsed_ms=watch.ms,
-                certifies=certifies,
-            )
-    return CheckReport(
-        check="dihedral.parity-separation",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+            window = str(code_to_word(int(vals[i]), 7))
+            return chk.failed({"family": name, "offset_index": i, "window": window})
+    return chk.passed()

@@ -22,11 +22,12 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .paperfold import pf_prefix
-from .report import CheckReport, Stopwatch
+from .report import Check, CheckReport
 from .words import Word
 
 __all__ = [
     "PAPERFOLD_MATRIX",
+    "MAX_MATRIX_POWER",
     "mat_pow",
     "closed_form_power",
     "verify_matrix_closed_form",
@@ -82,10 +83,20 @@ def _mat_mul(A, B):
 _IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
+MAX_MATRIX_POWER = 4096
+
+
 def mat_pow(M, n: int):
-    """Exact n-th power of a 4x4 integer matrix (arbitrary precision)."""
+    """Exact n-th power of a 4x4 integer matrix (arbitrary precision).
+
+    The exponent is capped at MAX_MATRIX_POWER = 4096, which keeps the
+    entries of the paper-folding matrix power near 2^4094, well inside
+    the decimal-printing limit of Python ints; larger exponents raise
+    ResourceError."""
     if n < 0:
         raise DomainError("matrix power exponent must be non-negative")
+    if n > MAX_MATRIX_POWER:
+        raise ResourceError(f"matrix power {n} exceeds the cap of {MAX_MATRIX_POWER}")
     M = tuple(tuple(int(x) for x in row) for row in M)
     result = _IDENTITY
     base = M
@@ -114,26 +125,12 @@ def closed_form_power(n: int):
 
 def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
     """Exact entrywise equality of iterated powers with the closed form."""
-    watch = Stopwatch()
-    params = {"n_max": n_max}
-    certifies = "matrix powers match the closed form with entries 2^n, 2^n +/- 1"
+    chk = Check("dimgroup.matrix-closed-form", {"n_max": n_max},
+                "matrix powers match the closed form with entries 2^n, 2^n +/- 1")
     for n in range(0, n_max + 1):
         if mat_pow(PAPERFOLD_MATRIX, n + 2) != closed_form_power(n + 2):
-            return CheckReport(
-                check="dimgroup.matrix-closed-form",
-                status="fail",
-                params=params,
-                witness={"n": n},
-                elapsed_ms=watch.ms,
-                certifies=certifies,
-            )
-    return CheckReport(
-        check="dimgroup.matrix-closed-form",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+            return chk.failed({"n": n})
+    return chk.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -539,58 +536,30 @@ def verify_unbounded_discrepancy(N: int = 20) -> CheckReport:
         raise DomainError("N must be non-negative")
     if N > 24:
         raise ResourceError("discrepancy checkpoints capped at N = 24")
-    watch = Stopwatch()
     checkpoints = [m_sequence(n) for n in range(N + 1)]
+    chk = Check("dimgroup.discrepancy-growth", {"N": N, "prefix_len": checkpoints[-1] + 1},
+                "discrepancy at checkpoint m(n) equals n+1 (unbounded growth)")
     profile = discrepancy_profile(pf_prefix(checkpoints[-1] + 1))
-    params = {"N": N, "prefix_len": checkpoints[-1] + 1}
-    certifies = "discrepancy at checkpoint m(n) equals n+1 (unbounded growth)"
     for n, mn in enumerate(checkpoints):
         if int(profile[mn]) != n + 1:
-            return CheckReport(
-                check="dimgroup.discrepancy-growth",
-                status="fail",
-                params=params,
-                witness={"n": n, "m_n": mn, "observed": int(profile[mn])},
-                elapsed_ms=watch.ms,
-                certifies=certifies,
-            )
-    return CheckReport(
-        check="dimgroup.discrepancy-growth",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+            return chk.failed({"n": n, "m_n": mn, "observed": int(profile[mn])})
+    return chk.passed()
 
 
 def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
     """Coboundary control: for both one-slot cylinder indicators the
     partial sums stay bounded by 2 and agree with their telescoped form."""
-    watch = Stopwatch()
+    chk = Check("dimgroup.coboundary-bound", {"prefix_len": prefix_len},
+                "cylinder coboundary partial sums stay bounded by 2")
     prefix = pf_prefix(prefix_len)
-    params = {"prefix_len": prefix_len}
-    certifies = "cylinder coboundary partial sums stay bounded by 2"
     arr = prefix.to_array()
     for symbol in (0, 1):
         sums = coboundary_partial_sums(prefix, symbol)
         f = (arr == symbol).astype(np.int64)
         telescoped = f[1:] - f[0]
         if not np.array_equal(sums, telescoped) or int(np.abs(sums).max()) > 2:
-            return CheckReport(
-                check="dimgroup.coboundary-bound",
-                status="fail",
-                params=params,
-                witness={"symbol": symbol, "max_abs": int(np.abs(sums).max())},
-                elapsed_ms=watch.ms,
-                certifies=certifies,
-            )
-    return CheckReport(
-        check="dimgroup.coboundary-bound",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+            return chk.failed({"symbol": symbol, "max_abs": int(np.abs(sums).max())})
+    return chk.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -620,21 +589,12 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     the cone correspondence for canonical preimages."""
     if index_max < 2:
         raise DomainError("index_max must be at least 2")
-    watch = Stopwatch()
+    chk = Check("dimgroup.lattice-properties", {"index_max": index_max, "samples": samples},
+                "lattice membership, nesting, quotient kernel and cone all agree exactly", seed=seed)
     rng = random.Random(seed)
-    params = {"index_max": index_max, "samples": samples}
-    certifies = "lattice membership, nesting, quotient kernel and cone all agree exactly"
 
     def fail(reason, n, payload):
-        return CheckReport(
-            check="dimgroup.lattice-properties",
-            status="fail",
-            params=params,
-            witness={"reason": reason, "index": n, **payload},
-            elapsed_ms=watch.ms,
-            seed=seed,
-            certifies=certifies,
-        )
+        return chk.failed({"reason": reason, "index": n, **payload})
 
     for n in range(2, index_max + 1):
         for _ in range(samples):
@@ -666,14 +626,7 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
             staged_ok = s >= 0 and abs(m) <= 2 ** (n - 2) * s
             if in_G_plus(base, n) != staged_ok:
                 return fail("cone-correspondence", n, {"target": [str(s), m]})
-    return CheckReport(
-        check="dimgroup.lattice-properties",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        seed=seed,
-        certifies=certifies,
-    )
+    return chk.passed()
 
 
 def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
@@ -681,21 +634,12 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
     |num| <= 2^20, exp <= 20, |m| <= 2^20, with explicit stage witnesses,
     plus the unit normalisation facts: the all-ones vector maps to (4, 0)
     and rescaling by 4 makes it (1, 0)."""
-    watch = Stopwatch()
+    chk = Check("dimgroup.cone-identity", {"samples": samples},
+                "staged cone union equals {s > 0} plus the origin; unit maps to (1,0)", seed=seed)
     rng = random.Random(seed)
-    params = {"samples": samples}
-    certifies = "staged cone union equals {s > 0} plus the origin; unit maps to (1,0)"
 
     def fail(reason, payload):
-        return CheckReport(
-            check="dimgroup.cone-identity",
-            status="fail",
-            params=params,
-            witness={"reason": reason, **payload},
-            elapsed_ms=watch.ms,
-            seed=seed,
-            certifies=certifies,
-        )
+        return chk.failed({"reason": reason, **payload})
 
     unit_pair = alpha((1, 1, 1, 1), 0)
     if unit_pair != DyadicPair(DyadicRational(4, 0), 0):
@@ -732,35 +676,19 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
         # rescaling by a positive power of 2 preserves the cone
         if cone_membership(rescale_unit(p, DyadicRational(4, 0))) != direct:
             return fail("rescale-not-order-preserving", {"p": str(p)})
-    return CheckReport(
-        check="dimgroup.cone-identity",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        seed=seed,
-        certifies=certifies,
-    )
+    return chk.passed()
 
 
 def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckReport:
     """For random dyadic twist values a: the twist squares to the
     identity and fixes every (q, 0); adding the twisted copy always lands
     in {(., 0)} and attains every sampled (q, 0) via the halved preimage."""
-    watch = Stopwatch()
+    chk = Check("dimgroup.involution", {"samples": samples},
+                "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
     rng = random.Random(seed)
-    params = {"samples": samples}
-    certifies = "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}"
 
     def fail(reason, payload):
-        return CheckReport(
-            check="dimgroup.involution",
-            status="fail",
-            params=params,
-            witness={"reason": reason, **payload},
-            elapsed_ms=watch.ms,
-            seed=seed,
-            certifies=certifies,
-        )
+        return chk.failed({"reason": reason, **payload})
 
     for _ in range(samples):
         inv = DyadicInvolution(
@@ -782,11 +710,4 @@ def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckRepor
         pre = one_plus_sigma_preimage(inv, target)
         if one_plus_sigma_image(inv, pre) != target:
             return fail("preimage-wrong", {"a": str(inv.a), "target": str(target)})
-    return CheckReport(
-        check="dimgroup.involution",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        seed=seed,
-        certifies=certifies,
-    )
+    return chk.passed()

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .report import CheckReport, Stopwatch
+from .report import Check, CheckReport
 from .words import BINARY, Word, anti_reverse_code, window_codes
 
 __all__ = [
     "T_REFERENCE",
     "MAX_GENERATION",
+    "MAX_PREFIX_LEN",
     "pf_word",
     "pf_prefix",
     "verify_generation_fidelity",
@@ -40,6 +41,7 @@ T_REFERENCE = (
 )
 
 MAX_GENERATION = 30  # 2^31 - 1 symbols; anything larger is not desk-scale
+MAX_PREFIX_LEN = 2 ** (MAX_GENERATION + 1) - 1
 
 _prefix_cache = np.array([1], dtype=np.uint8)
 
@@ -69,7 +71,7 @@ def pf_prefix(L: int) -> Word:
     """First L symbols of the infinite paper-folding word."""
     if L < 0:
         raise DomainError("prefix length must be non-negative")
-    if L > 2 ** (MAX_GENERATION + 1) - 1:
+    if L > MAX_PREFIX_LEN:
         raise ResourceError(f"prefix length {L} exceeds the resource budget")
     return Word.from_array(_prefix_array(L), BINARY)
 
@@ -78,26 +80,14 @@ def verify_generation_fidelity() -> CheckReport:
     """Compare the generated generations 0..5 against the stored reference
     strings.  Flipping one symbol of a reference is the standard mutation
     control for the whole suite."""
-    watch = Stopwatch()
+    chk = Check("paperfold.generation-fidelity", {"n_max": len(T_REFERENCE) - 1},
+                "generations 0..5 equal their reference strings")
     for n, ref in enumerate(T_REFERENCE):
         got = str(pf_word(n))
         if got != ref:
             mismatch = next(i for i, (a, b) in enumerate(zip(got, ref)) if a != b)
-            return CheckReport(
-                check="paperfold.generation-fidelity",
-                status="fail",
-                params={"n_max": len(T_REFERENCE) - 1},
-                witness={"generation": n, "first_mismatch": mismatch},
-                elapsed_ms=watch.ms,
-                certifies="generations 0..5 equal their reference strings",
-            )
-    return CheckReport(
-        check="paperfold.generation-fidelity",
-        status="pass",
-        params={"n_max": len(T_REFERENCE) - 1},
-        elapsed_ms=watch.ms,
-        certifies="generations 0..5 equal their reference strings",
-    )
+            return chk.failed({"generation": n, "first_mismatch": mismatch})
+    return chk.passed()
 
 
 def verify_self_similarity(p: int, n: int) -> CheckReport:
@@ -108,7 +98,8 @@ def verify_self_similarity(p: int, n: int) -> CheckReport:
         raise DomainError("p and n must be non-negative")
     if p + n + 1 > 24:
         raise ResourceError("p + n + 1 must stay within the budget of 24")
-    watch = Stopwatch()
+    chk = Check("paperfold.self-similarity", {"p": p, "n": n},
+                "block interleaving identity for generation p+n+1")
     block = _prefix_array(2 ** (p + 1) - 1)
     anti_block = (1 - block)[::-1]
     letters = _prefix_array(2 ** (n + 1) - 1)
@@ -121,25 +112,10 @@ def verify_self_similarity(p: int, n: int) -> CheckReport:
     buf[-1, B - 1] = 0  # padding slot, trimmed below
     expected = buf.ravel()[: rows * B - 1]
     actual = _prefix_array(2 ** (p + n + 2) - 1)
-    params = {"p": p, "n": n}
-    certifies = "block interleaving identity for generation p+n+1"
     if expected.size == actual.size and np.array_equal(expected, actual):
-        return CheckReport(
-            check="paperfold.self-similarity",
-            status="pass",
-            params=params,
-            elapsed_ms=watch.ms,
-            certifies=certifies,
-        )
+        return chk.passed()
     diff = np.nonzero(expected != actual)[0]
-    return CheckReport(
-        check="paperfold.self-similarity",
-        status="fail",
-        params=params,
-        witness={"first_mismatch": int(diff[0]) if diff.size else None},
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+    return chk.failed({"first_mismatch": int(diff[0]) if diff.size else None})
 
 
 @dataclass(frozen=True)
@@ -222,14 +198,13 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
         raise DomainError("test generation must be at least p + 4")
     if test_generation > 24:
         raise ResourceError("test generation exceeds the budget of 24")
-    watch = Stopwatch()
+    W = 3 * 2 ** (p + 1)
+    chk = Check("paperfold.recurrence", {"p": p, "test_generation": test_generation, "window": W},
+                "every window of length 3*2^(p+1) contains generation p")
     pat = _prefix_array(2 ** (p + 1) - 1)
     text = _prefix_array(2 ** (test_generation + 1) - 1)
-    W = 3 * 2 ** (p + 1)
     L, N = pat.size, text.size
     occ = _occurrences(text.tobytes(), pat.tobytes())
-    params = {"p": p, "test_generation": test_generation, "window": W}
-    certifies = "every window of length 3*2^(p+1) contains generation p"
 
     # occurrence at s serves exactly the window starts s-(W-L) .. s
     bad = None
@@ -243,21 +218,8 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
         if bad is None and occ[-1] < N - W:
             bad = occ[-1] + 1
     if bad is None:
-        return CheckReport(
-            check="paperfold.recurrence",
-            status="pass",
-            params=params,
-            elapsed_ms=watch.ms,
-            certifies=certifies,
-        )
-    return CheckReport(
-        check="paperfold.recurrence",
-        status="fail",
-        params=params,
-        witness={"uncovered_window_start": bad},
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+        return chk.passed()
+    return chk.failed({"uncovered_window_start": bad})
 
 
 def check_aperiodic(
@@ -273,19 +235,15 @@ def check_aperiodic(
         raise DomainError("max_period must be >= 1 and preperiod >= 0")
     if prefix_len < preperiod + 2 * max_period:
         raise DomainError("prefix too short: need prefix_len >= preperiod + 2*max_period")
-    watch = Stopwatch()
+    chk = Check("paperfold.aperiodicity",
+                {"prefix_len": prefix_len, "max_period": max_period, "preperiod": preperiod},
+                f"no period <= {max_period} detected after any cut <= {preperiod}")
     if word is None:
         arr = _prefix_array(prefix_len)
     else:
         if word.length < prefix_len:
             raise DomainError("supplied word shorter than prefix_len")
         arr = word.to_array()[:prefix_len]
-    params = {
-        "prefix_len": prefix_len,
-        "max_period": max_period,
-        "preperiod": preperiod,
-    }
-    certifies = f"no period <= {max_period} detected after any cut <= {preperiod}"
     for rho in range(1, max_period + 1):
         neq = arr[rho:] != arr[:-rho]
         if neq.any():
@@ -293,18 +251,5 @@ def check_aperiodic(
         else:
             last_mismatch = -1
         if last_mismatch < preperiod:
-            return CheckReport(
-                check="paperfold.aperiodicity",
-                status="fail",
-                params=params,
-                witness={"period": rho, "cut": last_mismatch + 1},
-                elapsed_ms=watch.ms,
-                certifies=certifies,
-            )
-    return CheckReport(
-        check="paperfold.aperiodicity",
-        status="pass",
-        params=params,
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+            return chk.failed({"period": rho, "cut": last_mismatch + 1})
+    return chk.passed()

@@ -4,6 +4,11 @@ Reports are deterministic: identical parameters and seed must produce an
 identical report except for the elapsed_ms field.  Producers therefore
 never put timestamps, paths, or unordered collections into params or
 witness.
+
+:class:`Check` is the one way to make a report: it fixes the check name,
+params, certifies line and seed up front, starts the clock, and finishes
+the report with :meth:`Check.passed`, :meth:`Check.failed` or
+:meth:`Check.report`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-__all__ = ["CheckReport", "Stopwatch", "emit_report", "jsonable"]
+__all__ = ["Check", "CheckReport", "emit_report", "jsonable"]
 
 _STATUSES = ("pass", "fail", "inconclusive", "error")
 
@@ -60,15 +65,41 @@ class CheckReport:
         }
 
 
-class Stopwatch:
-    """Millisecond stopwatch for filling elapsed_ms."""
+class Check:
+    """Builder for the report of one run of a named check.
 
-    def __init__(self):
+    Construction starts the clock; each finishing call stamps elapsed_ms
+    and returns the validated CheckReport.
+    """
+
+    def __init__(self, name: str, params: dict, certifies: str, seed: Optional[int] = None):
+        self.name = name
+        self.params = params
+        self.certifies = certifies
+        self.seed = seed
         self.t0 = time.perf_counter()
 
     @property
     def ms(self) -> int:
+        """Milliseconds since the check started."""
         return int((time.perf_counter() - self.t0) * 1000)
+
+    def report(self, status: str, witness: Any = None) -> CheckReport:
+        return CheckReport(
+            check=self.name,
+            status=status,
+            params=self.params,
+            witness=witness,
+            elapsed_ms=self.ms,
+            seed=self.seed,
+            certifies=self.certifies,
+        )
+
+    def passed(self, witness: Any = None) -> CheckReport:
+        return self.report("pass", witness)
+
+    def failed(self, witness: Any) -> CheckReport:
+        return self.report("fail", witness)
 
 
 def jsonable(value):

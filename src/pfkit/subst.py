@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .paperfold import pf_prefix
-from .report import CheckReport, Stopwatch
+from .errors import DomainError, ResourceError
+from .paperfold import MAX_PREFIX_LEN, pf_prefix
+from .report import Check, CheckReport
 from .words import QUATERNARY, Word
 
 __all__ = [
@@ -173,10 +173,13 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
 
     Requires a primitive, left-proper substitution.  Iterates from the
     common first letter and asserts prefix stability between the last two
-    iterations.
+    iterations.  ``L`` is capped at paperfold.MAX_PREFIX_LEN (2^31 - 1),
+    the budget of paperfold.pf_prefix; larger requests raise ResourceError.
     """
     if L < 0:
         raise DomainError("prefix length must be non-negative")
+    if L > MAX_PREFIX_LEN:
+        raise ResourceError(f"prefix length {L} exceeds the resource budget")
     # head-map tails on 4 letters have length <= 3; primitivity exponent of
     # a 4x4 non-negative matrix is <= 10, so these caps are exhaustive
     p = is_left_proper(s, 4)
@@ -222,29 +225,14 @@ def verify_recoding(L: int) -> CheckReport:
     point."""
     if L < 1:
         raise DomainError("L must be positive")
-    watch = Stopwatch()
+    chk = Check("subst.recoding", {"L": L},
+                "two-block recoding of the binary word is the substitution fixed point")
     recoded = block_code(pf_prefix(2 * L))
     fixed = fixed_prefix(PAPERFOLD_SUBSTITUTION, L)
-    params = {"L": L}
-    certifies = "two-block recoding of the binary word is the substitution fixed point"
     if recoded == fixed:
-        return CheckReport(
-            check="subst.recoding",
-            status="pass",
-            params=params,
-            elapsed_ms=watch.ms,
-            certifies=certifies,
-        )
+        return chk.passed()
     a, b = recoded.to_array(), fixed.to_array()
-    i = int(np.nonzero(a != b)[0][0])
-    return CheckReport(
-        check="subst.recoding",
-        status="fail",
-        params=params,
-        witness={"first_mismatch": i},
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+    return chk.failed({"first_mismatch": int(np.nonzero(a != b)[0][0])})
 
 
 def _clip_binary(word: Word, L: int) -> Word:
@@ -260,27 +248,12 @@ def verify_intertwining(L: int, word: Word | None = None) -> CheckReport:
     paper-folding prefix of length L."""
     if L % 2 != 0 or L < 4:
         raise DomainError("L must be even and at least 4")
-    watch = Stopwatch()
+    chk = Check("subst.intertwining", {"L": L},
+                "block code intertwines the squared binary shift with the quaternary shift")
     x = pf_prefix(L) if word is None else _clip_binary(word, L)
     arr = x.to_array()
     left = 2 * arr[2::2] + arr[3::2]
     right = (2 * arr[0::2] + arr[1::2])[1:]
-    params = {"L": L}
-    certifies = "block code intertwines the squared binary shift with the quaternary shift"
     if np.array_equal(left, right):
-        return CheckReport(
-            check="subst.intertwining",
-            status="pass",
-            params=params,
-            elapsed_ms=watch.ms,
-            certifies=certifies,
-        )
-    i = int(np.nonzero(left != right)[0][0])
-    return CheckReport(
-        check="subst.intertwining",
-        status="fail",
-        params=params,
-        witness={"first_mismatch_block": i},
-        elapsed_ms=watch.ms,
-        certifies=certifies,
-    )
+        return chk.passed()
+    return chk.failed({"first_mismatch_block": int(np.nonzero(left != right)[0][0])})

@@ -357,6 +357,7 @@ def window_distance(x: Window, y: Window):
 
 _PFW_MAGIC = b"PFW1"
 _PFW_VERSION = 1
+_PFW_HEADER_LEN = 14
 
 
 def to_pfw_bytes(w: Word) -> bytes:
@@ -367,14 +368,16 @@ def to_pfw_bytes(w: Word) -> bytes:
 def from_pfw_bytes(data: bytes) -> Word:
     if data[:4] != _PFW_MAGIC:
         raise DomainError("not a PFW1 stream (bad magic)")
+    if len(data) < _PFW_HEADER_LEN:
+        raise DomainError(f"PFW header truncated at {len(data)} of {_PFW_HEADER_LEN} bytes")
     if data[4] != _PFW_VERSION:
         raise DomainError(f"unsupported PFW version {data[4]}")
     size = data[5]
     if size not in (2, 4):
         raise DomainError(f"bad alphabet-size byte {size}")
     alphabet = Alphabet(size)
-    length = int.from_bytes(data[6:14], "little")
-    payload = data[14:]
+    length = int.from_bytes(data[6:_PFW_HEADER_LEN], "little")
+    payload = data[_PFW_HEADER_LEN:]
     need = (length * alphabet.bits + 7) // 8
     if len(payload) != need:
         raise DomainError(f"payload size {len(payload)} != expected {need}")

@@ -1,10 +1,19 @@
+import hashlib
 import json
+import time
 
 import pytest
 
+from pfkit import paperfold
 from pfkit.cli import PROFILES, REGISTRY, exit_code, main, run_all
-from pfkit.report import CheckReport, emit_report
+from pfkit.dimgroup import MAX_MATRIX_POWER
+from pfkit.paperfold import MAX_PREFIX_LEN, CensusResult
+from pfkit.report import Check, CheckReport, emit_report
 from pfkit.words import Word, read_pfw
+
+# SHA-256 of the quick-profile report at seed 42 with elapsed_ms removed;
+# any change to a report's bytes changes it
+QUICK_REPORT_DIGEST = "bcfcaefaadea767f6685ca88042100d603e6f9c6becedd2a932fbfd9e930cc3f"
 
 
 def strip_elapsed(obj):
@@ -21,6 +30,17 @@ def test_report_validation():
     with pytest.raises(ValueError):
         CheckReport(check="x", status="fail")  # fail needs a witness
     CheckReport(check="x", status="fail", witness="reason")
+    chk = Check("x", {"n": 1}, "a fact", seed=7)
+    with pytest.raises(ValueError):
+        chk.report("fail")  # still needs a witness
+    with pytest.raises(ValueError):
+        chk.report("bogus")
+    rep = chk.failed("reason")
+    assert (rep.check, rep.status, rep.params, rep.witness) == ("x", "fail", {"n": 1}, "reason")
+    assert (rep.seed, rep.certifies) == (7, "a fact")
+    assert chk.passed().to_dict() | {"elapsed_ms": 0} == CheckReport(
+        check="x", status="pass", params={"n": 1}, seed=7, certifies="a fact"
+    ).to_dict()
 
 
 def test_emit_report_json_roundtrip():
@@ -178,6 +198,8 @@ def test_run_all_quick_is_deterministic():
     assert all(r["status"] == "pass" for r in a)
     assert all(r["seed"] == 42 for r in a)
     assert [r["check"] for r in a] == [name for name, _ in REGISTRY]
+    body = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in a]
+    assert hashlib.sha256(json.dumps(body).encode()).hexdigest() == QUICK_REPORT_DIGEST
 
 
 def test_run_all_error_isolation(monkeypatch):
@@ -195,6 +217,57 @@ def test_run_all_error_isolation(monkeypatch):
     assert by_name["subst.structure"].status == "error"
     assert "synthetic failure" in by_name["subst.structure"].witness["exception"]
     assert exit_code(reports) == 2
+
+
+def test_run_all_error_report_has_real_elapsed(monkeypatch):
+    import pfkit.cli as cli_mod
+
+    def slow_boom(p, seed):
+        time.sleep(0.05)
+        raise RuntimeError("late failure")
+
+    monkeypatch.setattr(cli_mod, "REGISTRY", (("slow.boom", slow_boom),))
+    (rep,) = cli_mod.run_all("quick", seed=42, threads=1)
+    assert rep.status == "error"
+    assert rep.elapsed_ms >= 50
+
+
+def test_unsaturated_census_is_inconclusive_everywhere(monkeypatch, capsys):
+    import pfkit.cli as cli_mod
+
+    unsaturated = CensusResult(max_length_checked=8, counts={2: 2, 4: 2, 6: 1, 8: 0}, saturated=False)
+    monkeypatch.setattr(paperfold, "antipalindrome_census", lambda g, max_len: unsaturated)
+    census = [entry for entry in cli_mod.REGISTRY if entry[0] == "paperfold.antipalindrome-census"]
+    monkeypatch.setattr(cli_mod, "REGISTRY", tuple(census))
+    reports = run_all("quick", seed=42, threads=1)
+    assert [r.status for r in reports] == ["inconclusive"]
+    assert exit_code(reports) == 1
+    assert main(["paperfold", "census", "--generation", "12", "--max-len", "8"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "inconclusive"
+    assert payload["certifies"] == reports[0].certifies
+    assert payload["witness"]["saturated"] is False
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({"PFKIT_THREADS": "abc"}, ["report", "--profile", "quick"]),
+        ({}, ["subst", "fixed-prefix", "--len", str(MAX_PREFIX_LEN + 1)]),
+        ({}, ["dimgroup", "matpow", "--n", str(MAX_MATRIX_POWER + 1)]),
+        ({}, ["paperfold", "gen", "--n", "-1"]),
+    ],
+    ids=["threads-not-int", "fixed-prefix-cap", "matpow-cap", "negative-generation"],
+)
+def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, env, argv):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
 
 
 def test_report_command_writes_file(tmp_path, capsys):

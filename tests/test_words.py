@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfkit.errors import DomainError
 from pfkit.words import (
@@ -211,6 +213,49 @@ def test_pfw_rejects_corruption():
         mutate(bad)
         with pytest.raises(DomainError):
             from_pfw_bytes(bytes(bad))
+
+
+def test_pfw_rejects_truncated_header():
+    blob = to_pfw_bytes(Word("1101100"))
+    for short in (b"PFW1", b"PFW1\x01", b"PFW1\x01\x02", blob[:13]):
+        with pytest.raises(DomainError):
+            from_pfw_bytes(short)
+
+
+def _pfw_blob(size, length, payload):
+    return b"PFW1\x01" + bytes([size]) + length.to_bytes(8, "little") + payload
+
+
+# arbitrary bytes, plus streams that get past the magic and header checks
+pfw_streams = st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(lambda tail: b"PFW1" + tail),
+    st.builds(_pfw_blob, st.sampled_from([2, 3, 4]), st.integers(0, 80), st.binary(max_size=24)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pfw_streams)
+def test_pfw_reader_gives_word_or_domain_error(data):
+    try:
+        w = from_pfw_bytes(data)
+    except DomainError:
+        return
+    assert isinstance(w, Word)
+    assert w.length == int.from_bytes(data[6:14], "little")
+    assert from_pfw_bytes(to_pfw_bytes(w)) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), max_size=200))
+))
+def test_pfw_roundtrip_random_words(case):
+    size, symbols = case
+    w = Word.from_array(np.array(symbols, dtype=np.uint8), Alphabet(size))
+    back = from_pfw_bytes(to_pfw_bytes(w))
+    assert back == w
+    assert back.to_array().tolist() == symbols
 
 
 def test_quaternary_packing_lsb_first():
