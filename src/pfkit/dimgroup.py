@@ -28,6 +28,7 @@ from .words import Word
 __all__ = [
     "PAPERFOLD_MATRIX",
     "MAX_MATRIX_POWER",
+    "MAX_SAMPLES",
     "mat_pow",
     "closed_form_power",
     "verify_matrix_closed_form",
@@ -135,21 +136,22 @@ def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # lattices of rational 4-vectors
-
-
-def _as_vec4(q):
-    q = tuple(Fraction(x) for x in q)
-    if len(q) != 4:
-        raise DomainError("expected a rational 4-vector")
-    return q
+#
+# One integer core serves every predicate.  A vector q is scaled to (v, d)
+# with q = v / d and d > 0; the representation need not be reduced.  Its
+# definitional image at index n is r = M^n v, with M^n from mat_pow.  Then
+# q lies in G_n iff d divides every r_i, in H_n iff r = 0, and in (G_n)+
+# iff it lies in G_n and r >= 0.  All three hold for any representation,
+# since they only ask whether M^n q is integral, zero or non-negative.
 
 
 def _scaled(q):
     """(integer vector, common denominator) with q = v / d."""
-    d = 1
-    for x in q:
-        d = math.lcm(d, x.denominator)
-    return [x.numerator * (d // x.denominator) for x in q], d
+    q = tuple(Fraction(x) for x in q)
+    if len(q) != 4:
+        raise DomainError("expected a rational 4-vector")
+    d = math.lcm(*(x.denominator for x in q))
+    return tuple(x.numerator * (d // x.denominator) for x in q), d
 
 
 _POWERS: dict = {}
@@ -161,45 +163,48 @@ def _power(n: int):
     return _POWERS[n]
 
 
-def _image(q, n: int):
-    v, d = _scaled(_as_vec4(q))
-    M = _power(n)
-    return [sum(M[i][j] * v[j] for j in range(4)) for i in range(4)], d
+def _apply(P, v):
+    """The matrix-vector product P v."""
+    v0, v1, v2, v3 = v
+    return [a * v0 + b * v1 + c * v2 + e * v3 for a, b, c, e in P]
 
 
-def _membership_triple(q, n: int):
-    """(in G_n, in H_n, in (G_n)+) from a single matrix-vector product."""
-    r, d = _image(q, n)
-    integral = all(x % d == 0 for x in r)
-    return (
-        integral,
-        all(x == 0 for x in r),
-        integral and all(x >= 0 for x in r),
-    )
+def _membership_triple(r, d: int):
+    """(in G_n, in H_n, in (G_n)+) of q = v / d, from its image r = M^n v."""
+    r0, r1, r2, r3 = r
+    integral = not (r0 % d or r1 % d or r2 % d or r3 % d)
+    return integral, not (r0 or r1 or r2 or r3), integral and min(r) >= 0
+
+
+def _closed_form_triple(v, d: int, n: int):
+    """The closed-form conditions of closed_form_membership on (v, d)."""
+    e = 1 << (n - 2)
+    S = sum(v)
+    D = v[0] - v[1]
+    in_g = (e * S) % d == 0 and D % d == 0
+    return in_g, S == 0 and D == 0, in_g and abs(D) <= e * S
+
+
+def _definitional_triple(q, n: int):
+    if n < 1:
+        raise DomainError("lattice index must be at least 1")
+    v, d = _scaled(q)
+    return _membership_triple(_apply(_power(n), v), d)
 
 
 def in_G(q, n: int) -> bool:
     """Whether the n-th matrix power maps q into Z^4 (n >= 1)."""
-    if n < 1:
-        raise DomainError("lattice index must be at least 1")
-    r, d = _image(q, n)
-    return all(x % d == 0 for x in r)
+    return _definitional_triple(q, n)[0]
 
 
 def in_H(q, n: int) -> bool:
     """Whether the n-th matrix power kills q (n >= 1)."""
-    if n < 1:
-        raise DomainError("lattice index must be at least 1")
-    r, _ = _image(q, n)
-    return all(x == 0 for x in r)
+    return _definitional_triple(q, n)[1]
 
 
 def in_G_plus(q, n: int) -> bool:
     """Whether the n-th matrix power maps q into Z^4 with all entries >= 0."""
-    if n < 1:
-        raise DomainError("lattice index must be at least 1")
-    r, d = _image(q, n)
-    return all(x % d == 0 and x >= 0 for x in r)
+    return _definitional_triple(q, n)[2]
 
 
 def closed_form_membership(q, n: int):
@@ -213,14 +218,7 @@ def closed_form_membership(q, n: int):
     """
     if n < 2:
         raise DomainError("closed-form membership starts at index 2")
-    v, d = _scaled(_as_vec4(q))
-    e = 2 ** (n - 2)
-    S = sum(v)
-    D = v[0] - v[1]
-    in_g = (e * S) % d == 0 and D % d == 0
-    in_h = S == 0 and D == 0
-    in_gp = in_g and S >= 0 and abs(D) <= e * S
-    return in_g, in_h, in_gp
+    return _closed_form_triple(*_scaled(q), n)
 
 
 def alpha(q, n: int) -> "DyadicPair":
@@ -228,17 +226,16 @@ def alpha(q, n: int) -> "DyadicPair":
     inside (1/2^n)Z (+) Z.  Kernel is H_{n+2}."""
     if n < 0:
         raise DomainError("stage must be non-negative")
-    q = _as_vec4(q)
-    if not in_G(q, n + 2):
+    v, d = _scaled(q)
+    if not _membership_triple(_apply(_power(n + 2), v), d)[0]:
         raise DomainError("vector is not in the stage's lattice G_{n+2}")
-    s = sum(q)
-    m = q[0] - q[1]
-    sd = DyadicRational.from_fraction(s)
+    sd = DyadicRational.from_fraction(Fraction(sum(v), d))
     if sd.exp > n:
         raise DomainError("sum lands outside (1/2^n)Z")  # unreachable given G-membership
-    if m.denominator != 1:
+    m, rest = divmod(v[0] - v[1], d)
+    if rest:
         raise DomainError("q1 - q2 is not an integer")  # unreachable likewise
-    return DyadicPair(sd, int(m))
+    return DyadicPair(sd, m)
 
 
 def alpha_preimage(s, m: int):
@@ -267,9 +264,10 @@ class DyadicRational:
         if num == 0:
             exp = 0
         else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+            # num & -num is the lowest set bit of num: this counts its trailing zeros
+            k = min((num & -num).bit_length() - 1, exp)
+            num >>= k
+            exp -= k
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -566,19 +564,46 @@ def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
 # seeded property batteries (exact, no tolerances)
 
 
-def _random_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(-1024, 1024), rng.randint(1, 1024))
+MAX_SAMPLES = 1_000_000
 
 
-def _random_lattice_member(rng, n: int):
-    """A random element of G_n: a canonical preimage of a random target
-    plus a random element of the stage's kernel (sum 0, q1 = q2)."""
-    s = Fraction(rng.randint(-1024, 1024), 2 ** rng.randint(0, n - 2)) if n > 2 else Fraction(rng.randint(-1024, 1024))
-    m = rng.randint(-1024, 1024)
-    a, b = _random_fraction(rng), _random_fraction(rng)
-    kernel = (a, a, b, -2 * a - b)
-    base = alpha_preimage(s, m)
-    return tuple(x + y for x, y in zip(base, kernel)), s, m
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ResourceError(f"samples {samples} exceeds the cap of {MAX_SAMPLES}")
+
+
+def _draw_vector(randint):
+    """A random rational 4-vector q_i = a_i / b_i, scaled once to (v, d)."""
+    a0, b0 = randint(-1024, 1024), randint(1, 1024)
+    a1, b1 = randint(-1024, 1024), randint(1, 1024)
+    a2, b2 = randint(-1024, 1024), randint(1, 1024)
+    a3, b3 = randint(-1024, 1024), randint(1, 1024)
+    d = math.lcm(b0, b1, b2, b3)
+    return (a0 * (d // b0), a1 * (d // b1), a2 * (d // b2), a3 * (d // b3)), d
+
+
+def _draw_member(randint, n: int):
+    """A random element of G_n, scaled to (v, d): the canonical preimage
+    (m, 0, s - m, 0) of a random target (s, m) = (x / 2^k, m) plus a random
+    element (a, a, b, -2a - b) of the stage's kernel.  Returns (v, d, x, k, m)."""
+    x = randint(-1024, 1024)
+    k = randint(0, n - 2) if n > 2 else 0
+    m = randint(-1024, 1024)
+    a1, a2 = randint(-1024, 1024), randint(1, 1024)
+    b1, b2 = randint(-1024, 1024), randint(1, 1024)
+    d = (a2 * b2) << k
+    md, ad, bd = m * d, (a1 * b2) << k, (b1 * a2) << k
+    return (md + ad, ad, x * a2 * b2 - md + bd, -2 * ad - bd), d, x, k, m
+
+
+def _fraction_text(v, d):
+    return [str(Fraction(x, d)) for x in v]
+
+
+def _target_text(x, k, m):
+    return [str(Fraction(x, 1 << k)), m]
 
 
 def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: int = 42) -> CheckReport:
@@ -586,46 +611,56 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     index: definitional vs closed-form membership agreement, nesting of
     G/H/G+ across consecutive indices, the quotient-map kernel identity,
     surjectivity witnesses, stage-independence of the quotient map, and
-    the cone correspondence for canonical preimages."""
+    the cone correspondence for canonical preimages.
+
+    Each sampled vector is scaled once to integers (v, d), and every
+    decision reads one definitional image M^k v, with M^k from mat_pow, at
+    k = n or n + 1; the closed form is checked against the image at n, never
+    used in its place.  Fractions are built only for a failure witness."""
     if index_max < 2:
         raise DomainError("index_max must be at least 2")
+    if index_max > MAX_MATRIX_POWER - 1:
+        raise ResourceError(f"index_max {index_max} exceeds the cap of {MAX_MATRIX_POWER - 1}")
+    _check_samples(samples)
     chk = Check("dimgroup.lattice-properties", {"index_max": index_max, "samples": samples},
                 "lattice membership, nesting, quotient kernel and cone all agree exactly", seed=seed)
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
 
     def fail(reason, n, payload):
         return chk.failed({"reason": reason, "index": n, **payload})
 
     for n in range(2, index_max + 1):
+        P, P_next, e = _power(n), _power(n + 1), 1 << (n - 2)
         for _ in range(samples):
-            q = tuple(_random_fraction(rng) for _ in range(4))
-            got = _membership_triple(q, n)
-            if got != closed_form_membership(q, n):
-                return fail("closed-form-disagrees", n, {"q": [str(x) for x in q]})
+            v, d = _draw_vector(randint)
+            got = _membership_triple(_apply(P, v), d)
+            if got != _closed_form_triple(v, d, n):
+                return fail("closed-form-disagrees", n, {"q": _fraction_text(v, d)})
             # nesting into the next stage
-            nxt = _membership_triple(q, n + 1)
+            nxt = _membership_triple(_apply(P_next, v), d)
             if any(a and not b for a, b in zip(got, nxt)):
-                return fail("nesting-violated", n, {"q": [str(x) for x in q]})
+                return fail("nesting-violated", n, {"q": _fraction_text(v, d)})
 
-            member, s, m = _random_lattice_member(rng, n)
-            in_g, in_h, _ = _membership_triple(member, n)
+            v, d, x, k, m = _draw_member(randint, n)
+            in_g, in_h, _ = _membership_triple(_apply(P, v), d)
             if not in_g:
-                return fail("constructed-member-outside", n, {"q": [str(x) for x in member]})
-            pair = alpha(member, n - 2)
-            if pair.s.to_fraction() != s or pair.m != m:
-                return fail("quotient-map-wrong-target", n, {"target": [str(s), m]})
-            # the map does not depend on the stage it is computed at
-            if alpha(member, n - 1) != pair:
-                return fail("stage-dependence", n, {"target": [str(s), m]})
+                return fail("constructed-member-outside", n, {"q": _fraction_text(v, d)})
+            # the quotient map at stage n - 2 sends v / d to (sum(v), v1 - v2) / d
+            if sum(v) << k != x * d or v[0] - v[1] != m * d:
+                return fail("quotient-map-wrong-target", n, {"target": _target_text(x, k, m)})
+            # the map does not depend on the stage it is computed at: stage
+            # n - 1 gives the same value, provided the member is in G_{n+1}
+            if not _membership_triple(_apply(P_next, v), d)[0]:
+                return fail("stage-dependence", n, {"target": _target_text(x, k, m)})
             # kernel identity
-            if in_h != (pair.s == DYADIC_ZERO and pair.m == 0):
-                return fail("kernel-identity", n, {"q": [str(x) for x in member]})
+            if in_h != (x == 0 and m == 0):
+                return fail("kernel-identity", n, {"q": _fraction_text(v, d)})
             # canonical preimage lies in the positive set iff the target
             # satisfies the stage's cone inequality
-            base = alpha_preimage(s, m)
-            staged_ok = s >= 0 and abs(m) <= 2 ** (n - 2) * s
-            if in_G_plus(base, n) != staged_ok:
-                return fail("cone-correspondence", n, {"target": [str(s), m]})
+            base = (m << k, 0, x - (m << k), 0)
+            staged_ok = x >= 0 and abs(m) << k <= e * x
+            if _membership_triple(_apply(P, base), 1 << k)[2] != staged_ok:
+                return fail("cone-correspondence", n, {"target": _target_text(x, k, m)})
     return chk.passed()
 
 
@@ -634,6 +669,7 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
     |num| <= 2^20, exp <= 20, |m| <= 2^20, with explicit stage witnesses,
     plus the unit normalisation facts: the all-ones vector maps to (4, 0)
     and rescaling by 4 makes it (1, 0)."""
+    _check_samples(samples)
     chk = Check("dimgroup.cone-identity", {"samples": samples},
                 "staged cone union equals {s > 0} plus the origin; unit maps to (1,0)", seed=seed)
     rng = random.Random(seed)
@@ -683,6 +719,7 @@ def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckRepor
     """For random dyadic twist values a: the twist squares to the
     identity and fixes every (q, 0); adding the twisted copy always lands
     in {(., 0)} and attains every sampled (q, 0) via the halved preimage."""
+    _check_samples(samples)
     chk = Check("dimgroup.involution", {"samples": samples},
                 "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
     rng = random.Random(seed)

@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pfkit import dimgroup
 from pfkit.dimgroup import (
     DYADIC_ONE,
     DYADIC_ZERO,
+    MAX_MATRIX_POWER,
+    MAX_SAMPLES,
     PAPERFOLD_MATRIX,
     DyadicInvolution,
     DyadicPair,
@@ -318,3 +323,129 @@ def test_battery_reports_are_reproducible():
     a = verify_lattice_properties(3, 25, seed=11)
     b = verify_lattice_properties(3, 25, seed=11)
     assert a.to_dict() | {"elapsed_ms": 0} == b.to_dict() | {"elapsed_ms": 0}
+
+
+def _fraction_oracle(q, n):
+    """(in G_n, in H_n, in (G_n)+) from a plain Fraction evaluation of
+    mat_pow(M, n) q, independent of the integer core."""
+    M = mat_pow(PAPERFOLD_MATRIX, n)
+    r = [sum(Fraction(M[i][j]) * q[j] for j in range(4)) for i in range(4)]
+    in_g = all(x.denominator == 1 for x in r)
+    return in_g, all(x == 0 for x in r), in_g and all(x >= 0 for x in r)
+
+
+_entries = st.one_of(
+    st.integers(-64, 64),
+    st.builds(Fraction, st.integers(-256, 256), st.sampled_from([1, 2, 4, 8, 16, 64, 3, 12])),
+    st.fractions(max_denominator=1024),
+)
+
+
+def _member(s_num, k, m, a, b):
+    kernel = (a, a, b, -2 * a - b)
+    return tuple(x + y for x, y in zip(alpha_preimage(Fraction(s_num, 2**k), m), kernel))
+
+
+_vectors = st.one_of(
+    st.tuples(_entries, _entries, _entries, _entries),
+    st.just((0, 0, 0, 0)),
+    st.builds(_member, st.integers(-1024, 1024), st.integers(0, 14), st.integers(-1024, 1024),
+              st.fractions(max_denominator=64), st.fractions(max_denominator=64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_vectors, n=st.integers(1, 14), c=st.integers(1, 2**40))
+def test_integer_core_agrees_with_fraction_oracle(q, n, c):
+    expected = _fraction_oracle([Fraction(x) for x in q], n)
+    assert (in_G(q, n), in_H(q, n), in_G_plus(q, n)) == expected
+    # the same value in unreduced form (c v) / (c d), as the battery builds it
+    v, d = dimgroup._scaled(q)
+    v, d = [c * x for x in v], c * d
+    assert dimgroup._membership_triple(dimgroup._apply(mat_pow(PAPERFOLD_MATRIX, n), v), d) == expected
+    if n < 2:
+        return
+    assert closed_form_membership(q, n) == expected
+    assert dimgroup._closed_form_triple(v, d, n) == expected
+    if expected[0]:
+        pair = alpha(q, n - 2)
+        assert pair.s.to_fraction() == sum(Fraction(x) for x in q)
+        assert pair.m == Fraction(q[0]) - Fraction(q[1])
+    else:
+        with pytest.raises(DomainError):
+            alpha(q, n - 2)
+
+
+def _halving_normal_form(num, exp):
+    """The earlier DyadicRational normalisation: halve while even."""
+    if num == 0:
+        return 0, 0
+    while num % 2 == 0 and exp > 0:
+        num //= 2
+        exp -= 1
+    return num, exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.one_of(
+        st.just(0),
+        st.integers(-2048, 2048),
+        st.integers(-(2**300), 2**300),
+        st.builds(lambda odd, shift: odd << shift, st.integers(-99, 99), st.integers(0, 400)),
+    ),
+    exp=st.integers(0, 400),
+)
+def test_dyadic_normal_form_matches_halving_loop(num, exp):
+    d = DyadicRational(num, exp)
+    assert (d.num, d.exp) == _halving_normal_form(num, exp)
+
+
+def _off_by_one(monkeypatch, power):
+    """Make the cached power M^power wrong in its top-left entry."""
+    real = dimgroup._power
+
+    def perturbed(n):
+        P = real(n)
+        return ((P[0][0] + 1, *P[0][1:]), *P[1:]) if n == power else P
+
+    monkeypatch.setattr(dimgroup, "_power", perturbed)
+
+
+@pytest.mark.parametrize(
+    "power, reason",
+    [(2, "constructed-member-outside"), (3, "stage-dependence")],
+    ids=["wrong-M2", "wrong-M3"],
+)
+def test_lattice_properties_negative_controls(monkeypatch, power, reason):
+    _off_by_one(monkeypatch, power)
+    rep = verify_lattice_properties(4, 200, 42)
+    assert rep.status == "fail"
+    assert rep.witness["reason"] == reason
+    assert rep.witness["index"] == 2
+    if reason == "stage-dependence":
+        assert rep.witness["target"]
+
+
+@pytest.mark.parametrize(
+    "battery",
+    [lambda s: verify_lattice_properties(3, s), verify_cone_identity, verify_involution_algebra],
+    ids=["lattice", "cone", "involution"],
+)
+def test_batteries_reject_vacuous_and_oversized_samples(battery):
+    for samples in (0, -5):
+        with pytest.raises(DomainError):
+            battery(samples)
+    with pytest.raises(ResourceError):
+        battery(MAX_SAMPLES + 1)
+
+
+def test_lattice_index_cap_is_checked_before_any_work(monkeypatch):
+    def no_work(n):
+        raise AssertionError("the battery started")
+
+    monkeypatch.setattr(dimgroup, "_power", no_work)
+    with pytest.raises(ResourceError):
+        verify_lattice_properties(MAX_MATRIX_POWER, 10)
+    with pytest.raises(ResourceError):
+        verify_lattice_properties(3, MAX_SAMPLES + 1)

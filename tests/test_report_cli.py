@@ -6,7 +6,7 @@ import pytest
 
 from pfkit import paperfold
 from pfkit.cli import PROFILES, REGISTRY, exit_code, main, run_all
-from pfkit.dimgroup import MAX_MATRIX_POWER
+from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
 from pfkit.paperfold import MAX_PREFIX_LEN, CensusResult
 from pfkit.report import Check, CheckReport, emit_report
 from pfkit.words import Word, read_pfw
@@ -256,8 +256,15 @@ def test_unsaturated_census_is_inconclusive_everywhere(monkeypatch, capsys):
         ({}, ["subst", "fixed-prefix", "--len", str(MAX_PREFIX_LEN + 1)]),
         ({}, ["dimgroup", "matpow", "--n", str(MAX_MATRIX_POWER + 1)]),
         ({}, ["paperfold", "gen", "--n", "-1"]),
+        ({}, ["dimgroup", "verify", "--samples", "0"]),
+        ({}, ["dimgroup", "verify", "--samples", "-5"]),
+        ({}, ["dimgroup", "verify", "--samples", str(MAX_SAMPLES + 1)]),
+        ({}, ["dimgroup", "verify", "--index-max", str(MAX_MATRIX_POWER)]),
+        ({}, ["dimgroup", "verify", "--index-max", "5000"]),
     ],
-    ids=["threads-not-int", "fixed-prefix-cap", "matpow-cap", "negative-generation"],
+    ids=["threads-not-int", "fixed-prefix-cap", "matpow-cap", "negative-generation",
+         "verify-zero-samples", "verify-negative-samples", "verify-samples-cap",
+         "verify-index-max-cap", "verify-index-max-5000"],
 )
 def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, env, argv):
     for key, value in env.items():
