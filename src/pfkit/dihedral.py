@@ -20,6 +20,7 @@ saturation bookkeeping here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,12 +30,15 @@ from .paperfold import pf_word
 from .report import Check, CheckReport
 from .words import (
     BINARY,
+    MAX_CODE_BITS,
+    FactorIndex,
     Window,
     Word,
     anti_reverse_code,
     code_to_word,
     is_anti_palindrome,
     window_codes,
+    word_code,
 )
 
 __all__ = [
@@ -58,6 +62,12 @@ class LanguageOracle:
     per-length saturation: length ell is saturated when the prefix and a
     shorter reference prefix (by default the first half, or the previous
     generation) have identical factor sets of length ell.
+
+    Factor sets, saturation and membership all come from one
+    :class:`~pfkit.words.FactorIndex` over the prefix, grown a length at a
+    time as queries need it: ``contains`` looks the query's code up in its
+    length's set and scans the prefix only for queries longer than
+    MAX_CODE_BITS // bits symbols, which have no integer code.
     """
 
     def __init__(self, source: Word, max_len: int, reference_len: Optional[int] = None):
@@ -72,9 +82,7 @@ class LanguageOracle:
         )
         if not 0 < self.reference_len <= source.length:
             raise DomainError("bad reference length")
-        self._raw = source.to_array().tobytes()
-        self._codes: dict[int, set] = {}
-        self._saturated: dict[int, bool] = {}
+        self._index = FactorIndex(source.to_array(), source.alphabet.bits, self.reference_len)
 
     @classmethod
     def from_generation(cls, generation: int, max_len: int) -> "LanguageOracle":
@@ -84,6 +92,10 @@ class LanguageOracle:
             raise DomainError("need generation >= 1")
         return cls(pf_word(generation), max_len, reference_len=2**generation - 1)
 
+    @cached_property
+    def _raw(self) -> bytes:
+        return self.source.to_array().tobytes()
+
     def contains(self, v: Word) -> bool:
         """Exact membership of ``v`` in the factor set of the stored prefix."""
         if v.alphabet != self.source.alphabet:
@@ -92,28 +104,20 @@ class LanguageOracle:
             raise DomainError(f"query length {v.length} exceeds oracle max_len")
         if v.length == 0:
             return True
+        if v.length * v.alphabet.bits <= MAX_CODE_BITS:
+            return word_code(v) in self._index.codes(v.length)
         return self._raw.find(v.to_array().tobytes()) >= 0
 
     def factor_codes(self, length: int) -> set:
-        """Set of integer window codes of the given length (cached)."""
+        """Set of integer window codes of the given length."""
         if not 1 <= length <= self.max_len:
             raise DomainError("length outside the oracle's range")
-        if length not in self._codes:
-            arr = self.source.to_array()
-            self._codes[length] = set(
-                np.unique(window_codes(arr, length, self.source.alphabet.bits)).tolist()
-            )
-        return self._codes[length]
+        return self._index.codes(length)
 
     def is_saturated(self, length: int) -> bool:
         if not 1 <= length <= self.max_len:
             raise DomainError("length outside the oracle's range")
-        if length not in self._saturated:
-            ref = self.source.to_array()[: self.reference_len]
-            bits = self.source.alphabet.bits
-            ref_codes = set(np.unique(window_codes(ref, length, bits)).tolist())
-            self._saturated[length] = ref_codes == self.factor_codes(length)
-        return self._saturated[length]
+        return self._index.saturated(length)
 
     def saturated_to(self, n: int) -> bool:
         return all(self.is_saturated(ell) for ell in range(1, n + 1))
@@ -122,7 +126,8 @@ class LanguageOracle:
 def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> CheckReport:
     """Pass iff for every factor v with |v| <= n_max the anti-reversal of v
     is also a factor.  Inconclusive when any length up to n_max is not
-    saturated."""
+    saturated.  A failure's witness is the shortest failing factor of least
+    code."""
     if n_max > oracle.max_len:
         raise DomainError("n_max exceeds the oracle's max_len")
     if oracle.source.alphabet != BINARY:
@@ -133,7 +138,7 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
         if not oracle.is_saturated(ell):
             return chk.report("inconclusive", {"unsaturated_length": ell})
         codes = oracle.factor_codes(ell)
-        for c in codes:
+        for c in sorted(codes):
             if anti_reverse_code(c, ell) not in codes:
                 return chk.failed({"factor": str(code_to_word(c, ell))})
     return chk.passed()
@@ -289,8 +294,8 @@ def parity_class_separation(K: int, generation: int) -> CheckReport:
         raise DomainError("generation too small for the requested K")
     chk = Check("dihedral.parity-separation", {"K": K, "generation": generation},
                 "even and odd 7-windows are disjoint and match their pattern families")
-    arr = pf_word(generation).to_array()
-    codes = window_codes(arr, 7)
+    # the windows at offsets 0 .. 2K+1 end before symbol 2K+8
+    codes = window_codes(pf_word(generation).to_array()[: 2 * K + 8], 7)
     even = codes[0 : 2 * K + 1 : 2]
     odd = codes[1 : 2 * K + 2 : 2]
 

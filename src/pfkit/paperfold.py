@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .report import Check, CheckReport
-from .words import BINARY, Word, anti_reverse_code, window_codes
+from .words import BINARY, MAX_CODE_BITS, FactorIndex, Word, anti_reverse_code
+from .words import window_codes  # noqa: F401 - perfbench/spans.py times this name here
 
 __all__ = [
     "T_REFERENCE",
@@ -145,34 +146,29 @@ class CensusResult:
         }
 
 
-def _antipalindrome_counts(arr: np.ndarray, max_len: int) -> dict:
-    counts = {}
-    for ell in range(2, max_len + 1, 2):
-        codes = np.unique(window_codes(arr, ell))
-        counts[ell] = sum(
-            1 for c in codes.tolist() if c == anti_reverse_code(c, ell)
-        )
-    return counts
-
-
 def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
     """Census the anti-palindromic factors of generation ``generation`` for
-    every even length up to ``max_len``."""
+    every even length up to ``max_len``.
+
+    Counts and saturation (against generation - 1) come from one factor
+    index over the generation, built a length at a time."""
     if max_len % 2 != 0 or max_len < 2:
         raise DomainError("max_len must be even and at least 2")
+    if max_len > MAX_CODE_BITS:
+        raise DomainError(f"max_len {max_len} exceeds the coding limit of {MAX_CODE_BITS}")
+    if generation > MAX_GENERATION:
+        raise ResourceError(f"generation {generation} exceeds the cap of {MAX_GENERATION}")
     if generation < 1 or 2 ** (generation + 1) - 1 < 3 * max_len:
         raise DomainError(
             f"generation {generation} too small to census lengths up to {max_len}"
         )
-    arr = _prefix_array(2 ** (generation + 1) - 1)
-    prev = _prefix_array(2**generation - 1)
-    counts = _antipalindrome_counts(arr, max_len)
-    saturated = all(
-        np.array_equal(
-            np.unique(window_codes(arr, ell)), np.unique(window_codes(prev, ell))
-        )
-        for ell in range(2, max_len + 1, 2)
-    )
+    index = FactorIndex(_prefix_array(2 ** (generation + 1) - 1), 1, ref_len=2**generation - 1)
+    lengths = range(2, max_len + 1, 2)
+    counts = {
+        ell: sum(1 for c in index.codes(ell) if c == anti_reverse_code(c, ell))
+        for ell in lengths
+    }
+    saturated = all(index.saturated(ell) for ell in lengths)
     return CensusResult(max_length_checked=max_len, counts=counts, saturated=saturated)
 
 

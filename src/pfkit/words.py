@@ -5,12 +5,19 @@ size 4, least-significant-bit first within each byte) with a lazily cached
 numpy symbol array for scans.  All values are immutable after construction
 and every operation is pure, so words are safe to share between threads.
 
+Factor languages have one engine, :class:`FactorIndex`: it builds the
+factor codes of every length of a symbol array one length at a time from
+the previous length's, and reads saturation against a reference prefix off
+the same pass.  ``window_codes`` codes one length from scratch; it stays as
+the direct formulation for single scans and as the index's test oracle.
+
 Indexing convention: all public APIs 0-index, segments are inclusive on
 both ends.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +39,10 @@ __all__ = [
     "is_anti_palindrome",
     "factor_set",
     "window_distance",
+    "MAX_CODE_BITS",
     "window_codes",
+    "word_code",
+    "FactorIndex",
     "anti_reverse_code",
     "to_pfw_bytes",
     "from_pfw_bytes",
@@ -240,13 +250,16 @@ def is_anti_palindrome(v: Word) -> bool:
     return v == anti_reverse(v)
 
 
+MAX_CODE_BITS = 62  # a window code is a non-negative int64
+
+
 def window_codes(arr: np.ndarray, n: int, bits: int = 1) -> np.ndarray:
     """Integer codes of all length-n windows of a symbol array.
 
     Position j of a window contributes ``symbol << (bits*j)``, so the first
     symbol sits in the least significant bits.  Requires n*bits <= 62.
     """
-    if n * bits > 62:
+    if n * bits > MAX_CODE_BITS:
         raise DomainError(f"window length {n} too large for integer coding")
     m = arr.size - n + 1
     if m <= 0:
@@ -255,6 +268,93 @@ def window_codes(arr: np.ndarray, n: int, bits: int = 1) -> np.ndarray:
     for j in range(n):
         codes |= arr[j : j + m].astype(np.int64) << (bits * j)
     return codes
+
+
+def word_code(v: Word) -> int:
+    """The window code of the whole word (see window_codes): the packed
+    payload, least significant byte first, is exactly that integer."""
+    return int.from_bytes(v.payload, "little")
+
+
+_CHUNK = 1 << 16  # windows per step of a pass; bounds each step's temporaries
+
+
+class FactorIndex:
+    """The factor codes of every length of one symbol array, built one
+    length at a time.
+
+    Each length-ell window gets a dense id: the rank of the pair
+    ``id_{ell-1}[i] * size + arr[i+ell-1]`` among the pairs that occur
+    (Karp-Miller-Rosenberg renaming).  The pairs are marked in a bitmap of
+    ``|F_{ell-1}| * size`` entries and ranked by its running sum, and each
+    id carries the window code of its factor (see window_codes).  So a
+    length costs one marking pass and one renaming pass over a single
+    int32 id array, updated in place in fixed chunks; no length is coded
+    twice and no prefix is rescanned.
+
+    ``saturated(ell)`` tells whether the windows inside the first
+    ``ref_len`` symbols (default: all of them) already reach every
+    length-ell factor; it is read off the same marking pass.  Lengths are
+    built on first request, under a lock, up to MAX_CODE_BITS // bits; a
+    length beyond the array has no factors and is saturated.
+    """
+
+    def __init__(self, arr: np.ndarray, bits: int, ref_len: int | None = None):
+        self._arr = arr
+        self._bits = bits
+        self._ref_len = arr.size if ref_len is None else ref_len
+        # length 0: every position starts the empty factor, id 0, code 0
+        self._ids = np.zeros(arr.size, dtype=np.int32)
+        self._id_codes = np.zeros(1, dtype=np.int64)
+        self._codes: list[set] = []
+        self._saturated: list[bool] = []
+        self._lock = threading.Lock()
+
+    def codes(self, n: int) -> set:
+        """The set of codes of the length-n factors."""
+        self._build(n)
+        return self._codes[n - 1]
+
+    def saturated(self, n: int) -> bool:
+        """Whether the reference prefix has every length-n factor."""
+        self._build(n)
+        return self._saturated[n - 1]
+
+    def _build(self, n: int) -> None:
+        if not 1 <= n <= MAX_CODE_BITS // self._bits:
+            longest = MAX_CODE_BITS // self._bits
+            raise DomainError(f"window length {n} outside 1..{longest} for integer coding")
+        with self._lock:
+            while len(self._codes) < n:
+                self._grow()
+
+    def _pairs(self, ell: int, a: int, b: int) -> np.ndarray:
+        """Pairs (id of the length ell-1 prefix, last symbol) of the
+        length-ell windows starting at a..b-1."""
+        return (self._ids[a:b].astype(np.int64) << self._bits) | self._arr[a + ell - 1 : b + ell - 1]
+
+    def _grow(self) -> None:
+        ell = len(self._codes) + 1
+        bits, ids = self._bits, self._ids
+        m = max(self._arr.size - ell + 1, 0)  # windows of length ell
+        m_ref = self._ref_len - ell + 1  # those inside the reference prefix
+        seen = np.zeros(self._id_codes.size << bits, dtype=bool)
+        in_ref = np.zeros_like(seen)
+        for a in range(0, m, _CHUNK):
+            pairs = self._pairs(ell, a, min(a + _CHUNK, m))
+            seen[pairs] = True
+            if a < m_ref:
+                in_ref[pairs[: m_ref - a]] = True
+        rank = np.cumsum(seen, dtype=np.int32)
+        rank -= 1
+        for a in range(0, m, _CHUNK):
+            b = min(a + _CHUNK, m)
+            ids[a:b] = rank[self._pairs(ell, a, b)]
+        pairs = np.flatnonzero(seen)
+        last = (pairs & ((1 << bits) - 1)) << (bits * (ell - 1))
+        self._id_codes = self._id_codes[pairs >> bits] | last
+        self._codes.append(set(self._id_codes.tolist()))
+        self._saturated.append(bool(np.array_equal(seen, in_ref)))
 
 
 def anti_reverse_code(code: int, n: int) -> int:
@@ -282,9 +382,9 @@ def factor_set(w: Word, n: int) -> set:
     if n > w.length:
         return set()
     bits = w.alphabet.bits
-    if n * bits <= 62:
-        codes = np.unique(window_codes(w.to_array(), n, bits))
-        return {code_to_word(int(c), n, w.alphabet) for c in codes}
+    if n * bits <= MAX_CODE_BITS:
+        codes = FactorIndex(w.to_array(), bits).codes(n)
+        return {code_to_word(c, n, w.alphabet) for c in codes}
     # long windows: fall back to hashing raw symbol slices
     raw = w.to_array().tobytes()
     seen = {raw[i : i + n] for i in range(w.length - n + 1)}

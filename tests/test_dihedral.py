@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
@@ -39,6 +41,28 @@ def test_oracle_contains_matches_naive_search():
         oracle.contains(Word("3", 4))
 
 
+# texts on both sides of the coding limit: 62 binary symbols, 31 quaternary ones
+CONTAINS_TEXTS = (
+    (str(pf_word(9)), 2),
+    ("".join(random.Random(8).choice("01") for _ in range(1500)), 2),
+    ("".join(random.Random(9).choice("0123") for _ in range(400)), 4),
+)
+CONTAINS_ORACLES = [LanguageOracle(Word(text, size), 70) for text, size in CONTAINS_TEXTS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(CONTAINS_TEXTS) - 1), st.integers(1, 70), st.data())
+def test_oracle_contains_matches_substring_search(which, n, data):
+    text, size = CONTAINS_TEXTS[which]
+    start = data.draw(st.integers(0, len(text) - n), label="start")
+    probe = list(text[start : start + n])
+    flip = data.draw(st.one_of(st.none(), st.integers(0, n - 1)), label="flip")
+    if flip is not None:
+        probe[flip] = str((int(probe[flip]) + 1) % size)
+    probe = "".join(probe)
+    assert CONTAINS_ORACLES[which].contains(Word(probe, size)) == (probe in text)
+
+
 def test_oracle_saturation():
     oracle = LanguageOracle.from_generation(12, 16)
     assert oracle.saturated_to(16)
@@ -68,6 +92,25 @@ def test_closure_negative_and_inconclusive():
     rep2 = check_closure_under_antireversal(LanguageOracle(noise, 16), 16)
     assert rep2.status == "inconclusive"
     assert "unsaturated_length" in rep2.witness
+
+
+def test_closure_witness_is_least_failing_factor():
+    # a periodic source whose first failing length has several failing
+    # factors; the witness is the one of least code (first symbol lowest)
+    text = "101101011111101101100100100000010100101" * 100
+    rep = check_closure_under_antireversal(LanguageOracle(Word(text), 16), 16)
+
+    def anti(s):
+        return "".join("1" if c == "0" else "0" for c in reversed(s))
+
+    for ell in range(1, 17):
+        factors = {text[i : i + ell] for i in range(len(text) - ell + 1)}
+        failing = [f for f in factors if anti(f) not in factors]
+        if failing:
+            break
+    assert len(failing) >= 2
+    assert rep.status == "fail"
+    assert rep.witness == {"factor": min(failing, key=lambda f: int(f[::-1], 2))}
 
 
 def test_phi_sigma_fixed_windows():

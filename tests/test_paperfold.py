@@ -13,7 +13,7 @@ from pfkit.paperfold import (
     verify_recurrence,
     verify_self_similarity,
 )
-from pfkit.words import Word, anti_reverse, concat, count
+from pfkit.words import Word, anti_reverse, anti_reverse_code, concat, count, window_codes
 
 
 def test_listed_generations():
@@ -128,11 +128,29 @@ def test_census_against_naive_scan():
     assert census.counts == {ell: naive(ell) for ell in (2, 4, 6)}
 
 
+def test_census_matches_per_length_formulation():
+    # the per-length window_codes + np.unique census the factor index replaced
+    for g in range(4, 15):
+        arr = pf_prefix(2 ** (g + 1) - 1).to_array()
+        longest = min(62, arr.size // 3) // 2 * 2
+        counts, same = {}, {}
+        for ell in range(2, longest + 1, 2):
+            full = np.unique(window_codes(arr, ell))
+            counts[ell] = sum(1 for c in full.tolist() if c == anti_reverse_code(c, ell))
+            same[ell] = np.array_equal(full, np.unique(window_codes(arr[: 2**g - 1], ell)))
+        for max_len in sorted({2, 4, 6, 8, 10, 16, 30, longest} & set(counts)):
+            census = antipalindrome_census(g, max_len)
+            assert census.counts == {ell: counts[ell] for ell in range(2, max_len + 1, 2)}
+            assert census.saturated == all(same[ell] for ell in range(2, max_len + 1, 2))
+
+
 def test_census_preconditions():
     with pytest.raises(DomainError):
         antipalindrome_census(12, 7)
     with pytest.raises(DomainError):
         antipalindrome_census(2, 8)
+    with pytest.raises(DomainError):
+        antipalindrome_census(12, 64)  # past the 62-symbol coding limit
     with pytest.raises(DomainError):
         CensusResult(max_length_checked=7, counts={}, saturated=True)
 

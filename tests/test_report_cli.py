@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfkit import paperfold
 from pfkit.cli import PROFILES, REGISTRY, exit_code, main, run_all
 from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
-from pfkit.paperfold import MAX_PREFIX_LEN, CensusResult
+from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, CensusResult
 from pfkit.report import Check, CheckReport, emit_report
 from pfkit.words import Word, read_pfw
 
@@ -249,6 +254,15 @@ def test_unsaturated_census_is_inconclusive_everywhere(monkeypatch, capsys):
     assert payload["witness"]["saturated"] is False
 
 
+_prefix_array = paperfold._prefix_array
+
+
+def _capped_prefix(length):
+    # a missing cap fails here instead of allocating gigabytes
+    assert length <= MAX_PREFIX_LEN, f"prefix of {length} symbols requested"
+    return _prefix_array(length)
+
+
 @pytest.mark.parametrize(
     "env, argv",
     [
@@ -261,20 +275,59 @@ def test_unsaturated_census_is_inconclusive_everywhere(monkeypatch, capsys):
         ({}, ["dimgroup", "verify", "--samples", str(MAX_SAMPLES + 1)]),
         ({}, ["dimgroup", "verify", "--index-max", str(MAX_MATRIX_POWER)]),
         ({}, ["dimgroup", "verify", "--index-max", "5000"]),
+        ({}, ["paperfold", "census", "--generation", str(MAX_GENERATION + 1), "--max-len", "8"]),
     ],
     ids=["threads-not-int", "fixed-prefix-cap", "matpow-cap", "negative-generation",
          "verify-zero-samples", "verify-negative-samples", "verify-samples-cap",
-         "verify-index-max-cap", "verify-index-max-5000"],
+         "verify-index-max-cap", "verify-index-max-5000", "census-generation-cap"],
 )
 def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, env, argv):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    monkeypatch.setattr(paperfold, "_prefix_array", _capped_prefix)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+
+
+def _run_cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_json_result(code, out, err):
+    assert code in (0, 1, 2)
+    if out:
+        assert "status" in json.loads(out)
+    else:
+        assert code == 2
+        (line,) = err.strip().splitlines()
+        assert "error" in json.loads(line)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(-2, 14), st.integers(MAX_GENERATION + 1, 40)), st.integers(-2, 70))
+def test_cli_census_arguments(generation, max_len):
+    with mock.patch.object(paperfold, "_prefix_array", side_effect=_capped_prefix) as prefix:
+        code, out, err = _run_cli(["paperfold", "census", "--generation", str(generation),
+                                   "--max-len", str(max_len)])
+    _assert_one_json_result(code, out, err)
+    if generation > MAX_GENERATION:
+        assert code == 2 and not prefix.called  # refused before any prefix is built
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.text("012x", max_size=12), st.integers(-2, 80), st.integers(-2, 80))
+def test_cli_extend_arguments(seed, steps, horizon):
+    code, out, err = _run_cli(["dihedral", "extend", "--seed", seed, "--steps", str(steps),
+                               "--horizon", str(horizon)])
+    _assert_one_json_result(code, out, err)
 
 
 def test_report_command_writes_file(tmp_path, capsys):

@@ -1,16 +1,21 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfkit import words
 from pfkit.errors import DomainError
+from pfkit.paperfold import pf_word
 from pfkit.words import (
     AGREE_ON_RANGE,
     BINARY,
+    MAX_CODE_BITS,
     QUATERNARY,
     Alphabet,
+    FactorIndex,
     Window,
     Word,
     anti_reverse,
@@ -22,7 +27,9 @@ from pfkit.words import (
     read_pfw,
     segment,
     to_pfw_bytes,
+    window_codes,
     window_distance,
+    word_code,
     write_pfw,
 )
 from fractions import Fraction
@@ -148,6 +155,58 @@ def test_factor_set_long_windows():
     fs = factor_set(w, 70)
     assert len(fs) == 2
     assert all(len(f) == 70 for f in fs)
+
+
+# random words, and repeated blocks, whose factor sets saturate early
+engine_words = st.sampled_from([2, 4]).flatmap(
+    lambda size: st.one_of(
+        st.tuples(st.just(size), st.lists(st.integers(0, size - 1), min_size=1, max_size=90)),
+        st.tuples(st.just(size), st.lists(st.integers(0, size - 1), min_size=1, max_size=9),
+                  st.integers(2, 12)).map(lambda t: (t[0], t[1] * t[2])),
+    )
+)
+
+
+def _unique_codes(arr, n, bits):
+    return set(np.unique(window_codes(arr, n, bits)).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_words, st.sampled_from([1, 5, 1 << 16]), st.data())
+def test_factor_index_matches_window_codes(case, chunk, data):
+    # the engine against the per-length formulation it replaces: every
+    # codable length, also past the word's end, on the full array and on
+    # the reference prefix; small chunks put chunk edges inside the word
+    size, symbols = case
+    arr = np.array(symbols, dtype=np.uint8)
+    bits = Alphabet(size).bits
+    ref_len = data.draw(st.integers(1, arr.size), label="ref_len")
+    index = FactorIndex(arr, bits, ref_len)
+    with mock.patch.object(words, "_CHUNK", chunk):
+        index.codes(MAX_CODE_BITS // bits)
+    for n in range(1, MAX_CODE_BITS // bits + 1):
+        full = _unique_codes(arr, n, bits)
+        assert index.codes(n) == full
+        assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
+        if n <= arr.size:
+            word = Word.from_array(arr[:n], Alphabet(size))
+            assert word_code(word) == int(window_codes(arr, n, bits)[0])
+    for bad in (0, MAX_CODE_BITS // bits + 1):
+        with pytest.raises(DomainError):
+            index.codes(bad)
+
+
+def test_factor_index_across_full_size_chunks():
+    # several chunks of the default size, with the reference end in a later one
+    rng = np.random.default_rng(4)
+    cases = [(pf_word(17).to_array(), 1, 2**17 - 1),
+             (rng.integers(0, 4, size=200_000).astype(np.uint8), 2, 150_001)]
+    for arr, bits, ref_len in cases:
+        index = FactorIndex(arr, bits, ref_len)
+        for n in range(1, 13):
+            full = _unique_codes(arr, n, bits)
+            assert index.codes(n) == full
+            assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
 
 
 def test_window_distance():
