@@ -276,7 +276,7 @@ def word_code(v: Word) -> int:
     return int.from_bytes(v.payload, "little")
 
 
-_CHUNK = 1 << 16  # windows per step of a pass; bounds each step's temporaries
+_CHUNK = 1 << 18  # windows per step of a pass; the step's pair buffer is 2 MiB
 
 
 class FactorIndex:
@@ -286,11 +286,14 @@ class FactorIndex:
     Each length-ell window gets a dense id: the rank of the pair
     ``id_{ell-1}[i] * size + arr[i+ell-1]`` among the pairs that occur
     (Karp-Miller-Rosenberg renaming).  The pairs are marked in a bitmap of
-    ``|F_{ell-1}| * size`` entries and ranked by its running sum, and each
+    ``|F_{ell-1}| * size`` entries and ranked by a lookup table, and each
     id carries the window code of its factor (see window_codes).  So a
-    length costs one marking pass and one renaming pass over a single
-    int32 id array, updated in place in fixed chunks; no length is coded
-    twice and no prefix is rescanned.
+    length costs one marking pass and one renaming pass over a single id
+    array, updated in place in fixed chunks through one reused pair
+    buffer; no length is coded twice and no prefix is rescanned.  The id
+    array has the narrowest unsigned type that holds the ids (one byte
+    while a length has at most 256 factors, as every paper-folding length
+    up to 62 does), so a pass moves few bytes and makes few numpy calls.
 
     ``saturated(ell)`` tells whether the windows inside the first
     ``ref_len`` symbols (default: all of them) already reach every
@@ -304,7 +307,7 @@ class FactorIndex:
         self._bits = bits
         self._ref_len = arr.size if ref_len is None else ref_len
         # length 0: every position starts the empty factor, id 0, code 0
-        self._ids = np.zeros(arr.size, dtype=np.int32)
+        self._ids = np.zeros(arr.size, dtype=np.uint8)
         self._id_codes = np.zeros(1, dtype=np.int64)
         self._codes: list[set] = []
         self._saturated: list[bool] = []
@@ -328,29 +331,37 @@ class FactorIndex:
             while len(self._codes) < n:
                 self._grow()
 
-    def _pairs(self, ell: int, a: int, b: int) -> np.ndarray:
+    def _pairs(self, ell: int, a: int, b: int, buf: np.ndarray) -> np.ndarray:
         """Pairs (id of the length ell-1 prefix, last symbol) of the
-        length-ell windows starting at a..b-1."""
-        return (self._ids[a:b].astype(np.int64) << self._bits) | self._arr[a + ell - 1 : b + ell - 1]
+        length-ell windows starting at a..b-1, written into ``buf``."""
+        pairs = buf[: b - a]
+        np.left_shift(self._ids[a:b], self._bits, out=pairs, dtype=np.int64)
+        np.bitwise_or(pairs, self._arr[a + ell - 1 : b + ell - 1], out=pairs)
+        return pairs
 
     def _grow(self) -> None:
         ell = len(self._codes) + 1
-        bits, ids = self._bits, self._ids
+        bits = self._bits
         m = max(self._arr.size - ell + 1, 0)  # windows of length ell
         m_ref = self._ref_len - ell + 1  # those inside the reference prefix
+        buf = np.empty(min(m, _CHUNK), dtype=np.int64)
         seen = np.zeros(self._id_codes.size << bits, dtype=bool)
         in_ref = np.zeros_like(seen)
         for a in range(0, m, _CHUNK):
-            pairs = self._pairs(ell, a, min(a + _CHUNK, m))
+            pairs = self._pairs(ell, a, min(a + _CHUNK, m), buf)
             seen[pairs] = True
             if a < m_ref:
                 in_ref[pairs[: m_ref - a]] = True
-        rank = np.cumsum(seen, dtype=np.int32)
-        rank -= 1
+        pairs = np.flatnonzero(seen)
+        # widen the id array only when this length has more ids than it holds
+        width = np.promote_types(self._ids.dtype, np.min_scalar_type(max(pairs.size - 1, 0)))
+        ids = self._ids if width == self._ids.dtype else np.empty(m, dtype=width)
+        rank = np.zeros(seen.size, dtype=width)
+        rank[pairs] = np.arange(pairs.size, dtype=width)
         for a in range(0, m, _CHUNK):
             b = min(a + _CHUNK, m)
-            ids[a:b] = rank[self._pairs(ell, a, b)]
-        pairs = np.flatnonzero(seen)
+            np.take(rank, self._pairs(ell, a, b, buf), out=ids[a:b], mode="clip")
+        self._ids = ids
         last = (pairs & ((1 << bits) - 1)) << (bits * (ell - 1))
         self._id_codes = self._id_codes[pairs >> bits] | last
         self._codes.append(set(self._id_codes.tolist()))

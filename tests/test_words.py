@@ -197,16 +197,21 @@ def test_factor_index_matches_window_codes(case, chunk, data):
 
 
 def test_factor_index_across_full_size_chunks():
-    # several chunks of the default size, with the reference end in a later one
+    # several chunks of the default size, with the reference end in a later
+    # one; the random quaternary word has more than 2^16 factors of length
+    # 9, so its id array widens from one byte to four on the way
     rng = np.random.default_rng(4)
-    cases = [(pf_word(17).to_array(), 1, 2**17 - 1),
-             (rng.integers(0, 4, size=200_000).astype(np.uint8), 2, 150_001)]
-    for arr, bits, ref_len in cases:
+    cases = [(pf_word(19).to_array(), 1, 2**19 - 1, np.uint8),
+             (rng.integers(0, 4, size=2 * words._CHUNK + 12_345).astype(np.uint8), 2,
+              words._CHUNK + 7, np.uint32)]
+    for arr, bits, ref_len, id_type in cases:
+        assert arr.size > 2 * words._CHUNK and ref_len > words._CHUNK
         index = FactorIndex(arr, bits, ref_len)
-        for n in range(1, 13):
+        for n in range(1, 10):
             full = _unique_codes(arr, n, bits)
             assert index.codes(n) == full
             assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
+        assert index._ids.dtype == id_type
 
 
 def test_window_distance():
