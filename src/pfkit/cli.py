@@ -11,10 +11,10 @@ suite as a JSON array (or a markdown table with --format markdown).  Two
 runs with identical flags and seed produce identical output except for
 the elapsed_ms fields.  Exit code: 0 when everything passes, 1 when some
 check fails or is inconclusive, 2 when a check errors out or the input is
-rejected (a bad argument or environment value, or a resource cap).
+rejected (a bad argument or a resource cap).
 
-The environment variable PFKIT_THREADS caps suite parallelism; reports
-are always emitted in registry order, never completion order.
+The suite runs its checks one after another on the calling thread, in
+registry order, and reports them in that order.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import dihedral, dimgroup, paperfold, subst
-from .errors import DomainError, ExtensionError, PfkitError
+from .errors import ExtensionError, PfkitError
 from .report import Check, CheckReport, emit_report
 from .words import Word, to_pfw_bytes, write_pfw
 
@@ -179,39 +177,26 @@ REGISTRY = (
 
 
 def _max_threads() -> int:
-    env = os.environ.get("PFKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"PFKIT_THREADS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+    # the suite runs on one thread; the benchmark records this as env.threads
+    return 1
 
 
-def run_all(profile: str = "quick", seed: int = DEFAULT_SEED, threads: int | None = None):
-    """Run the whole registry with profile-scaled parameters.  Reports come
-    back in registry order regardless of scheduling; any exception becomes
-    a report with status error."""
+def run_all(profile: str = "quick", seed: int = DEFAULT_SEED):
+    """Run the whole registry with profile-scaled parameters, one check
+    after another in registry order; any exception becomes a report with
+    status error.  Every report echoes the suite seed."""
     if profile not in PROFILES:
         raise PfkitError(f"unknown profile {profile!r}")
     params = PROFILES[profile]
-    threads = _max_threads() if threads is None else threads
-
-    def run_one(entry):
-        name, fn = entry
+    reports = []
+    for name, fn in REGISTRY:
         chk = Check(name, {"profile": profile}, "")
         try:
-            return fn(params, seed)
+            rep = fn(params, seed)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            return chk.report("error", {"exception": f"{type(exc).__name__}: {exc}"})
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_one, REGISTRY))
-    else:
-        reports = [run_one(entry) for entry in REGISTRY]
-    # echo the suite seed on every report
-    return [dataclasses.replace(r, seed=seed) for r in reports]
+            rep = chk.report("error", {"exception": f"{type(exc).__name__}: {exc}"})
+        reports.append(dataclasses.replace(rep, seed=seed))
+    return reports
 
 
 def exit_code(reports) -> int:

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ExtensionError
-from .paperfold import pf_word
+from .errors import DomainError, ExtensionError, ResourceError
+from .paperfold import MAX_GENERATION, pf_prefix, pf_word
 from .report import Check, CheckReport
 from .words import (
     BINARY,
@@ -289,13 +289,15 @@ def parity_class_separation(K: int, generation: int) -> CheckReport:
     """
     if K < 0:
         raise DomainError("K must be non-negative")
-    n_len = 2 ** (generation + 1) - 1
-    if 2 * K + 8 > n_len:
+    if generation > MAX_GENERATION:
+        raise ResourceError(f"generation {generation} exceeds the cap of {MAX_GENERATION}")
+    if 2 * K + 8 > 2 ** (generation + 1) - 1:
         raise DomainError("generation too small for the requested K")
     chk = Check("dihedral.parity-separation", {"K": K, "generation": generation},
                 "even and odd 7-windows are disjoint and match their pattern families")
-    # the windows at offsets 0 .. 2K+1 end before symbol 2K+8
-    codes = window_codes(pf_word(generation).to_array()[: 2 * K + 8], 7)
+    # the windows at offsets 0 .. 2K+1 end before symbol 2K+8, a prefix of
+    # the generation
+    codes = window_codes(pf_prefix(2 * K + 8).to_array(), 7)
     even = codes[0 : 2 * K + 1 : 2]
     odd = codes[1 : 2 * K + 2 : 2]
 

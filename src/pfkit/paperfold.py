@@ -231,6 +231,8 @@ def check_aperiodic(
         raise DomainError("max_period must be >= 1 and preperiod >= 0")
     if prefix_len < preperiod + 2 * max_period:
         raise DomainError("prefix too short: need prefix_len >= preperiod + 2*max_period")
+    if prefix_len > MAX_PREFIX_LEN:
+        raise ResourceError(f"prefix length {prefix_len} exceeds the resource budget")
     chk = Check("paperfold.aperiodicity",
                 {"prefix_len": prefix_len, "max_period": max_period, "preperiod": preperiod},
                 f"no period <= {max_period} detected after any cut <= {preperiod}")

@@ -187,7 +187,7 @@ def test_14_negative_controls(monkeypatch):
         mutated[4] = ("0" if mutated[4][0] == "1" else "1") + mutated[4][1:]
         monkeypatch.setattr("pfkit.paperfold.T_REFERENCE", tuple(mutated))
         assert verify_generation_fidelity().status == "fail"
-        reports = cli.run_all("quick", seed=42, threads=1)
+        reports = cli.run_all("quick", seed=42)
         assert any(r.status == "fail" for r in reports)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfkit import paperfold
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
     ODD_WINDOW_PATTERNS,
@@ -17,8 +18,8 @@ from pfkit.dihedral import (
     left_extend,
     parity_class_separation,
 )
-from pfkit.errors import DomainError, ExtensionError
-from pfkit.paperfold import antipalindrome_census, pf_prefix, pf_word
+from pfkit.errors import DomainError, ExtensionError, ResourceError
+from pfkit.paperfold import MAX_GENERATION, antipalindrome_census, pf_prefix, pf_word
 from pfkit.words import Window, Word, is_anti_palindrome, segment, window_distance
 
 
@@ -220,6 +221,21 @@ def test_parity_separation():
     assert parity_class_separation(10_000, 16).status == "pass"
     with pytest.raises(DomainError):
         parity_class_separation(10_000, 10)
+
+
+def test_parity_reads_only_the_windows_it_codes(monkeypatch):
+    prefix_array = paperfold._prefix_array
+
+    def guard(length):
+        assert length <= 2 * 10 + 8, f"prefix of {length} symbols requested"
+        return prefix_array(length)
+
+    monkeypatch.setattr(paperfold, "_prefix_array", guard)
+    assert parity_class_separation(10, 30).status == "pass"
+    with pytest.raises(ResourceError):
+        parity_class_separation(10, MAX_GENERATION + 1)
+    with pytest.raises(DomainError):
+        parity_class_separation(-1, 30)
 
 
 def test_parity_first_windows_differ():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import threading
 import time
 from unittest import mock
 
@@ -197,8 +198,8 @@ def test_cli_dimgroup(capsys):
 
 
 def test_run_all_quick_is_deterministic():
-    a = [r.to_dict() for r in run_all("quick", seed=42, threads=1)]
-    b = [r.to_dict() for r in run_all("quick", seed=42, threads=2)]
+    a = [r.to_dict() for r in run_all("quick", seed=42)]
+    b = [r.to_dict() for r in run_all("quick", seed=42)]
     assert strip_elapsed(a) == strip_elapsed(b)
     assert all(r["status"] == "pass" for r in a)
     assert all(r["seed"] == 42 for r in a)
@@ -217,7 +218,7 @@ def test_run_all_error_isolation(monkeypatch):
         (name, boom if name == "subst.structure" else fn) for name, fn in cli_mod.REGISTRY
     )
     monkeypatch.setattr(cli_mod, "REGISTRY", registry)
-    reports = cli_mod.run_all("quick", seed=42, threads=1)
+    reports = cli_mod.run_all("quick", seed=42)
     by_name = {r.check: r for r in reports}
     assert by_name["subst.structure"].status == "error"
     assert "synthetic failure" in by_name["subst.structure"].witness["exception"]
@@ -232,9 +233,27 @@ def test_run_all_error_report_has_real_elapsed(monkeypatch):
         raise RuntimeError("late failure")
 
     monkeypatch.setattr(cli_mod, "REGISTRY", (("slow.boom", slow_boom),))
-    (rep,) = cli_mod.run_all("quick", seed=42, threads=1)
+    (rep,) = cli_mod.run_all("quick", seed=42)
     assert rep.status == "error"
     assert rep.elapsed_ms >= 50
+
+
+def test_run_all_runs_every_check_on_the_calling_thread(monkeypatch):
+    import pfkit.cli as cli_mod
+
+    threads = []
+
+    def record(name):
+        def check(p, seed):
+            threads.append(threading.get_ident())
+            return Check(name, {}, "").passed()
+        return check
+
+    monkeypatch.setattr(cli_mod, "REGISTRY", tuple((name, record(name)) for name, _ in REGISTRY))
+    reports = cli_mod.run_all("full", seed=7)
+    assert threads == [threading.get_ident()] * len(REGISTRY)
+    assert [r.check for r in reports] == [name for name, _ in REGISTRY]
+    assert all(r.seed == 7 for r in reports)
 
 
 def test_unsaturated_census_is_inconclusive_everywhere(monkeypatch, capsys):
@@ -244,7 +263,7 @@ def test_unsaturated_census_is_inconclusive_everywhere(monkeypatch, capsys):
     monkeypatch.setattr(paperfold, "antipalindrome_census", lambda g, max_len: unsaturated)
     census = [entry for entry in cli_mod.REGISTRY if entry[0] == "paperfold.antipalindrome-census"]
     monkeypatch.setattr(cli_mod, "REGISTRY", tuple(census))
-    reports = run_all("quick", seed=42, threads=1)
+    reports = run_all("quick", seed=42)
     assert [r.status for r in reports] == ["inconclusive"]
     assert exit_code(reports) == 1
     assert main(["paperfold", "census", "--generation", "12", "--max-len", "8"]) == 1
@@ -264,26 +283,26 @@ def _capped_prefix(length):
 
 
 @pytest.mark.parametrize(
-    "env, argv",
+    "argv",
     [
-        ({"PFKIT_THREADS": "abc"}, ["report", "--profile", "quick"]),
-        ({}, ["subst", "fixed-prefix", "--len", str(MAX_PREFIX_LEN + 1)]),
-        ({}, ["dimgroup", "matpow", "--n", str(MAX_MATRIX_POWER + 1)]),
-        ({}, ["paperfold", "gen", "--n", "-1"]),
-        ({}, ["dimgroup", "verify", "--samples", "0"]),
-        ({}, ["dimgroup", "verify", "--samples", "-5"]),
-        ({}, ["dimgroup", "verify", "--samples", str(MAX_SAMPLES + 1)]),
-        ({}, ["dimgroup", "verify", "--index-max", str(MAX_MATRIX_POWER)]),
-        ({}, ["dimgroup", "verify", "--index-max", "5000"]),
-        ({}, ["paperfold", "census", "--generation", str(MAX_GENERATION + 1), "--max-len", "8"]),
+        ["subst", "fixed-prefix", "--len", str(MAX_PREFIX_LEN + 1)],
+        ["dimgroup", "matpow", "--n", str(MAX_MATRIX_POWER + 1)],
+        ["paperfold", "gen", "--n", "-1"],
+        ["dimgroup", "verify", "--samples", "0"],
+        ["dimgroup", "verify", "--samples", "-5"],
+        ["dimgroup", "verify", "--samples", str(MAX_SAMPLES + 1)],
+        ["dimgroup", "verify", "--index-max", str(MAX_MATRIX_POWER)],
+        ["dimgroup", "verify", "--index-max", "5000"],
+        ["paperfold", "census", "--generation", str(MAX_GENERATION + 1), "--max-len", "8"],
+        ["paperfold", "verify", "aperiodic", "--prefix-len", str(2**40), "--max-period", "1",
+         "--preperiod", "0"],
     ],
-    ids=["threads-not-int", "fixed-prefix-cap", "matpow-cap", "negative-generation",
+    ids=["fixed-prefix-cap", "matpow-cap", "negative-generation",
          "verify-zero-samples", "verify-negative-samples", "verify-samples-cap",
-         "verify-index-max-cap", "verify-index-max-5000", "census-generation-cap"],
+         "verify-index-max-cap", "verify-index-max-5000", "census-generation-cap",
+         "aperiodic-prefix-cap"],
 )
-def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, env, argv):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, argv):
     monkeypatch.setattr(paperfold, "_prefix_array", _capped_prefix)
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -330,6 +349,47 @@ def test_cli_extend_arguments(seed, steps, horizon):
     _assert_one_json_result(code, out, err)
 
 
+def _ints(lo, hi, n=1):
+    return st.tuples(*[st.integers(lo, hi)] * n)
+
+
+# command -> (argument flags, small draws inside the caps, draws over a cap)
+CAPPED_COMMANDS = {
+    "paperfold verify self-similarity": (("--p", "--n"), _ints(-2, 8, 2), _ints(12, 40, 2)),
+    "paperfold verify recurrence": (
+        ("--p", "--generation"), st.tuples(st.integers(-2, 6), st.integers(-2, 14)),
+        st.tuples(st.integers(-2, 6), st.integers(25, 40))),
+    "paperfold verify aperiodic": (
+        ("--prefix-len", "--max-period", "--preperiod"),
+        st.tuples(st.integers(-2, 600), st.integers(-2, 64), st.integers(-2, 64)),
+        st.tuples(st.integers(MAX_PREFIX_LEN + 1, 2**45), st.integers(-2, 64), st.integers(-2, 64))),
+    "dihedral parity": (
+        ("--k", "--generation"), st.tuples(st.integers(-2, 3000), st.integers(-2, 14)),
+        st.tuples(st.integers(-2, 3000), st.integers(MAX_GENERATION + 1, 60))),
+    "dihedral freeness": (("--generation",), _ints(-2, 14), _ints(MAX_GENERATION + 1, 60)),
+    # recoding reads 2L binary symbols
+    "subst verify recode": (("--len",), _ints(-2, 5000), _ints(MAX_PREFIX_LEN // 2 + 1, 2**40)),
+    "subst verify intertwine": (("--len",), _ints(-2, 5000), _ints(MAX_PREFIX_LEN + 1, 2**40)),
+    "dimgroup matpow": (("--n",), _ints(-2, 200), _ints(MAX_MATRIX_POWER + 1, 10**5)),
+    "dimgroup discrepancy": (("--n-max",), _ints(-2, 16), _ints(25, 60)),
+}
+
+
+@pytest.mark.parametrize("command", list(CAPPED_COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cli_capped_command_arguments(command, data):
+    flags, inside, over = CAPPED_COMMANDS[command]
+    over_cap = data.draw(st.booleans(), label="over_cap")
+    values = data.draw(over if over_cap else inside, label="values")
+    argv = command.split() + [x for pair in zip(flags, map(str, values)) for x in pair]
+    with mock.patch.object(paperfold, "_prefix_array", side_effect=_capped_prefix) as prefix:
+        code, out, err = _run_cli(argv)
+    _assert_one_json_result(code, out, err)
+    if over_cap:
+        assert code == 2 and not prefix.called  # refused before any prefix is built
+
+
 def test_report_command_writes_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["report", "--profile", "quick", "--out", str(out)]) == 0
@@ -342,8 +402,3 @@ def test_report_command_writes_file(tmp_path, capsys):
     assert text.count("\n") >= len(REGISTRY)
     assert "| check | status | certifies | elapsed_ms |" in text
 
-
-def test_pfkit_threads_env_cap(monkeypatch):
-    monkeypatch.setenv("PFKIT_THREADS", "1")
-    reports = run_all("quick", seed=42)
-    assert all(r.status == "pass" for r in reports)
