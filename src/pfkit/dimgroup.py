@@ -526,10 +526,26 @@ def m_sequence(n: int) -> int:
     return m
 
 
+def _discrepancies_at(arr: np.ndarray, checkpoints) -> list:
+    """Discrepancy 2 * ones - (m + 1) of ``arr`` at each of the increasing
+    positions ``checkpoints``, from ``np.count_nonzero`` over the slices
+    between consecutive checkpoints; no full-length array is built."""
+    out, ones, start = [], 0, 0
+    for m in checkpoints:
+        ones += int(np.count_nonzero(arr[start : m + 1]))
+        start = m + 1
+        out.append(2 * ones - (m + 1))
+    return out
+
+
 def verify_unbounded_discrepancy(N: int = 20) -> CheckReport:
     """The discrepancy at checkpoint m(n) equals n + 1 for 0 <= n <= N,
     so the discrepancy sums are unbounded along the word; that is the
-    executable obstruction to the twist acting as the identity."""
+    executable obstruction to the twist acting as the identity.
+
+    Only the N + 1 checkpoints are read: the ones are counted slice by
+    slice between them, so beyond the prefix the check allocates nothing
+    that grows with its length."""
     if N < 0:
         raise DomainError("N must be non-negative")
     if N > 24:
@@ -537,26 +553,64 @@ def verify_unbounded_discrepancy(N: int = 20) -> CheckReport:
     checkpoints = [m_sequence(n) for n in range(N + 1)]
     chk = Check("dimgroup.discrepancy-growth", {"N": N, "prefix_len": checkpoints[-1] + 1},
                 "discrepancy at checkpoint m(n) equals n+1 (unbounded growth)")
-    profile = discrepancy_profile(pf_prefix(checkpoints[-1] + 1))
-    for n, mn in enumerate(checkpoints):
-        if int(profile[mn]) != n + 1:
-            return chk.failed({"n": n, "m_n": mn, "observed": int(profile[mn])})
+    arr = pf_prefix(checkpoints[-1] + 1).to_array()
+    for n, (mn, observed) in enumerate(zip(checkpoints, _discrepancies_at(arr, checkpoints))):
+        if observed != n + 1:
+            return chk.failed({"n": n, "m_n": mn, "observed": observed})
     return chk.passed()
+
+
+# the coboundary check runs over chunks of this many symbols
+_COBOUNDARY_CHUNK = 1 << 20
+
+
+def _coboundary_max_abs(arr: np.ndarray, symbol: int):
+    """For f = [arr == symbol], the largest |partial sum| of
+    f[i+1] - f[i], and whether every partial sum equals its telescoped
+    form f[i+1] - f[0].
+
+    The sums run over chunks of 2^20 symbols, the running sum carried from
+    chunk to chunk, and the maximum is taken over all chunks even after a
+    mismatch.  Each chunk's differences go straight into one reused int32
+    buffer that is summed in place (int8 differences would make
+    ``np.cumsum`` copy them to int32 first)."""
+    if arr.size < 2:
+        raise DomainError("prefix too short")
+    f0 = int(arr[0] == symbol)
+    running, max_abs, telescopes = 0, 0, True
+    f_buf = np.empty(min(arr.size, _COBOUNDARY_CHUNK + 1), dtype=bool)
+    sums_buf = np.empty(f_buf.size - 1, dtype=np.int32)
+    for a in range(1, arr.size, _COBOUNDARY_CHUNK):
+        chunk = arr[a - 1 : a + _COBOUNDARY_CHUNK]
+        f = np.equal(chunk, symbol, out=f_buf[: chunk.size]).view(np.int8)
+        sums = np.subtract(f[1:], f[:-1], out=sums_buf[: chunk.size - 1])
+        np.cumsum(sums, out=sums)
+        sums += running
+        running = int(sums[-1])
+        max_abs = max(max_abs, int(sums.max()), -int(sums.min()))
+        # sums - f[i+1] is -f[0] everywhere iff the chunk telescopes
+        sums -= f[1:]
+        telescopes = telescopes and int(sums.min()) == int(sums.max()) == -f0
+    return max_abs, telescopes
 
 
 def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
     """Coboundary control: for both one-slot cylinder indicators the
-    partial sums stay bounded by 2 and agree with their telescoped form."""
+    partial sums stay bounded by 2 and agree with their telescoped form.
+
+    The sums are formed over chunks of 2^20 symbols in int32, the running
+    sum carried across chunks, so beyond the prefix the check holds a few
+    chunk-sized buffers whatever ``prefix_len`` is.  int32 is exact: a
+    partial sum has at most prefix_len - 1 terms in {-1, 0, 1}, and
+    prefix_len <= MAX_PREFIX_LEN = 2^31 - 1.  A failure reports the largest
+    |sum| over the whole prefix."""
     chk = Check("dimgroup.coboundary-bound", {"prefix_len": prefix_len},
                 "cylinder coboundary partial sums stay bounded by 2")
-    prefix = pf_prefix(prefix_len)
-    arr = prefix.to_array()
+    arr = pf_prefix(prefix_len).to_array()
     for symbol in (0, 1):
-        sums = coboundary_partial_sums(prefix, symbol)
-        f = (arr == symbol).astype(np.int64)
-        telescoped = f[1:] - f[0]
-        if not np.array_equal(sums, telescoped) or int(np.abs(sums).max()) > 2:
-            return chk.failed({"symbol": symbol, "max_abs": int(np.abs(sums).max())})
+        max_abs, telescopes = _coboundary_max_abs(arr, symbol)
+        if not telescopes or max_abs > 2:
+            return chk.failed({"symbol": symbol, "max_abs": max_abs})
     return chk.passed()
 
 

@@ -172,6 +172,11 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
     return CensusResult(max_length_checked=max_len, counts=counts, saturated=saturated)
 
 
+# patterns up to this many symbols are located by one AND of shifted
+# equality masks; longer ones are rare enough for ``bytes.find``
+_MASK_PATTERN_MAX = 15
+
+
 def _occurrences(haystack: bytes, needle: bytes) -> list:
     out = []
     i = haystack.find(needle)
@@ -181,12 +186,53 @@ def _occurrences(haystack: bytes, needle: bytes) -> list:
     return out
 
 
+def _occurrence_array(text: np.ndarray, pat: np.ndarray) -> np.ndarray:
+    """Sorted start positions of ``pat`` in ``text`` (no longer than
+    ``text``), as an int64 array."""
+    L, N = pat.size, text.size
+    if L > _MASK_PATTERN_MAX:
+        return np.array(_occurrences(text.tobytes(), pat.tobytes()), dtype=np.int64)
+    M = N - L + 1
+    hit = text[:M] == pat[0]
+    eq = np.empty(M, dtype=bool)
+    for k in range(1, L):
+        np.equal(text[k : k + M], pat[k], out=eq)
+        hit &= eq
+    return np.flatnonzero(hit)
+
+
+def _first_uncovered_window(text: np.ndarray, pat: np.ndarray, W: int):
+    """Start of the first length-``W`` window of ``text`` that contains no
+    occurrence of ``pat``, or None.  ``W`` must be at least ``pat.size``
+    and at most ``text.size``.
+
+    An occurrence at s serves exactly the window starts s-(W-L) .. s, so
+    the first uncovered start is read off the occurrence gaps: before the
+    first occurrence, after the first gap wider than W - L + 1, or after
+    the last occurrence.  A gap that wide ends at b <= N - L, so it starts
+    at a <= N - W - 2 and its uncovered start a + 1 is a window start."""
+    L, N = pat.size, text.size
+    occ = _occurrence_array(text, pat)
+    if not occ.size or occ[0] > W - L:
+        return 0
+    wide = np.flatnonzero(np.diff(occ) > W - L + 1)
+    if wide.size:
+        return int(occ[wide[0]]) + 1
+    if occ[-1] < N - W:
+        return int(occ[-1]) + 1
+    return None
+
+
 def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     """Check that every window of length 3 * 2^(p+1) of the test generation
     contains generation p as a factor.
 
     Containment of t(p) itself is sufficient for all its subwords, so only
-    t(p) is searched for.
+    t(p) is searched for.  The occurrences live in one numpy array: for
+    t(p) of at most 15 symbols (p <= 3) they are the AND of the shifted
+    equality masks, for longer t(p) they come from ``bytes.find``; the
+    first uncovered window is read from their gaps with ``np.diff``, so no
+    Python list of positions is built where they are dense.
     """
     if p < 0:
         raise DomainError("p must be non-negative")
@@ -199,23 +245,44 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
                 "every window of length 3*2^(p+1) contains generation p")
     pat = _prefix_array(2 ** (p + 1) - 1)
     text = _prefix_array(2 ** (test_generation + 1) - 1)
-    L, N = pat.size, text.size
-    occ = _occurrences(text.tobytes(), pat.tobytes())
-
-    # occurrence at s serves exactly the window starts s-(W-L) .. s
-    bad = None
-    if not occ or occ[0] > W - L:
-        bad = 0
-    else:
-        for a, b in zip(occ, occ[1:]):
-            if b - a > W - L + 1 and a + 1 <= N - W:
-                bad = a + 1
-                break
-        if bad is None and occ[-1] < N - W:
-            bad = occ[-1] + 1
+    bad = _first_uncovered_window(text, pat, W)
     if bad is None:
         return chk.passed()
     return chk.failed({"uncovered_window_start": bad})
+
+
+# the pass path of the aperiodicity scan compares this many symbols past
+# the preperiod for every period at once, this many periods per gather
+_APERIODIC_BLOCK = 256
+_APERIODIC_BATCH = 1024
+
+
+def _aperiodicity_witness(arr: np.ndarray, max_period: int, preperiod: int):
+    """The smallest period rho <= ``max_period`` whose last mismatch
+    arr[i + rho] != arr[i] lies before ``preperiod``, with its cut (one
+    past that mismatch, 0 if there is none), or None.  Needs
+    ``arr.size >= preperiod + 2 * max_period``.
+
+    Any mismatch at an index >= ``preperiod`` refutes a period, so every
+    period is first compared on one block of at most 256 indices starting
+    at ``preperiod``; the block ends before ``arr.size - max_period``, so
+    its indices are valid for every period.  The gather runs 1024 periods
+    at a time, which bounds it at 256 KiB whatever ``max_period`` is.
+    Only a period the block leaves open is scanned over the whole array,
+    which also gives the cut on the fail path."""
+    block = min(_APERIODIC_BLOCK, arr.size - max_period - preperiod)
+    base = arr[preperiod : preperiod + block]
+    for lo in range(1, max_period + 1, _APERIODIC_BATCH):
+        hi = min(lo + _APERIODIC_BATCH, max_period + 1)
+        shifted = np.lib.stride_tricks.sliding_window_view(
+            arr[preperiod + lo : preperiod + hi - 1 + block], block)
+        refuted = (shifted != base).any(axis=1)
+        for rho in (lo + np.flatnonzero(~refuted)).tolist():
+            neq = arr[rho:] != arr[:-rho]
+            last_mismatch = neq.size - 1 - int(np.argmax(neq[::-1])) if neq.any() else -1
+            if last_mismatch < preperiod:
+                return rho, last_mismatch + 1
+    return None
 
 
 def check_aperiodic(
@@ -226,7 +293,9 @@ def check_aperiodic(
 
     By default the paper-folding prefix of the given length is scanned;
     pass ``word`` to run the same scan on another word (negative
-    controls)."""
+    controls).  A period exits early on the first mismatch within 256
+    symbols of ``preperiod``; only a period that survives that block is
+    scanned over the whole prefix."""
     if max_period < 1 or preperiod < 0:
         raise DomainError("max_period must be >= 1 and preperiod >= 0")
     if prefix_len < preperiod + 2 * max_period:
@@ -242,12 +311,8 @@ def check_aperiodic(
         if word.length < prefix_len:
             raise DomainError("supplied word shorter than prefix_len")
         arr = word.to_array()[:prefix_len]
-    for rho in range(1, max_period + 1):
-        neq = arr[rho:] != arr[:-rho]
-        if neq.any():
-            last_mismatch = neq.size - 1 - int(np.argmax(neq[::-1]))
-        else:
-            last_mismatch = -1
-        if last_mismatch < preperiod:
-            return chk.failed({"period": rho, "cut": last_mismatch + 1})
-    return chk.passed()
+    found = _aperiodicity_witness(arr, max_period, preperiod)
+    if found is None:
+        return chk.passed()
+    rho, cut = found
+    return chk.failed({"period": rho, "cut": cut})

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,3 +450,95 @@ def test_lattice_index_cap_is_checked_before_any_work(monkeypatch):
         verify_lattice_properties(MAX_MATRIX_POWER, 10)
     with pytest.raises(ResourceError):
         verify_lattice_properties(3, MAX_SAMPLES + 1)
+
+
+# ---------------------------------------------------------------------------
+# discrepancy and coboundary against the full-length formulations they replaced
+
+
+def discrepancy_oracle(arr, checkpoints):
+    profile = discrepancy_profile(Word.from_array(arr))
+    return [int(profile[m]) for m in checkpoints]
+
+
+def coboundary_oracle(arr, symbol):
+    """(max |sum|, telescopes) from the int64 partial sums the check built."""
+    f = (arr == symbol).astype(np.int64)
+    sums = np.cumsum(f[1:] - f[:-1])
+    return int(np.abs(sums).max()), bool(np.array_equal(sums, f[1:] - f[0]))
+
+
+def random_bits(seed, n, density=0.5):
+    return (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000), density=st.sampled_from([0.5, 0.05]),
+       data=st.data())
+def test_discrepancy_core_matches_profile(seed, n, density, data):
+    arr = random_bits(seed, n, density)
+    checkpoints = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30))))
+    assert dimgroup._discrepancies_at(arr, checkpoints) == discrepancy_oracle(arr, checkpoints)
+
+
+def _pf_with_flip(length, i, block=1):
+    arr = pf_prefix(length).to_array().copy()
+    arr[i : i + block] ^= 1
+    return arr
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(0, 14), i=st.integers(0, 2**15), block=st.sampled_from([1, 1, 40]))
+def test_discrepancy_report_matches_profile(N, i, block):
+    checkpoints = [m_sequence(n) for n in range(N + 1)]
+    arr = _pf_with_flip(checkpoints[-1] + 1, i % (checkpoints[-1] + 1), block)
+    with mock.patch.object(dimgroup, "pf_prefix", lambda L: Word.from_array(arr[:L])):
+        rep = verify_unbounded_discrepancy(N)
+    observed = discrepancy_oracle(arr, checkpoints)
+    bad = next((n for n in range(N + 1) if observed[n] != n + 1), None)
+    assert (rep.status, rep.witness) == (
+        ("pass", None) if bad is None
+        else ("fail", {"n": bad, "m_n": checkpoints[bad], "observed": observed[bad]}))
+
+
+def test_discrepancy_negative_control(monkeypatch):
+    # t[5] = 0 becomes 1: the discrepancy at m(3) = 9 reads 6, not 4
+    arr = _pf_with_flip(2**12, 5)
+    monkeypatch.setattr(dimgroup, "pf_prefix", lambda L: Word.from_array(arr[:L]))
+    rep = verify_unbounded_discrepancy(10)
+    assert rep.status == "fail"
+    assert rep.witness == {"n": 3, "m_n": 9, "observed": 6}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3000), density=st.sampled_from([0.5, 0.02]),
+       chunk=st.sampled_from([1, 2, 7, 64, 1 << 20]), symbol=st.integers(0, 1))
+def test_coboundary_core_matches_int64_sums(seed, n, density, chunk, symbol):
+    # small chunks put many chunk edges inside short words
+    arr = random_bits(seed, n, density)
+    with mock.patch.object(dimgroup, "_COBOUNDARY_CHUNK", chunk):
+        assert dimgroup._coboundary_max_abs(arr, symbol) == coboundary_oracle(arr, symbol)
+
+
+@pytest.mark.parametrize("n", [2**20 - 1, 2**20, 2**20 + 1, 2**20 + 2, 2**21 + 1])
+def test_coboundary_at_the_chunk_edges(n):
+    for arr in (pf_prefix(n).to_array(), random_bits(n, n)):
+        for symbol in (0, 1):
+            assert dimgroup._coboundary_max_abs(arr, symbol) == coboundary_oracle(arr, symbol)
+    # the check cannot fail on any word: the sums telescope, so only the
+    # pass verdict is reachable
+    arr = random_bits(n + 1, n)
+    with mock.patch.object(dimgroup, "pf_prefix", lambda L: Word.from_array(arr[:L])):
+        rep = verify_coboundary_bound(n)
+    assert (rep.status, rep.witness) == ("pass", None)
+
+
+def test_scan_checks_run_in_chunk_sized_memory(traced_peak):
+    # one chunk is 2^20 symbols; the int64 partial sums or profile of the
+    # whole prefix alone would be 32 MiB and 11 MiB here
+    rep, peak = traced_peak(verify_coboundary_bound, 2**22)
+    assert rep.status == "pass"
+    assert peak < 6 * 2**20
+    rep, peak = traced_peak(verify_unbounded_discrepancy, 20)
+    assert rep.status == "pass"
+    assert peak < 2**20

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pfkit import paperfold
 from pfkit.errors import DomainError, ResourceError
 from pfkit.paperfold import (
     T_REFERENCE,
@@ -198,3 +203,169 @@ def test_aperiodic_negative_control():
     assert rep2.status == "fail"
     assert rep2.witness["period"] == 2
     assert rep2.witness["cut"] <= 5
+
+
+# ---------------------------------------------------------------------------
+# the scan checks against the formulations they replaced
+
+
+def recurrence_oracle(text, pat, W):
+    """The list-based occurrence scan verify_recurrence ran before."""
+    L, N = pat.size, text.size
+    hay, needle = text.tobytes(), pat.tobytes()
+    occ, i = [], hay.find(needle)
+    while i != -1:
+        occ.append(i)
+        i = hay.find(needle, i + 1)
+    if not occ or occ[0] > W - L:
+        return 0
+    for a, b in zip(occ, occ[1:]):
+        if b - a > W - L + 1 and a + 1 <= N - W:
+            return a + 1
+    if occ[-1] < N - W:
+        return occ[-1] + 1
+    return None
+
+
+def aperiodicity_oracle(arr, max_period, preperiod):
+    """The full per-period scan check_aperiodic ran before."""
+    for rho in range(1, max_period + 1):
+        neq = arr[rho:] != arr[:-rho]
+        last_mismatch = neq.size - 1 - int(np.argmax(neq[::-1])) if neq.any() else -1
+        if last_mismatch < preperiod:
+            return rho, last_mismatch + 1
+    return None
+
+
+def random_bits(seed, n, density=0.5):
+    return (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
+
+
+@st.composite
+def recurrence_words(draw):
+    """(text, pattern, window): random words with a random or a lifted
+    pattern, and paper-folding prefixes with one symbol flipped or a block
+    overwritten, searched for t(p) (up to 63 symbols, past the mask path)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        text = random_bits(seed, draw(st.integers(1, 400)), draw(st.sampled_from([0.5, 0.9])))
+        L = draw(st.integers(1, min(24, text.size)))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, text.size - L))
+            pat = text[k : k + L].copy()
+        else:
+            pat = random_bits(seed + 1, L)
+        return text, pat, draw(st.integers(L, text.size))
+    p = draw(st.integers(0, 5))
+    g = draw(st.integers(p + 4, 11))
+    text = pf_prefix(2 ** (g + 1) - 1).to_array().copy()
+    pat = text[: 2 ** (p + 1) - 1].copy()
+    W = 3 * 2 ** (p + 1)
+    i = draw(st.integers(0, text.size - 1))
+    if draw(st.booleans()):
+        text[i] ^= 1
+    else:
+        text[i : i + draw(st.integers(1, 2 * W))] = draw(st.integers(0, 1))
+    return text, pat, W
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=recurrence_words())
+def test_recurrence_core_matches_list_scan(case):
+    text, pat, W = case
+    assert paperfold._first_uncovered_window(text, pat, W) == recurrence_oracle(text, pat, W)
+
+
+@pytest.mark.parametrize("L", [1, 15, 16, 31])
+def test_recurrence_gap_straddling_the_last_occurrence(L):
+    # t(p) of at most 15 symbols goes through the mask path, longer ones
+    # through bytes.find; the ones-block below occurs only where planted
+    W, N = 2 * L + 3, 8 * L + 20
+    pat = np.ones(L, np.uint8)
+    for a in range(N - W - 3, N - W + 3):
+        for b in range(a + L + 1, N - L + 1):
+            text = np.zeros(N, np.uint8)
+            for s in (0, a, b):
+                text[s : s + L] = 1
+            got = paperfold._first_uncovered_window(text, pat, W)
+            assert got == recurrence_oracle(text, pat, W), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(0, 5), extra=st.integers(4, 6), i=st.integers(0, 2**12), flip=st.booleans(),
+       fill=st.integers(0, 1))
+def test_recurrence_report_matches_list_scan(p, extra, i, flip, fill):
+    g = p + extra
+    arr = pf_prefix(2 ** (g + 1) - 1).to_array().copy()
+    i %= arr.size
+    if flip:
+        arr[i] ^= 1
+    else:
+        arr[i : i + 3 * 2 ** (p + 1)] = fill
+    with mock.patch.object(paperfold, "_prefix_array", lambda n: arr[:n]):
+        rep = verify_recurrence(p, g)
+    bad = recurrence_oracle(arr, arr[: 2 ** (p + 1) - 1], 3 * 2 ** (p + 1))
+    assert (rep.status, rep.witness) == (
+        ("pass", None) if bad is None else ("fail", {"uncovered_window_start": bad}))
+
+
+def test_recurrence_negative_control(monkeypatch):
+    # t(2) = 1101100 cannot occur inside 30 overwritten symbols, so some
+    # window of 24 symbols around them misses it
+    arr = pf_prefix(2**11 - 1).to_array().copy()
+    arr[1000:1030] = 0
+    monkeypatch.setattr(paperfold, "_prefix_array", lambda n: arr[:n])
+    rep = verify_recurrence(2, 10)
+    assert rep.status == "fail"
+    assert rep.witness == {"uncovered_window_start": 993}
+    assert recurrence_oracle(arr, arr[:7], 24) == 993
+
+
+@st.composite
+def aperiodicity_words(draw):
+    """(array, max_period, preperiod): random and sparse words, flipped
+    paper-folding prefixes, and words that turn periodic after a cut, or
+    carry one defect in a periodic word, placed before, inside or after the
+    256-symbol block that starts at the preperiod."""
+    max_period = draw(st.one_of(st.integers(1, 40), st.integers(1000, 1100)))
+    preperiod = draw(st.integers(0, 600))
+    n = preperiod + 2 * max_period + draw(st.integers(0, 400))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["random", "sparse", "pf-flip", "head", "defect"]))
+    if kind in ("random", "sparse"):
+        return random_bits(seed, n, 0.5 if kind == "random" else 0.01), max_period, preperiod
+    if kind == "pf-flip":
+        arr = pf_prefix(n).to_array().copy()
+        arr[draw(st.integers(0, n - 1))] ^= 1
+        return arr, max_period, preperiod
+    q = draw(st.integers(1, max_period + 3))
+    arr = np.resize(random_bits(seed, q), n)
+    block = min(256, n - max_period - preperiod)
+    cut = draw(st.sampled_from([
+        draw(st.integers(0, preperiod)),
+        preperiod + draw(st.integers(0, block - 1)),
+        draw(st.integers(preperiod + block, n - 1)),
+    ]))
+    if kind == "head":
+        arr[:cut] = random_bits(seed + 1, cut)
+    else:
+        arr[cut] ^= 1
+    return arr, max_period, preperiod
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=aperiodicity_words())
+def test_aperiodicity_matches_full_scan(case):
+    arr, max_period, preperiod = case
+    found = aperiodicity_oracle(arr, max_period, preperiod)
+    assert paperfold._aperiodicity_witness(arr, max_period, preperiod) == found
+    rep = check_aperiodic(arr.size, max_period, preperiod, word=Word.from_array(arr))
+    assert (rep.status, rep.witness) == (
+        ("pass", None) if found is None else ("fail", {"period": found[0], "cut": found[1]}))
+
+
+def test_aperiodicity_gather_memory_is_bounded(traced_peak):
+    # 65536 periods: one 2-D gather over all of them would hold 16 MiB
+    rep, peak = traced_peak(check_aperiodic, 3 * 2**16, 2**16, 2**16)
+    assert rep.status == "pass"
+    assert peak < 2**20
