@@ -143,6 +143,9 @@ def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
 # q lies in G_n iff d divides every r_i, in H_n iff r = 0, and in (G_n)+
 # iff it lies in G_n and r >= 0.  All three hold for any representation,
 # since they only ask whether M^n q is integral, zero or non-negative.
+# _apply spells M^n v out as four dot products, and _membership_triple
+# reads all three predicates off r; the lattice battery calls both once per
+# image, on vectors it draws already scaled (see _draw_vector below).
 
 
 def _scaled(q):
@@ -164,16 +167,23 @@ def _power(n: int):
 
 
 def _apply(P, v):
-    """The matrix-vector product P v."""
+    """The matrix-vector product P v, as a 4-tuple."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = P
     v0, v1, v2, v3 = v
-    return [a * v0 + b * v1 + c * v2 + e * v3 for a, b, c, e in P]
+    return (
+        a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3,
+        b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3,
+        c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
+        e0 * v0 + e1 * v1 + e2 * v2 + e3 * v3,
+    )
 
 
 def _membership_triple(r, d: int):
     """(in G_n, in H_n, in (G_n)+) of q = v / d, from its image r = M^n v."""
     r0, r1, r2, r3 = r
     integral = not (r0 % d or r1 % d or r2 % d or r3 % d)
-    return integral, not (r0 or r1 or r2 or r3), integral and min(r) >= 0
+    positive = integral and r0 >= 0 and r1 >= 0 and r2 >= 0 and r3 >= 0
+    return integral, not (r0 or r1 or r2 or r3), positive
 
 
 def _closed_form_triple(v, d: int, n: int):
@@ -616,6 +626,15 @@ def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # seeded property batteries (exact, no tolerances)
+#
+# Every battery draws from the getrandbits of one random.Random(seed).  In
+# CPython, randint(lo, hi) is lo + r, where r = getrandbits(k) is redrawn
+# while r >= w, with w = hi - lo + 1 and k = w.bit_length().  _below is that
+# loop, and the lattice draws repeat it inline with their constant (k, w):
+# randint(-1024, 1024) is k = 12, w = 2049, and randint(1, 1024) is k = 11,
+# w = 1024.  So the batteries consume the stream exactly as the randint
+# calls they replace, and a seed keeps its reports; the tests pin both
+# against randint itself.
 
 
 MAX_SAMPLES = 1_000_000
@@ -628,28 +647,66 @@ def _check_samples(samples: int) -> None:
         raise ResourceError(f"samples {samples} exceeds the cap of {MAX_SAMPLES}")
 
 
-def _draw_vector(randint):
-    """A random rational 4-vector q_i = a_i / b_i, scaled once to (v, d)."""
-    a0, b0 = randint(-1024, 1024), randint(1, 1024)
-    a1, b1 = randint(-1024, 1024), randint(1, 1024)
-    a2, b2 = randint(-1024, 1024), randint(1, 1024)
-    a3, b3 = randint(-1024, 1024), randint(1, 1024)
+def _below(getrandbits, w: int) -> int:
+    """A uniform draw from range(w), w >= 1: randint(lo, lo + w - 1) - lo."""
+    k = w.bit_length()
+    while (r := getrandbits(k)) >= w:
+        pass
+    return r
+
+
+def _draw_vector(getrandbits):
+    """A random rational 4-vector q_i = a_i / b_i, scaled once to (v, d),
+    with a_i = randint(-1024, 1024) and b_i = randint(1, 1024)."""
+    while (a0 := getrandbits(12)) >= 2049: pass  # noqa: E701
+    while (b0 := getrandbits(11)) >= 1024: pass  # noqa: E701
+    while (a1 := getrandbits(12)) >= 2049: pass  # noqa: E701
+    while (b1 := getrandbits(11)) >= 1024: pass  # noqa: E701
+    while (a2 := getrandbits(12)) >= 2049: pass  # noqa: E701
+    while (b2 := getrandbits(11)) >= 1024: pass  # noqa: E701
+    while (a3 := getrandbits(12)) >= 2049: pass  # noqa: E701
+    while (b3 := getrandbits(11)) >= 1024: pass  # noqa: E701
+    b0, b1, b2, b3 = b0 + 1, b1 + 1, b2 + 1, b3 + 1
     d = math.lcm(b0, b1, b2, b3)
-    return (a0 * (d // b0), a1 * (d // b1), a2 * (d // b2), a3 * (d // b3)), d
+    return ((a0 - 1024) * (d // b0), (a1 - 1024) * (d // b1),
+            (a2 - 1024) * (d // b2), (a3 - 1024) * (d // b3)), d
 
 
-def _draw_member(randint, n: int):
+def _draw_member(getrandbits, n: int):
     """A random element of G_n, scaled to (v, d): the canonical preimage
     (m, 0, s - m, 0) of a random target (s, m) = (x / 2^k, m) plus a random
-    element (a, a, b, -2a - b) of the stage's kernel.  Returns (v, d, x, k, m)."""
-    x = randint(-1024, 1024)
-    k = randint(0, n - 2) if n > 2 else 0
-    m = randint(-1024, 1024)
-    a1, a2 = randint(-1024, 1024), randint(1, 1024)
-    b1, b2 = randint(-1024, 1024), randint(1, 1024)
+    element (a, a, b, -2a - b) of the stage's kernel, with a = a1 / a2 and
+    b = b1 / b2.  Every numerator is randint(-1024, 1024), every denominator
+    randint(1, 1024), and k is randint(0, n - 2), not drawn at n = 2.
+    Returns (v, d, x, k, m)."""
+    while (x := getrandbits(12)) >= 2049: pass  # noqa: E701
+    k = _below(getrandbits, n - 1) if n > 2 else 0
+    while (m := getrandbits(12)) >= 2049: pass  # noqa: E701
+    while (a1 := getrandbits(12)) >= 2049: pass  # noqa: E701
+    while (a2 := getrandbits(11)) >= 1024: pass  # noqa: E701
+    while (b1 := getrandbits(12)) >= 2049: pass  # noqa: E701
+    while (b2 := getrandbits(11)) >= 1024: pass  # noqa: E701
+    x, m, a1, a2, b1, b2 = x - 1024, m - 1024, a1 - 1024, a2 + 1, b1 - 1024, b2 + 1
     d = (a2 * b2) << k
     md, ad, bd = m * d, (a1 * b2) << k, (b1 * a2) << k
     return (md + ad, ad, x * a2 * b2 - md + bd, -2 * ad - bd), d, x, k, m
+
+
+def _draw_cone_pair(getrandbits):
+    """A random (s, m) of the cone battery: s = DyadicRational(randint(-2^20,
+    2^20), randint(0, 20)) and m = randint(-2^20, 2^20)."""
+    num = _below(getrandbits, 2**21 + 1) - 2**20
+    exp = _below(getrandbits, 21)
+    return DyadicPair(DyadicRational(num, exp), _below(getrandbits, 2**21 + 1) - 2**20)
+
+
+def _draw_twist(getrandbits):
+    """A random (twist, p) of the involution battery: the twist value a and
+    the dyadic part of p are DyadicRational(randint(-1024, 1024),
+    randint(0, 10)), and the integer part of p is randint(-1024, 1024)."""
+    a = DyadicRational(_below(getrandbits, 2049) - 1024, _below(getrandbits, 11))
+    s = DyadicRational(_below(getrandbits, 2049) - 1024, _below(getrandbits, 11))
+    return DyadicInvolution(a), DyadicPair(s, _below(getrandbits, 2049) - 1024)
 
 
 def _fraction_text(v, d):
@@ -667,18 +724,27 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     surjectivity witnesses, stage-independence of the quotient map, and
     the cone correspondence for canonical preimages.
 
-    Each sampled vector is scaled once to integers (v, d), and every
-    decision reads one definitional image M^k v, with M^k from mat_pow, at
-    k = n or n + 1; the closed form is checked against the image at n, never
-    used in its place.  Fractions are built only for a failure witness."""
+    Each sample pair is one random vector (_draw_vector) and one random
+    member of G_n (_draw_member), both drawn already scaled to integers
+    (v, d) from the getrandbits of random.Random(seed), in the stream that
+    randint would give.  Every decision reads a definitional image M^k v,
+    with M^k from mat_pow, at k = n or n + 1, through _membership_triple;
+    the closed form is checked against the image at n, never used in its
+    place.  Fractions are built only for a failure witness.
+
+    The total work (index_max - 1) * samples is capped at MAX_SAMPLES, and
+    every cap is checked before any matrix power is built."""
     if index_max < 2:
         raise DomainError("index_max must be at least 2")
     if index_max > MAX_MATRIX_POWER - 1:
         raise ResourceError(f"index_max {index_max} exceeds the cap of {MAX_MATRIX_POWER - 1}")
     _check_samples(samples)
+    if (index_max - 1) * samples > MAX_SAMPLES:
+        raise ResourceError(
+            f"{index_max - 1} indices x {samples} samples exceeds the cap of {MAX_SAMPLES}")
     chk = Check("dimgroup.lattice-properties", {"index_max": index_max, "samples": samples},
                 "lattice membership, nesting, quotient kernel and cone all agree exactly", seed=seed)
-    randint = random.Random(seed).randint
+    getrandbits = random.Random(seed).getrandbits
 
     def fail(reason, n, payload):
         return chk.failed({"reason": reason, "index": n, **payload})
@@ -686,16 +752,16 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     for n in range(2, index_max + 1):
         P, P_next, e = _power(n), _power(n + 1), 1 << (n - 2)
         for _ in range(samples):
-            v, d = _draw_vector(randint)
+            v, d = _draw_vector(getrandbits)
             got = _membership_triple(_apply(P, v), d)
             if got != _closed_form_triple(v, d, n):
                 return fail("closed-form-disagrees", n, {"q": _fraction_text(v, d)})
-            # nesting into the next stage
+            # nesting into the next stage: on booleans, a > b is a and not b
             nxt = _membership_triple(_apply(P_next, v), d)
-            if any(a and not b for a, b in zip(got, nxt)):
+            if got[0] > nxt[0] or got[1] > nxt[1] or got[2] > nxt[2]:
                 return fail("nesting-violated", n, {"q": _fraction_text(v, d)})
 
-            v, d, x, k, m = _draw_member(randint, n)
+            v, d, x, k, m = _draw_member(getrandbits, n)
             in_g, in_h, _ = _membership_triple(_apply(P, v), d)
             if not in_g:
                 return fail("constructed-member-outside", n, {"q": _fraction_text(v, d)})
@@ -726,7 +792,7 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
     _check_samples(samples)
     chk = Check("dimgroup.cone-identity", {"samples": samples},
                 "staged cone union equals {s > 0} plus the origin; unit maps to (1,0)", seed=seed)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
 
     def fail(reason, payload):
         return chk.failed({"reason": reason, **payload})
@@ -743,13 +809,7 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
         DyadicPair(DyadicRational(1, 3), 1000),
         DyadicPair(DyadicRational(-1, 2), 0),
     ]
-    draws = (
-        DyadicPair(
-            DyadicRational(rng.randint(-(2**20), 2**20), rng.randint(0, 20)),
-            rng.randint(-(2**20), 2**20),
-        )
-        for _ in range(samples)
-    )
+    draws = (_draw_cone_pair(getrandbits) for _ in range(samples))
     for p in (*specials, *draws):
         direct = cone_membership(p)
         witness_n = staged_cone_witness(p)
@@ -776,19 +836,13 @@ def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckRepor
     _check_samples(samples)
     chk = Check("dimgroup.involution", {"samples": samples},
                 "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
 
     def fail(reason, payload):
         return chk.failed({"reason": reason, **payload})
 
     for _ in range(samples):
-        inv = DyadicInvolution(
-            DyadicRational(rng.randint(-1024, 1024), rng.randint(0, 10))
-        )
-        p = DyadicPair(
-            DyadicRational(rng.randint(-1024, 1024), rng.randint(0, 10)),
-            rng.randint(-1024, 1024),
-        )
+        inv, p = _draw_twist(getrandbits)
         if involution_apply(inv, involution_apply(inv, p)) != p:
             return fail("not-an-involution", {"a": str(inv.a), "p": str(p)})
         fixed = DyadicPair(p.s, 0)

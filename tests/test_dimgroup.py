@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -413,19 +414,95 @@ def _off_by_one(monkeypatch, power):
     monkeypatch.setattr(dimgroup, "_power", perturbed)
 
 
+# the full witness pins the draw stream: a drift in it moves these bytes
 @pytest.mark.parametrize(
-    "power, reason",
-    [(2, "constructed-member-outside"), (3, "stage-dependence")],
+    "power, witness",
+    [
+        (2, {"reason": "constructed-member-outside", "index": 2,
+             "q": ["-86275/96", "-451/96", "254039/159", "8197/848"]}),
+        (3, {"reason": "stage-dependence", "index": 2, "target": ["704", -894]}),
+    ],
     ids=["wrong-M2", "wrong-M3"],
 )
-def test_lattice_properties_negative_controls(monkeypatch, power, reason):
+def test_lattice_properties_negative_controls(monkeypatch, power, witness):
     _off_by_one(monkeypatch, power)
     rep = verify_lattice_properties(4, 200, 42)
     assert rep.status == "fail"
-    assert rep.witness["reason"] == reason
-    assert rep.witness["index"] == 2
-    if reason == "stage-dependence":
-        assert rep.witness["target"]
+    assert rep.witness == witness
+
+
+def test_lattice_battery_reads_every_image_through_membership_triple(monkeypatch):
+    # perfbench counts images per sample by wrapping this global name
+    calls = []
+    real = dimgroup._membership_triple
+
+    def counted(r, d):
+        calls.append(d)
+        return real(r, d)
+
+    monkeypatch.setattr(dimgroup, "_membership_triple", counted)
+    assert verify_lattice_properties(4, 50, 42).status == "pass"
+    assert len(calls) == 3 * 50 * 5
+
+
+# ---------------------------------------------------------------------------
+# the batteries' draws against the randint calls they replace
+
+
+def _randint_vector(randint):
+    a0, b0 = randint(-1024, 1024), randint(1, 1024)
+    a1, b1 = randint(-1024, 1024), randint(1, 1024)
+    a2, b2 = randint(-1024, 1024), randint(1, 1024)
+    a3, b3 = randint(-1024, 1024), randint(1, 1024)
+    d = math.lcm(b0, b1, b2, b3)
+    return (a0 * (d // b0), a1 * (d // b1), a2 * (d // b2), a3 * (d // b3)), d
+
+
+def _randint_member(randint, n):
+    x = randint(-1024, 1024)
+    k = randint(0, n - 2) if n > 2 else 0
+    m = randint(-1024, 1024)
+    a1, a2 = randint(-1024, 1024), randint(1, 1024)
+    b1, b2 = randint(-1024, 1024), randint(1, 1024)
+    d = (a2 * b2) << k
+    md, ad, bd = m * d, (a1 * b2) << k, (b1 * a2) << k
+    return (md + ad, ad, x * a2 * b2 - md + bd, -2 * ad - bd), d, x, k, m
+
+
+def _randint_cone_pair(randint):
+    return DyadicPair(
+        DyadicRational(randint(-(2**20), 2**20), randint(0, 20)),
+        randint(-(2**20), 2**20),
+    )
+
+
+def _randint_twist(randint):
+    inv = DyadicInvolution(DyadicRational(randint(-1024, 1024), randint(0, 10)))
+    p = DyadicPair(DyadicRational(randint(-1024, 1024), randint(0, 10)), randint(-1024, 1024))
+    return inv, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64), n=st.integers(2, 14))
+def test_battery_draws_follow_the_randint_stream(seed, n):
+    new, ref = random.Random(seed), random.Random(seed)
+    for _ in range(10):
+        assert dimgroup._draw_vector(new.getrandbits) == _randint_vector(ref.randint)
+        assert dimgroup._draw_member(new.getrandbits, n) == _randint_member(ref.randint, n)
+        assert new.getstate() == ref.getstate()
+        assert dimgroup._draw_cone_pair(new.getrandbits) == _randint_cone_pair(ref.randint)
+        assert dimgroup._draw_twist(new.getrandbits) == _randint_twist(ref.randint)
+        assert new.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("w", [1, 2, 1024, 2049])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64), lo=st.integers(-(2**20), 2**20))
+def test_below_draw_matches_randint(w, seed, lo):
+    new, ref = random.Random(seed), random.Random(seed)
+    got = [dimgroup._below(new.getrandbits, w) for _ in range(64)]
+    assert got == [ref.randint(lo, lo + w - 1) - lo for _ in range(64)]
+    assert new.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize(
@@ -450,6 +527,14 @@ def test_lattice_index_cap_is_checked_before_any_work(monkeypatch):
         verify_lattice_properties(MAX_MATRIX_POWER, 10)
     with pytest.raises(ResourceError):
         verify_lattice_properties(3, MAX_SAMPLES + 1)
+    # the total work (index_max - 1) * samples is capped too
+    with pytest.raises(ResourceError):
+        verify_lattice_properties(MAX_MATRIX_POWER - 1, MAX_SAMPLES)
+    with pytest.raises(ResourceError):
+        verify_lattice_properties(12, MAX_SAMPLES // 11 + 1)
+    # and the cap is inclusive: this battery gets as far as its first power
+    with pytest.raises(AssertionError, match="the battery started"):
+        verify_lattice_properties(11, MAX_SAMPLES // 10)
 
 
 # ---------------------------------------------------------------------------

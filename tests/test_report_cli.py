@@ -293,13 +293,15 @@ def _capped_prefix(length):
         ["dimgroup", "verify", "--samples", str(MAX_SAMPLES + 1)],
         ["dimgroup", "verify", "--index-max", str(MAX_MATRIX_POWER)],
         ["dimgroup", "verify", "--index-max", "5000"],
+        ["dimgroup", "verify", "--index-max", str(MAX_MATRIX_POWER - 1), "--samples", str(MAX_SAMPLES)],
         ["paperfold", "census", "--generation", str(MAX_GENERATION + 1), "--max-len", "8"],
         ["paperfold", "verify", "aperiodic", "--prefix-len", str(2**40), "--max-period", "1",
          "--preperiod", "0"],
     ],
     ids=["fixed-prefix-cap", "matpow-cap", "negative-generation",
          "verify-zero-samples", "verify-negative-samples", "verify-samples-cap",
-         "verify-index-max-cap", "verify-index-max-5000", "census-generation-cap",
+         "verify-index-max-cap", "verify-index-max-5000", "verify-total-work-cap",
+         "census-generation-cap",
          "aperiodic-prefix-cap"],
 )
 def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, argv):
@@ -323,7 +325,8 @@ def _run_cli(argv):
 def _assert_one_json_result(code, out, err):
     assert code in (0, 1, 2)
     if out:
-        assert "status" in json.loads(out)
+        body = json.loads(out)  # one report, or a list of them for dimgroup verify
+        assert all("status" in r for r in (body if isinstance(body, list) else [body]))
     else:
         assert code == 2
         (line,) = err.strip().splitlines()
@@ -372,6 +375,10 @@ CAPPED_COMMANDS = {
     "subst verify intertwine": (("--len",), _ints(-2, 5000), _ints(MAX_PREFIX_LEN + 1, 2**40)),
     "dimgroup matpow": (("--n",), _ints(-2, 200), _ints(MAX_MATRIX_POWER + 1, 10**5)),
     "dimgroup discrepancy": (("--n-max",), _ints(-2, 16), _ints(25, 60)),
+    # (index-max - 1) * samples is at most MAX_SAMPLES
+    "dimgroup verify": (
+        ("--index-max", "--samples"), st.tuples(st.integers(-2, 4), st.integers(-2, 30)),
+        st.tuples(st.integers(12, MAX_MATRIX_POWER + 10), st.integers(MAX_SAMPLES // 11 + 1, MAX_SAMPLES))),
 }
 
 
