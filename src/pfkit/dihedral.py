@@ -12,6 +12,10 @@ computed on a finite prefix; when the factor sets have not stabilised
 between the reference prefix and the full one, checks answer
 "inconclusive" rather than "pass".
 
+Closure, freeness and the anti-palindrome census all read a
+:class:`LanguageOracle`, so one oracle over a generation serves the three:
+``pfkit report`` builds one per run and hands it to each of them.
+
 Minimality of the subshift is not finitely certifiable; its finite
 proxies are uniform recurrence (paperfold.verify_recurrence) and the
 saturation bookkeeping here.
@@ -26,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ExtensionError, ResourceError
-from .paperfold import MAX_GENERATION, pf_prefix, pf_word
+from .paperfold import MAX_GENERATION, CensusResult, pf_prefix, pf_word
 from .report import Check, CheckReport
 from .words import (
     BINARY,
@@ -34,6 +38,7 @@ from .words import (
     FactorIndex,
     Window,
     Word,
+    anti_palindrome_codes,
     anti_reverse_code,
     code_to_word,
     is_anti_palindrome,
@@ -121,6 +126,10 @@ class LanguageOracle:
 
     def saturated_to(self, n: int) -> bool:
         return all(self.is_saturated(ell) for ell in range(1, n + 1))
+
+    def antipalindrome_census(self, max_len: int) -> CensusResult:
+        """The anti-palindrome census of the stored prefix up to ``max_len``."""
+        return CensusResult.of(self.factor_codes, self.is_saturated, max_len)
 
 
 def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> CheckReport:
@@ -224,41 +233,19 @@ def freeness_certificate(oracle: LanguageOracle) -> FreenessCertificate:
         raise DomainError("oracle must cover factors up to length 8")
     if not oracle.saturated_to(check_to):
         bad = next(ell for ell in range(1, check_to + 1) if not oracle.is_saturated(ell))
-        return FreenessCertificate(
-            closure_checked_to=check_to,
-            antipalindrome_sup=0,
-            verdict="inconclusive",
-            witnesses={"unsaturated_length": bad},
-        )
+        return FreenessCertificate(check_to, 0, "inconclusive", {"unsaturated_length": bad})
     closure = check_closure_under_antireversal(oracle, check_to)
-    counts = {}
-    examples = {}
-    for ell in range(2, check_to + 1, 2):
-        aps = sorted(
-            c for c in oracle.factor_codes(ell) if c == anti_reverse_code(c, ell)
-        )
-        counts[ell] = len(aps)
-        if aps:
-            examples[ell] = [str(code_to_word(c, ell)) for c in aps]
+    counts = oracle.antipalindrome_census(check_to).counts
     sup = max((ell for ell, c in counts.items() if c > 0), default=0)
     if closure.status == "pass" and counts[check_to] == 0:
-        return FreenessCertificate(
-            closure_checked_to=check_to,
-            antipalindrome_sup=sup,
-            verdict="pass",
-            witnesses={"antipalindrome_counts": counts},
-        )
-    return FreenessCertificate(
-        closure_checked_to=check_to,
-        antipalindrome_sup=sup,
-        verdict="fail",
-        witnesses={
-            "closure": closure.status,
-            "closure_witness": closure.witness,
-            "antipalindrome_counts": counts,
-            "length_8_examples": examples.get(check_to, [])[:4],
-        },
-    )
+        return FreenessCertificate(check_to, sup, "pass", {"antipalindrome_counts": counts})
+    examples = anti_palindrome_codes(oracle.factor_codes(check_to), check_to)[:4]
+    return FreenessCertificate(check_to, sup, "fail", {
+        "closure": closure.status,
+        "closure_witness": closure.witness,
+        "antipalindrome_counts": counts,
+        "length_8_examples": [str(code_to_word(c, check_to)) for c in examples],
+    })
 
 
 def _compile_pattern(pat: str):

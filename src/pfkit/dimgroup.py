@@ -13,6 +13,7 @@ exact, sampling is sound (no tolerances) and reports are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -810,7 +811,7 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
         DyadicPair(DyadicRational(-1, 2), 0),
     ]
     draws = (_draw_cone_pair(getrandbits) for _ in range(samples))
-    for p in (*specials, *draws):
+    for p in itertools.chain(specials, draws):
         direct = cone_membership(p)
         witness_n = staged_cone_witness(p)
         if (witness_n is not None) != direct:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .report import Check, CheckReport
-from .words import BINARY, MAX_CODE_BITS, FactorIndex, Word, anti_reverse_code
+from .words import BINARY, MAX_CODE_BITS, FactorIndex, Word, anti_palindrome_codes
 from .words import window_codes  # noqa: F401 - perfbench/spans.py times this name here
 
 __all__ = [
@@ -138,6 +138,15 @@ class CensusResult:
         if any(k % 2 != 0 for k in self.counts):
             raise DomainError("census counts keys must be even")
 
+    @classmethod
+    def of(cls, codes, saturated, max_len: int) -> "CensusResult":
+        """The census of a factor language at every even length up to
+        ``max_len``, given ``codes(ell)``, the set of its length-ell factor
+        codes, and ``saturated(ell)``."""
+        lengths = range(2, max_len + 1, 2)
+        return cls(max_len, {ell: len(anti_palindrome_codes(codes(ell), ell)) for ell in lengths},
+                   all(saturated(ell) for ell in lengths))
+
     def to_json(self) -> dict:
         return {
             "max_length_checked": self.max_length_checked,
@@ -163,13 +172,7 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
             f"generation {generation} too small to census lengths up to {max_len}"
         )
     index = FactorIndex(_prefix_array(2 ** (generation + 1) - 1), 1, ref_len=2**generation - 1)
-    lengths = range(2, max_len + 1, 2)
-    counts = {
-        ell: sum(1 for c in index.codes(ell) if c == anti_reverse_code(c, ell))
-        for ell in lengths
-    }
-    saturated = all(index.saturated(ell) for ell in lengths)
-    return CensusResult(max_length_checked=max_len, counts=counts, saturated=saturated)
+    return CensusResult.of(index.codes, index.saturated, max_len)
 
 
 # patterns up to this many symbols are located by one AND of shifted

@@ -10,6 +10,9 @@ factor codes of every length of a symbol array one length at a time from
 the previous length's, and reads saturation against a reference prefix off
 the same pass.  ``window_codes`` codes one length from scratch; it stays as
 the direct formulation for single scans and as the index's test oracle.
+``anti_palindrome_codes`` is the one anti-palindrome filter over factor
+codes: the census counts through it and the freeness certificate takes its
+examples from it.
 
 Indexing convention: all public APIs 0-index, segments are inclusive on
 both ends.
@@ -44,6 +47,7 @@ __all__ = [
     "word_code",
     "FactorIndex",
     "anti_reverse_code",
+    "anti_palindrome_codes",
     "to_pfw_bytes",
     "from_pfw_bytes",
     "write_pfw",
@@ -374,6 +378,11 @@ def anti_reverse_code(code: int, n: int) -> int:
     for j in range(n):
         r |= ((code >> j) & 1) << (n - 1 - j)
     return r ^ ((1 << n) - 1)
+
+
+def anti_palindrome_codes(codes, n: int) -> list:
+    """The anti-palindromes among length-n binary window codes, ascending."""
+    return sorted(c for c in codes if c == anti_reverse_code(c, n))
 
 
 def code_to_word(code: int, n: int, alphabet: Alphabet = BINARY) -> Word:

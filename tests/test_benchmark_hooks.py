@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["language", "scan"])
+@pytest.mark.parametrize("workload", ["suite-full", "language", "scan"])
 def test_traced_run_reports_every_layer(tmp_path, workload):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     # trace.overhead_s needs an untraced twin run, which run.py makes

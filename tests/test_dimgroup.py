@@ -627,3 +627,10 @@ def test_scan_checks_run_in_chunk_sized_memory(traced_peak):
     rep, peak = traced_peak(verify_unbounded_discrepancy, 20)
     assert rep.status == "pass"
     assert peak < 2**20
+
+
+def test_cone_battery_holds_one_sample_at_a_time(traced_peak):
+    # 10,000 drawn pairs held at once take about 2.5 MiB
+    rep, peak = traced_peak(verify_cone_identity, 10_000, 42)
+    assert rep.status == "pass"
+    assert peak < 0.25 * 2**20

@@ -4,16 +4,18 @@ import io
 import json
 import threading
 import time
+import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import paperfold
+from pfkit import paperfold, words
 from pfkit.cli import PROFILES, REGISTRY, exit_code, main, run_all
+from pfkit.dihedral import LanguageOracle
 from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
-from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, CensusResult
+from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN
 from pfkit.report import Check, CheckReport, emit_report
 from pfkit.words import Word, read_pfw
 
@@ -211,7 +213,7 @@ def test_run_all_quick_is_deterministic():
 def test_run_all_error_isolation(monkeypatch):
     import pfkit.cli as cli_mod
 
-    def boom(p, seed):
+    def boom(p, seed, language):
         raise RuntimeError("synthetic failure")
 
     registry = tuple(
@@ -228,7 +230,7 @@ def test_run_all_error_isolation(monkeypatch):
 def test_run_all_error_report_has_real_elapsed(monkeypatch):
     import pfkit.cli as cli_mod
 
-    def slow_boom(p, seed):
+    def slow_boom(p, seed, language):
         time.sleep(0.05)
         raise RuntimeError("late failure")
 
@@ -244,7 +246,7 @@ def test_run_all_runs_every_check_on_the_calling_thread(monkeypatch):
     threads = []
 
     def record(name):
-        def check(p, seed):
+        def check(p, seed, language):
             threads.append(threading.get_ident())
             return Check(name, {}, "").passed()
         return check
@@ -256,21 +258,77 @@ def test_run_all_runs_every_check_on_the_calling_thread(monkeypatch):
     assert all(r.seed == 7 for r in reports)
 
 
-def test_unsaturated_census_is_inconclusive_everywhere(monkeypatch, capsys):
-    import pfkit.cli as cli_mod
+def _suite_census(oracle, generation):
+    """The suite's census entry, run on ``oracle`` as its shared oracle."""
+    entry = dict(REGISTRY)["paperfold.antipalindrome-census"]
+    return entry(dict(PROFILES["quick"], generation=generation), 42, lambda: oracle)
 
-    unsaturated = CensusResult(max_length_checked=8, counts={2: 2, 4: 2, 6: 1, 8: 0}, saturated=False)
-    monkeypatch.setattr(paperfold, "antipalindrome_census", lambda g, max_len: unsaturated)
-    census = [entry for entry in cli_mod.REGISTRY if entry[0] == "paperfold.antipalindrome-census"]
-    monkeypatch.setattr(cli_mod, "REGISTRY", tuple(census))
-    reports = run_all("quick", seed=42)
-    assert [r.status for r in reports] == ["inconclusive"]
-    assert exit_code(reports) == 1
-    assert main(["paperfold", "census", "--generation", "12", "--max-len", "8"]) == 1
+
+def test_unsaturated_census_is_inconclusive_everywhere(capsys):
+    # generation 5 has factors of length 6 and 8 that generation 4 lacks,
+    # so its census is not saturated
+    assert main(["paperfold", "census", "--generation", "5", "--max-len", "8"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "inconclusive"
-    assert payload["certifies"] == reports[0].certifies
     assert payload["witness"]["saturated"] is False
+    rep = _suite_census(LanguageOracle.from_generation(5, PROFILES["quick"]["closure_len"]), 5)
+    assert rep.status == "inconclusive"
+    assert (rep.certifies, rep.witness) == (payload["certifies"], payload["witness"])
+
+
+def test_census_negative_control():
+    # a periodic word is saturated at once and has the length-8
+    # anti-palindrome 11001100, so the census must fail
+    rep = _suite_census(LanguageOracle(Word("1100" * 64), 16), 12)
+    assert rep.status == "fail"
+    assert rep.witness["saturated"] is True
+    assert rep.witness["counts"]["8"] >= 1
+
+
+def test_run_all_shares_one_oracle_and_drops_it(monkeypatch):
+    import pfkit.cli as cli_mod
+
+    indexes, oracles, alive = [], [], []
+    index_init, oracle_init = words.FactorIndex.__init__, LanguageOracle.__init__
+
+    def count_index(self, *args, **kwargs):
+        index_init(self, *args, **kwargs)
+        indexes.append(self._arr.size)
+
+    def record_oracle(self, *args, **kwargs):
+        oracle_init(self, *args, **kwargs)
+        oracles.append(weakref.ref(self))
+
+    def probe(fn):
+        def entry(p, seed, language):
+            alive.append(oracles[0]() is not None)
+            return fn(p, seed, language)
+        return entry
+
+    monkeypatch.setattr(words.FactorIndex, "__init__", count_index)
+    monkeypatch.setattr(LanguageOracle, "__init__", record_oracle)
+    last = [name for name, _ in REGISTRY].index("dihedral.freeness")
+    monkeypatch.setattr(cli_mod, "REGISTRY", tuple(
+        (name, probe(fn) if i > last else fn) for i, (name, fn) in enumerate(REGISTRY)))
+    reports = cli_mod.run_all("quick", seed=42)
+    assert all(r.status == "pass" for r in reports)
+    assert indexes == [2 ** (PROFILES["quick"]["generation"] + 1) - 1]
+    assert len(oracles) == 1 and oracles[0]() is None
+    # dropped after its last reader, not at the end of the run
+    assert alive == [False] * (len(REGISTRY) - last - 1)
+
+
+def test_oracle_build_failure_errors_only_its_readers(monkeypatch):
+    def broken(generation, max_len):
+        raise RuntimeError("oracle build failed")
+
+    monkeypatch.setattr(LanguageOracle, "from_generation", broken)
+    reports = run_all("quick", seed=42)
+    readers = {"paperfold.antipalindrome-census", "dihedral.antireversal-closure", "dihedral.freeness"}
+    assert {r.check: r.status for r in reports} == {
+        name: "error" if name in readers else "pass" for name, _ in REGISTRY}
+    assert sum(r.status == "pass" for r in reports) == 14
+    assert all("oracle build failed" in r.witness["exception"] for r in reports if r.check in readers)
 
 
 _prefix_array = paperfold._prefix_array
