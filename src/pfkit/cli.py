@@ -11,7 +11,8 @@ suite as a JSON array (or a markdown table with --format markdown).  Two
 runs with identical flags and seed produce identical output except for
 the elapsed_ms fields.  Exit code: 0 when everything passes, 1 when some
 check fails or is inconclusive, 2 when a check errors out or the input is
-rejected (a bad argument or a resource cap).
+rejected (a bad argument, a resource cap, or a file that cannot be read or
+written).
 
 The suite runs its checks one after another on the calling thread, in
 registry order, and reports them in that order.  The census, closure and
@@ -288,7 +289,7 @@ def _cmd_extend(args) -> int:
 def _load_substitution(path):
     if not path:
         return subst.PAPERFOLD_SUBSTITUTION
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # from_json rejects bytes that are not UTF-8
         return subst.Substitution.from_json(fh.read())
 
 
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PfkitError as exc:
+    except (PfkitError, OSError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
 

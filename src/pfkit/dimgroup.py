@@ -158,13 +158,8 @@ def _scaled(q):
     return tuple(x.numerator * (d // x.denominator) for x in q), d
 
 
-_POWERS: dict = {}
-
-
 def _power(n: int):
-    if n not in _POWERS:
-        _POWERS[n] = mat_pow(PAPERFOLD_MATRIX, n)
-    return _POWERS[n]
+    return mat_pow(PAPERFOLD_MATRIX, n)
 
 
 def _apply(P, v):

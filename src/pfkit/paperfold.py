@@ -175,55 +175,40 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
     return CensusResult.of(index.codes, index.saturated, max_len)
 
 
-# patterns up to this many symbols are located by one AND of shifted
-# equality masks; longer ones are rare enough for ``bytes.find``
-_MASK_PATTERN_MAX = 15
+def _generation_hits(text: np.ndarray, p: int) -> np.ndarray:
+    """Bool mask over the starts 0 .. text.size - |t(p)| of ``text``,
+    true where t(p) occurs.  Needs ``text.size >= |t(p)|``.
+
+    t(k+1) = t(k) 1 anti(t(k)) and anti(t(k+1)) = t(k) 0 anti(t(k)), so
+    the masks of t(k+1) and anti(t(k+1)) are the mask of t(k) AND the
+    shifted mask of anti(t(k)), split by the symbol between them.  Each
+    level works in place in the two level-0 masks, so the search takes p
+    passes however long t(p) is."""
+    hits, anti = text == 1, text == 0
+    for k in range(p):
+        lk = 2 ** (k + 1) - 1  # |t(k)|
+        m = hits.size - lk - 1  # starts of t(k+1)
+        np.logical_and(hits[:m], anti[lk + 1 :], out=hits[:m])
+        # on 0/1 values, hit > symbol is hit AND NOT symbol
+        np.greater(hits[:m], text[lk : lk + m], out=anti[:m])
+        np.logical_and(hits[:m], text[lk : lk + m], out=hits[:m])
+        hits, anti = hits[:m], anti[:m]
+    return hits
 
 
-def _occurrences(haystack: bytes, needle: bytes) -> list:
-    out = []
-    i = haystack.find(needle)
-    while i != -1:
-        out.append(i)
-        i = haystack.find(needle, i + 1)
-    return out
+def _first_uncovered(hits: np.ndarray, span: int):
+    """The first start s with no hit in hits[s : s + span], or None;
+    there are hits.size - span + 1 >= 1 starts.  Overwrites ``hits``.
 
-
-def _occurrence_array(text: np.ndarray, pat: np.ndarray) -> np.ndarray:
-    """Sorted start positions of ``pat`` in ``text`` (no longer than
-    ``text``), as an int64 array."""
-    L, N = pat.size, text.size
-    if L > _MASK_PATTERN_MAX:
-        return np.array(_occurrences(text.tobytes(), pat.tobytes()), dtype=np.int64)
-    M = N - L + 1
-    hit = text[:M] == pat[0]
-    eq = np.empty(M, dtype=bool)
-    for k in range(1, L):
-        np.equal(text[k : k + M], pat[k], out=eq)
-        hit &= eq
-    return np.flatnonzero(hit)
-
-
-def _first_uncovered_window(text: np.ndarray, pat: np.ndarray, W: int):
-    """Start of the first length-``W`` window of ``text`` that contains no
-    occurrence of ``pat``, or None.  ``W`` must be at least ``pat.size``
-    and at most ``text.size``.
-
-    An occurrence at s serves exactly the window starts s-(W-L) .. s, so
-    the first uncovered start is read off the occurrence gaps: before the
-    first occurrence, after the first gap wider than W - L + 1, or after
-    the last occurrence.  A gap that wide ends at b <= N - L, so it starts
-    at a <= N - W - 2 and its uncovered start a + 1 is a window start."""
-    L, N = pat.size, text.size
-    occ = _occurrence_array(text, pat)
-    if not occ.size or occ[0] > W - L:
-        return 0
-    wide = np.flatnonzero(np.diff(occ) > W - L + 1)
-    if wide.size:
-        return int(occ[wide[0]]) + 1
-    if occ[-1] < N - W:
-        return int(occ[-1]) + 1
-    return None
+    The OR over a sliding window is widened in place, at most doubling
+    its width per pass, so it takes about log2(span) passes."""
+    width = 1
+    while width < span:
+        step = min(width, span - width)
+        n = hits.size - step
+        np.logical_or(hits[:n], hits[step:], out=hits[:n])
+        hits, width = hits[:n], width + step
+    return None if hits.all() else int(np.argmin(hits))
 
 
 def verify_recurrence(p: int, test_generation: int) -> CheckReport:
@@ -231,11 +216,11 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     contains generation p as a factor.
 
     Containment of t(p) itself is sufficient for all its subwords, so only
-    t(p) is searched for.  The occurrences live in one numpy array: for
-    t(p) of at most 15 symbols (p <= 3) they are the AND of the shifted
-    equality masks, for longer t(p) they come from ``bytes.find``; the
-    first uncovered window is read from their gaps with ``np.diff``, so no
-    Python list of positions is built where they are dense.
+    t(p) is searched for, as its recursion defines it: its occurrences are
+    one bool mask built in p in-place passes (``_generation_hits``), and a
+    window with none is read from a sliding OR over that mask
+    (``_first_uncovered``).  No list or integer array of positions is
+    built.
     """
     if p < 0:
         raise DomainError("p must be non-negative")
@@ -246,9 +231,8 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     W = 3 * 2 ** (p + 1)
     chk = Check("paperfold.recurrence", {"p": p, "test_generation": test_generation, "window": W},
                 "every window of length 3*2^(p+1) contains generation p")
-    pat = _prefix_array(2 ** (p + 1) - 1)
     text = _prefix_array(2 ** (test_generation + 1) - 1)
-    bad = _first_uncovered_window(text, pat, W)
+    bad = _first_uncovered(_generation_hits(text, p), W - 2 ** (p + 1) + 2)
     if bad is None:
         return chk.passed()
     return chk.failed({"uncovered_window_start": bad})

@@ -41,7 +41,10 @@ class Substitution:
         self.alphabet = QUATERNARY
         table = {}
         for letter, image in rules.items():
-            a = int(letter)
+            try:
+                a = int(letter)
+            except (TypeError, ValueError):
+                raise DomainError(f"rule letter {letter!r} is not an integer") from None
             if not 0 <= a < self.alphabet.size:
                 raise DomainError(f"rule letter {letter!r} outside the alphabet")
             w = image if isinstance(image, Word) else Word(str(image), self.alphabet)
@@ -62,11 +65,17 @@ class Substitution:
             )
 
     @classmethod
-    def from_json(cls, text: str) -> "Substitution":
-        data = json.loads(text)
-        if int(data.get("alphabet", 4)) != 4:
+    def from_json(cls, text: str | bytes) -> "Substitution":
+        try:
+            data = json.loads(text)
+            alphabet, rules = int(data.get("alphabet", 4)), data["rules"]
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise DomainError(f"malformed substitution JSON: {type(exc).__name__}: {exc}") from None
+        if alphabet != 4:
             raise DomainError("only the quaternary alphabet is supported")
-        return cls(data["rules"])
+        if not isinstance(rules, dict):
+            raise DomainError('"rules" must map letters to images')
+        return cls(rules)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import paperfold
+from pfkit import dihedral, paperfold
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
     ODD_WINDOW_PATTERNS,
@@ -236,6 +236,16 @@ def test_parity_reads_only_the_windows_it_codes(monkeypatch):
         parity_class_separation(10, MAX_GENERATION + 1)
     with pytest.raises(DomainError):
         parity_class_separation(-1, 30)
+
+
+def test_parity_negative_control(monkeypatch):
+    # flipping symbol 1000 makes the even window at offset 994 equal the
+    # odd window at offset 23
+    arr = pf_prefix(8008).to_array().copy()
+    arr[1000] ^= 1
+    monkeypatch.setattr(dihedral, "pf_prefix", lambda L: Word.from_array(arr[:L]))
+    rep = parity_class_separation(4000, 12)
+    assert (rep.status, rep.witness) == ("fail", {"k": 497, "l": 11, "window": "0110010"})
 
 
 def test_parity_first_windows_differ():

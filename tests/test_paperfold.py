@@ -98,6 +98,14 @@ def test_self_similarity_definition_case():
         assert verify_self_similarity(p, 0).status == "pass"
 
 
+def test_self_similarity_negative_control(monkeypatch):
+    arr = pf_prefix(2**13 - 1).to_array().copy()
+    arr[1000] ^= 1
+    monkeypatch.setattr(paperfold, "_prefix_array", lambda n: arr[:n])
+    rep = verify_self_similarity(1, 10)
+    assert (rep.status, rep.witness) == ("fail", {"first_mismatch": 1000})
+
+
 def test_self_similarity_exhaustive_budget():
     for p in range(12):
         for n in range(12 - p):
@@ -241,60 +249,69 @@ def random_bits(seed, n, density=0.5):
     return (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
 
 
+def t_gen(p):
+    """t(p) for p <= 5 from the reference strings, whatever prefix a test
+    patches in: verify_recurrence searches for the true t(p)."""
+    return Word(T_REFERENCE[p]).to_array()
+
+
+def recurrence_core(text, p, W):
+    return paperfold._first_uncovered(paperfold._generation_hits(text, p), W - 2 ** (p + 1) + 2)
+
+
 @st.composite
 def recurrence_words(draw):
-    """(text, pattern, window): random words with a random or a lifted
-    pattern, and paper-folding prefixes with one symbol flipped or a block
-    overwritten, searched for t(p) (up to 63 symbols, past the mask path)."""
+    """(text, p, window): random words, some with copies of t(p) planted,
+    and paper-folding prefixes with one symbol flipped or a block
+    overwritten, searched for t(p) (up to 63 symbols)."""
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         text = random_bits(seed, draw(st.integers(1, 400)), draw(st.sampled_from([0.5, 0.9])))
-        L = draw(st.integers(1, min(24, text.size)))
-        if draw(st.booleans()):
-            k = draw(st.integers(0, text.size - L))
-            pat = text[k : k + L].copy()
-        else:
-            pat = random_bits(seed + 1, L)
-        return text, pat, draw(st.integers(L, text.size))
+        p = draw(st.integers(0, min(4, (text.size + 1).bit_length() - 2)))
+        pat = t_gen(p)
+        for _ in range(draw(st.integers(0, 6))):
+            k = draw(st.integers(0, text.size - pat.size))
+            text[k : k + pat.size] = pat
+        return text, p, draw(st.integers(pat.size, text.size))
     p = draw(st.integers(0, 5))
     g = draw(st.integers(p + 4, 11))
     text = pf_prefix(2 ** (g + 1) - 1).to_array().copy()
-    pat = text[: 2 ** (p + 1) - 1].copy()
     W = 3 * 2 ** (p + 1)
     i = draw(st.integers(0, text.size - 1))
     if draw(st.booleans()):
         text[i] ^= 1
     else:
         text[i : i + draw(st.integers(1, 2 * W))] = draw(st.integers(0, 1))
-    return text, pat, W
+    return text, p, W
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=recurrence_words())
 def test_recurrence_core_matches_list_scan(case):
-    text, pat, W = case
-    assert paperfold._first_uncovered_window(text, pat, W) == recurrence_oracle(text, pat, W)
+    text, p, W = case
+    assert recurrence_core(text, p, W) == recurrence_oracle(text, t_gen(p), W)
 
 
-@pytest.mark.parametrize("L", [1, 15, 16, 31])
+@pytest.mark.parametrize("L", [1, 3, 7, 15, 31])
 def test_recurrence_gap_straddling_the_last_occurrence(L):
-    # t(p) of at most 15 symbols goes through the mask path, longer ones
-    # through bytes.find; the ones-block below occurs only where planted
-    W, N = 2 * L + 3, 8 * L + 20
-    pat = np.ones(L, np.uint8)
+    # t(p) of L symbols planted in zeros at the first start, near the last
+    # window start and up to the last start of t(p)
+    p = L.bit_length() - 1
+    W, N, pat = 2 * L + 3, 8 * L + 20, t_gen(p)
     for a in range(N - W - 3, N - W + 3):
         for b in range(a + L + 1, N - L + 1):
             text = np.zeros(N, np.uint8)
             for s in (0, a, b):
-                text[s : s + L] = 1
-            got = paperfold._first_uncovered_window(text, pat, W)
-            assert got == recurrence_oracle(text, pat, W), (a, b)
+                text[s : s + L] = pat
+            assert recurrence_core(text, p, W) == recurrence_oracle(text, pat, W), (a, b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.integers(0, 5), extra=st.integers(4, 6), i=st.integers(0, 2**12), flip=st.booleans(),
        fill=st.integers(0, 1))
 def test_recurrence_report_matches_list_scan(p, extra, i, flip, fill):
+    # the mutation may fall inside the first |t(p)| symbols; the check
+    # still searches for the true t(p)
     g = p + extra
     arr = pf_prefix(2 ** (g + 1) - 1).to_array().copy()
     i %= arr.size
@@ -304,9 +321,17 @@ def test_recurrence_report_matches_list_scan(p, extra, i, flip, fill):
         arr[i : i + 3 * 2 ** (p + 1)] = fill
     with mock.patch.object(paperfold, "_prefix_array", lambda n: arr[:n]):
         rep = verify_recurrence(p, g)
-    bad = recurrence_oracle(arr, arr[: 2 ** (p + 1) - 1], 3 * 2 ** (p + 1))
+    bad = recurrence_oracle(arr, t_gen(p), 3 * 2 ** (p + 1))
     assert (rep.status, rep.witness) == (
         ("pass", None) if bad is None else ("fail", {"uncovered_window_start": bad}))
+
+
+def test_recurrence_runs_in_a_few_bytes_per_symbol(traced_peak):
+    # the occurrence array and its np.diff took 8.5 bytes per symbol at p = 0
+    for p in range(9):
+        rep, peak = traced_peak(verify_recurrence, p, 20)
+        assert rep.status == "pass"
+        assert peak <= 4 * (2**21 - 1), p
 
 
 def test_recurrence_negative_control(monkeypatch):
@@ -318,7 +343,7 @@ def test_recurrence_negative_control(monkeypatch):
     rep = verify_recurrence(2, 10)
     assert rep.status == "fail"
     assert rep.witness == {"uncovered_window_start": 993}
-    assert recurrence_oracle(arr, arr[:7], 24) == 993
+    assert recurrence_oracle(arr, t_gen(2), 24) == 993
 
 
 @st.composite

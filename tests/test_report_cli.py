@@ -2,9 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import threading
 import time
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -372,6 +374,34 @@ def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, argv):
     assert "error" in json.loads(lines[0])
 
 
+@pytest.mark.parametrize(
+    "rules, out",
+    [
+        (b"{not json", None),
+        (b"\xff\xfe{", None),
+        (b'[["0", "20"]]', None),
+        (b'{"alphabet": 4}', None),
+        (b'{"rules": {"x": "20", "1": "21", "2": "30", "3": "31"}}', None),
+        (None, None),
+        (b'{"rules": {"0": "20", "1": "21", "2": "30", "3": "31"}}', "missing/info.json"),
+    ],
+    ids=["invalid-json", "not-utf8", "json-array", "no-rules-key", "non-integer-letter",
+         "missing-rules-file", "out-in-missing-directory"],
+)
+def test_bad_files_exit_2_without_traceback(tmp_path, capsys, rules, out):
+    path = tmp_path / "rules.json"
+    if rules is not None:
+        path.write_bytes(rules)
+    commands = [["subst", "info"]] if out else [["subst", "info"], ["subst", "fixed-prefix", "--len", "8"]]
+    for command in commands:
+        argv = command + ["--rules", str(path)] + (["--out", str(tmp_path / out)] if out else [])
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        (line,) = err.strip().splitlines()
+        assert "error" in json.loads(line)
+
+
 def _run_cli(argv):
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -453,6 +483,26 @@ def test_cli_capped_command_arguments(command, data):
     _assert_one_json_result(code, out, err)
     if over_cap:
         assert code == 2 and not prefix.called  # refused before any prefix is built
+
+
+def readme_commands():
+    """Every ``pfkit ...`` line of the README's shell blocks, comment cut."""
+    lines, in_sh = [], False
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("pfkit "):
+            lines.append(shlex.split(line, comments=True)[1:])
+    return lines
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 18
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_report_command_writes_file(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pfkit import subst
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_prefix
 from pfkit.subst import (
@@ -131,6 +132,15 @@ def test_recoding_identity():
     assert verify_recoding(2**12).status == "pass"
 
 
+def test_recoding_negative_control(monkeypatch):
+    # binary symbol 1000 lies in block 500 of the recoded word
+    arr = pf_prefix(2**13).to_array().copy()
+    arr[1000] ^= 1
+    monkeypatch.setattr(subst, "pf_prefix", lambda L: Word.from_array(arr[:L]))
+    rep = verify_recoding(4096)
+    assert (rep.status, rep.witness) == ("fail", {"first_mismatch": 500})
+
+
 def test_intertwining():
     assert verify_intertwining(8).status == "pass"
     assert verify_intertwining(2**14).status == "pass"
@@ -159,6 +169,16 @@ def test_json_roundtrip():
     }
     again = Substitution.from_json(blob)
     assert again.rules == RHO.rules
+
+
+# test_report_cli covers invalid JSON, an array, no "rules" and a bad letter
+@pytest.mark.parametrize("text", [
+    '"rules"', '{"alphabet": "four", "rules": {}}', '{"rules": ["20", "21", "30", "31"]}',
+    '{"alphabet": 2, "rules": {"0": "20", "1": "21", "2": "30", "3": "31"}}',
+], ids=["string", "non-integer-alphabet", "rules-array", "binary-alphabet"])
+def test_malformed_json_is_a_domain_error(text):
+    with pytest.raises(DomainError):
+        Substitution.from_json(text)
 
 
 def test_substitution_validation():
