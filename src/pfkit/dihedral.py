@@ -137,6 +137,8 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
     is also a factor.  Inconclusive when any length up to n_max is not
     saturated.  A failure's witness is the shortest failing factor of least
     code."""
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
     if n_max > oracle.max_len:
         raise DomainError("n_max exceeds the oracle's max_len")
     if oracle.source.alphabet != BINARY:
@@ -226,15 +228,15 @@ def freeness_certificate(oracle: LanguageOracle) -> FreenessCertificate:
 
     The verdict is "pass" when closure holds up to length 8 and no
     length-8 anti-palindromic factor exists, "inconclusive" when the
-    oracle is not saturated to length 8, and "fail" otherwise.
+    closure check is (it meets an unsaturated length before any failing
+    factor, and its witness names that length), and "fail" otherwise.
     """
     check_to = 8
     if oracle.max_len < check_to:
         raise DomainError("oracle must cover factors up to length 8")
-    if not oracle.saturated_to(check_to):
-        bad = next(ell for ell in range(1, check_to + 1) if not oracle.is_saturated(ell))
-        return FreenessCertificate(check_to, 0, "inconclusive", {"unsaturated_length": bad})
     closure = check_closure_under_antireversal(oracle, check_to)
+    if closure.status == "inconclusive":
+        return FreenessCertificate(check_to, 0, "inconclusive", closure.witness)
     counts = oracle.antipalindrome_census(check_to).counts
     sup = max((ell for ell, c in counts.items() if c > 0), default=0)
     if closure.status == "pass" and counts[check_to] == 0:

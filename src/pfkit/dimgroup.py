@@ -127,6 +127,8 @@ def closed_form_power(n: int):
 
 def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
     """Exact entrywise equality of iterated powers with the closed form."""
+    if n_max < 0:
+        raise DomainError("n_max must be non-negative")
     chk = Check("dimgroup.matrix-closed-form", {"n_max": n_max},
                 "matrix powers match the closed form with entries 2^n, 2^n +/- 1")
     for n in range(0, n_max + 1):
@@ -334,9 +336,11 @@ class DyadicRational:
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
         num, _, rest = text.partition("/2^")
-        if not rest:
-            raise DomainError(f"bad dyadic literal {text!r}")
-        return cls(int(num), int(rest))
+        try:
+            num, exp = int(num), int(rest)
+        except ValueError:
+            raise DomainError(f"bad dyadic literal {text!r}") from None
+        return cls(num, exp)
 
     def to_json(self):
         return str(self)

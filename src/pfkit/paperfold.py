@@ -45,17 +45,20 @@ MAX_GENERATION = 30  # 2^31 - 1 symbols; anything larger is not desk-scale
 MAX_PREFIX_LEN = 2 ** (MAX_GENERATION + 1) - 1
 
 _prefix_cache = np.array([1], dtype=np.uint8)
+_prefix_cache.setflags(write=False)
 
 
 def _prefix_array(length: int) -> np.ndarray:
     """First ``length`` symbols of the infinite word, growing the cache
-    by the recursion as needed."""
+    by the recursion as needed.  The cache is read-only, so no caller can
+    change the symbols that later callers read."""
     global _prefix_cache
     while _prefix_cache.size < length:
         cur = _prefix_cache
         _prefix_cache = np.concatenate(
             [cur, np.array([1], dtype=np.uint8), (1 - cur)[::-1]]
         )
+        _prefix_cache.setflags(write=False)
     return _prefix_cache[:length]
 
 
@@ -272,17 +275,14 @@ def _aperiodicity_witness(arr: np.ndarray, max_period: int, preperiod: int):
     return None
 
 
-def check_aperiodic(
-    prefix_len: int, max_period: int, preperiod: int, word: Word | None = None
-) -> CheckReport:
+def check_aperiodic(prefix_len: int, max_period: int, preperiod: int) -> CheckReport:
     """Finite aperiodicity certificate: no period up to ``max_period``
-    holds from any cut point up to ``preperiod`` on the prefix.
+    holds from any cut point up to ``preperiod`` on the paper-folding
+    prefix of length ``prefix_len``.
 
-    By default the paper-folding prefix of the given length is scanned;
-    pass ``word`` to run the same scan on another word (negative
-    controls).  A period exits early on the first mismatch within 256
-    symbols of ``preperiod``; only a period that survives that block is
-    scanned over the whole prefix."""
+    A period exits early on the first mismatch within 256 symbols of
+    ``preperiod``; only a period that survives that block is scanned over
+    the whole prefix."""
     if max_period < 1 or preperiod < 0:
         raise DomainError("max_period must be >= 1 and preperiod >= 0")
     if prefix_len < preperiod + 2 * max_period:
@@ -292,13 +292,7 @@ def check_aperiodic(
     chk = Check("paperfold.aperiodicity",
                 {"prefix_len": prefix_len, "max_period": max_period, "preperiod": preperiod},
                 f"no period <= {max_period} detected after any cut <= {preperiod}")
-    if word is None:
-        arr = _prefix_array(prefix_len)
-    else:
-        if word.length < prefix_len:
-            raise DomainError("supplied word shorter than prefix_len")
-        arr = word.to_array()[:prefix_len]
-    found = _aperiodicity_witness(arr, max_period, preperiod)
+    found = _aperiodicity_witness(_prefix_array(prefix_len), max_period, preperiod)
     if found is None:
         return chk.passed()
     rho, cut = found

@@ -210,6 +210,11 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     return Word.from_array(cur.to_array()[:L], s.alphabet)
 
 
+def _pair_codes(arr: np.ndarray) -> np.ndarray:
+    """2*arr[2i] + arr[2i+1] for every pair of an even-length 0/1 array."""
+    return 2 * arr[0::2] + arr[1::2]
+
+
 def block_code(x: Word, offset: int = 0) -> Word:
     """Recode a binary word by two-letter blocks: the pair (x[2i], x[2i+1])
     becomes the quaternary letter 2*x[2i] + x[2i+1].
@@ -224,8 +229,7 @@ def block_code(x: Word, offset: int = 0) -> Word:
         raise DomainError("offset must be 0 or 1")
     if (x.length - offset) % 2 != 0:
         raise DomainError("block code needs an even number of symbols to pair")
-    arr = x.to_array()[offset:]
-    return Word.from_array(2 * arr[0::2] + arr[1::2], QUATERNARY)
+    return Word.from_array(_pair_codes(x.to_array()[offset:]), QUATERNARY)
 
 
 def verify_recoding(L: int) -> CheckReport:
@@ -244,25 +248,19 @@ def verify_recoding(L: int) -> CheckReport:
     return chk.failed({"first_mismatch": int(np.nonzero(a != b)[0][0])})
 
 
-def _clip_binary(word: Word, L: int) -> Word:
-    if word.alphabet.size != 2 or word.length < L:
-        raise DomainError("need a binary word of length at least L")
-    return Word.from_array(word.to_array()[:L], word.alphabet)
-
-
-def verify_intertwining(L: int, word: Word | None = None) -> CheckReport:
+def verify_intertwining(L: int) -> CheckReport:
     """Check that recoding after a double shift equals shifting the
-    recoded word: block_code(drop 2 symbols) == drop 1 symbol of
-    block_code.  Holds for any binary word; the default source is the
-    paper-folding prefix of length L."""
+    recoded word on the paper-folding prefix of length L: the block code
+    with 2 symbols dropped equals the block code with 1 letter dropped.
+    This holds for any binary word; it fails only when the block map
+    depends on where a pair sits."""
     if L % 2 != 0 or L < 4:
         raise DomainError("L must be even and at least 4")
     chk = Check("subst.intertwining", {"L": L},
                 "block code intertwines the squared binary shift with the quaternary shift")
-    x = pf_prefix(L) if word is None else _clip_binary(word, L)
-    arr = x.to_array()
-    left = 2 * arr[2::2] + arr[3::2]
-    right = (2 * arr[0::2] + arr[1::2])[1:]
+    arr = pf_prefix(L).to_array()
+    left = _pair_codes(arr[2:])
+    right = _pair_codes(arr)[1:]
     if np.array_equal(left, right):
         return chk.passed()
     return chk.failed({"first_mismatch_block": int(np.nonzero(left != right)[0][0])})

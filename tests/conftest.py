@@ -1,6 +1,10 @@
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+
+from pfkit import paperfold
 
 
 @pytest.fixture
@@ -19,3 +23,24 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture(scope="session")
+def symbols():
+    """``with symbols(arr):`` makes a read-only copy of the 0/1 array
+    ``arr`` the paper-folding symbol source (``paperfold._prefix_array``),
+    so every check and every word built from the prefix reads it; a
+    request for more symbols than ``arr`` holds fails the test.  The
+    fixture holds no state, so hypothesis tests may use it per example."""
+
+    def install(arr):
+        source = np.array(arr, dtype=np.uint8)
+        source.setflags(write=False)
+
+        def prefix(length):
+            assert length <= source.size, f"{length} symbols requested from a source of {source.size}"
+            return source[:length]
+
+        return mock.patch.object(paperfold, "_prefix_array", prefix)
+
+    return install

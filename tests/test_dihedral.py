@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import dihedral, paperfold
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
     ODD_WINDOW_PATTERNS,
@@ -215,6 +214,24 @@ def test_freeness_inconclusive_when_unsaturated():
     small = LanguageOracle(pf_prefix(40), 8)
     cert = freeness_certificate(small)
     assert cert.verdict == "inconclusive"
+    assert cert.witnesses == check_closure_under_antireversal(small, 8).witness
+
+
+def test_freeness_verdict_follows_the_closure_check():
+    # "111" first occurs past the reference half, so length 3 is
+    # unsaturated; closure already fails at length 2 ("00" is missing),
+    # and freeness fails with it rather than answering inconclusive
+    oracle = LanguageOracle(Word("110" * 100 + "1110" * 75), 8)
+    assert not oracle.is_saturated(3)
+    cert = freeness_certificate(oracle)
+    closure = check_closure_under_antireversal(oracle, 8)
+    assert (cert.verdict, closure.status) == ("fail", "fail")
+    assert cert.witnesses["closure_witness"] == closure.witness == {"factor": "11"}
+
+
+def test_closure_rejects_an_empty_length_range():
+    with pytest.raises(DomainError):
+        check_closure_under_antireversal(LanguageOracle.from_generation(12, 16), 0)
 
 
 def test_parity_separation():
@@ -223,28 +240,22 @@ def test_parity_separation():
         parity_class_separation(10_000, 10)
 
 
-def test_parity_reads_only_the_windows_it_codes(monkeypatch):
-    prefix_array = paperfold._prefix_array
-
-    def guard(length):
-        assert length <= 2 * 10 + 8, f"prefix of {length} symbols requested"
-        return prefix_array(length)
-
-    monkeypatch.setattr(paperfold, "_prefix_array", guard)
-    assert parity_class_separation(10, 30).status == "pass"
-    with pytest.raises(ResourceError):
-        parity_class_separation(10, MAX_GENERATION + 1)
-    with pytest.raises(DomainError):
-        parity_class_separation(-1, 30)
+def test_parity_reads_only_the_windows_it_codes(symbols):
+    with symbols(pf_prefix(2 * 10 + 8).to_array()):
+        assert parity_class_separation(10, 30).status == "pass"
+        with pytest.raises(ResourceError):
+            parity_class_separation(10, MAX_GENERATION + 1)
+        with pytest.raises(DomainError):
+            parity_class_separation(-1, 30)
 
 
-def test_parity_negative_control(monkeypatch):
+def test_parity_negative_control(symbols):
     # flipping symbol 1000 makes the even window at offset 994 equal the
     # odd window at offset 23
     arr = pf_prefix(8008).to_array().copy()
     arr[1000] ^= 1
-    monkeypatch.setattr(dihedral, "pf_prefix", lambda L: Word.from_array(arr[:L]))
-    rep = parity_class_separation(4000, 12)
+    with symbols(arr):
+        rep = parity_class_separation(4000, 12)
     assert (rep.status, rep.witness) == ("fail", {"k": 497, "l": 11, "window": "0110010"})
 
 

@@ -77,6 +77,11 @@ def test_matrix_closed_form():
         closed_form_power(1)
 
 
+def test_matrix_closed_form_rejects_an_empty_range():
+    with pytest.raises(DomainError):
+        verify_matrix_closed_form(-1)
+
+
 def test_membership_examples():
     ones = (1, 1, 1, 1)
     assert in_G(ones, 1) and in_G_plus(ones, 1)
@@ -197,6 +202,12 @@ def test_dyadic_rational_canonical_form():
         DyadicRational.from_fraction(Fraction(1, 3))
     with pytest.raises(DomainError):
         DyadicRational(1, -1)
+
+
+@pytest.mark.parametrize("text", ["x/2^3", "1/2^3x", "1/2^", "1/2^-3"])
+def test_dyadic_parse_rejects_bad_literals(text):
+    with pytest.raises(DomainError):
+        DyadicRational.parse(text)
 
 
 def test_dyadic_arithmetic_against_fractions():
@@ -574,10 +585,10 @@ def _pf_with_flip(length, i, block=1):
 
 @settings(max_examples=100, deadline=None)
 @given(N=st.integers(0, 14), i=st.integers(0, 2**15), block=st.sampled_from([1, 1, 40]))
-def test_discrepancy_report_matches_profile(N, i, block):
+def test_discrepancy_report_matches_profile(symbols, N, i, block):
     checkpoints = [m_sequence(n) for n in range(N + 1)]
     arr = _pf_with_flip(checkpoints[-1] + 1, i % (checkpoints[-1] + 1), block)
-    with mock.patch.object(dimgroup, "pf_prefix", lambda L: Word.from_array(arr[:L])):
+    with symbols(arr):
         rep = verify_unbounded_discrepancy(N)
     observed = discrepancy_oracle(arr, checkpoints)
     bad = next((n for n in range(N + 1) if observed[n] != n + 1), None)
@@ -586,11 +597,10 @@ def test_discrepancy_report_matches_profile(N, i, block):
         else ("fail", {"n": bad, "m_n": checkpoints[bad], "observed": observed[bad]}))
 
 
-def test_discrepancy_negative_control(monkeypatch):
+def test_discrepancy_negative_control(symbols):
     # t[5] = 0 becomes 1: the discrepancy at m(3) = 9 reads 6, not 4
-    arr = _pf_with_flip(2**12, 5)
-    monkeypatch.setattr(dimgroup, "pf_prefix", lambda L: Word.from_array(arr[:L]))
-    rep = verify_unbounded_discrepancy(10)
+    with symbols(_pf_with_flip(2**12, 5)):
+        rep = verify_unbounded_discrepancy(10)
     assert rep.status == "fail"
     assert rep.witness == {"n": 3, "m_n": 9, "observed": 6}
 
@@ -606,14 +616,13 @@ def test_coboundary_core_matches_int64_sums(seed, n, density, chunk, symbol):
 
 
 @pytest.mark.parametrize("n", [2**20 - 1, 2**20, 2**20 + 1, 2**20 + 2, 2**21 + 1])
-def test_coboundary_at_the_chunk_edges(n):
+def test_coboundary_at_the_chunk_edges(symbols, n):
     for arr in (pf_prefix(n).to_array(), random_bits(n, n)):
         for symbol in (0, 1):
             assert dimgroup._coboundary_max_abs(arr, symbol) == coboundary_oracle(arr, symbol)
     # the check cannot fail on any word: the sums telescope, so only the
     # pass verdict is reachable
-    arr = random_bits(n + 1, n)
-    with mock.patch.object(dimgroup, "pf_prefix", lambda L: Word.from_array(arr[:L])):
+    with symbols(random_bits(n + 1, n)):
         rep = verify_coboundary_bound(n)
     assert (rep.status, rep.witness) == ("pass", None)
 

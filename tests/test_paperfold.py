@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +71,16 @@ def test_position_oracle_validated_then_used():
     assert np.array_equal(arr, expected)
 
 
+def test_prefix_cache_is_read_only():
+    # a caller that writes into the symbols it was handed would change
+    # every later generation
+    with pytest.raises(ValueError, match="read-only"):
+        paperfold._prefix_array(7)[0] = 0
+    assert not paperfold._prefix_cache.flags.writeable
+    assert str(pf_word(2)) == "1101100"
+    assert verify_generation_fidelity().status == "pass"
+
+
 def test_resource_guards():
     with pytest.raises(ResourceError):
         pf_word(31)
@@ -98,11 +106,11 @@ def test_self_similarity_definition_case():
         assert verify_self_similarity(p, 0).status == "pass"
 
 
-def test_self_similarity_negative_control(monkeypatch):
+def test_self_similarity_negative_control(symbols):
     arr = pf_prefix(2**13 - 1).to_array().copy()
     arr[1000] ^= 1
-    monkeypatch.setattr(paperfold, "_prefix_array", lambda n: arr[:n])
-    rep = verify_self_similarity(1, 10)
+    with symbols(arr):
+        rep = verify_self_similarity(1, 10)
     assert (rep.status, rep.witness) == ("fail", {"first_mismatch": 1000})
 
 
@@ -200,14 +208,14 @@ def test_aperiodic_on_the_word():
         check_aperiodic(100, 512, 512)
 
 
-def test_aperiodic_negative_control():
-    ones = Word("1" * 2048)
-    rep = check_aperiodic(2048, 512, 512, word=ones)
+def test_aperiodic_negative_control(symbols):
+    with symbols(np.ones(2048)):
+        rep = check_aperiodic(2048, 512, 512)
     assert rep.status == "fail"
     assert rep.witness["period"] == 1
     # eventually periodic word is caught too, with the cut reported
-    tail_periodic = Word("10110" + "01" * 600)
-    rep2 = check_aperiodic(1200, 16, 16, word=tail_periodic)
+    with symbols(Word("10110" + "01" * 600).to_array()):
+        rep2 = check_aperiodic(1200, 16, 16)
     assert rep2.status == "fail"
     assert rep2.witness["period"] == 2
     assert rep2.witness["cut"] <= 5
@@ -309,7 +317,7 @@ def test_recurrence_gap_straddling_the_last_occurrence(L):
 @settings(max_examples=60, deadline=None)
 @given(p=st.integers(0, 5), extra=st.integers(4, 6), i=st.integers(0, 2**12), flip=st.booleans(),
        fill=st.integers(0, 1))
-def test_recurrence_report_matches_list_scan(p, extra, i, flip, fill):
+def test_recurrence_report_matches_list_scan(symbols, p, extra, i, flip, fill):
     # the mutation may fall inside the first |t(p)| symbols; the check
     # still searches for the true t(p)
     g = p + extra
@@ -319,7 +327,7 @@ def test_recurrence_report_matches_list_scan(p, extra, i, flip, fill):
         arr[i] ^= 1
     else:
         arr[i : i + 3 * 2 ** (p + 1)] = fill
-    with mock.patch.object(paperfold, "_prefix_array", lambda n: arr[:n]):
+    with symbols(arr):
         rep = verify_recurrence(p, g)
     bad = recurrence_oracle(arr, t_gen(p), 3 * 2 ** (p + 1))
     assert (rep.status, rep.witness) == (
@@ -334,13 +342,13 @@ def test_recurrence_runs_in_a_few_bytes_per_symbol(traced_peak):
         assert peak <= 4 * (2**21 - 1), p
 
 
-def test_recurrence_negative_control(monkeypatch):
+def test_recurrence_negative_control(symbols):
     # t(2) = 1101100 cannot occur inside 30 overwritten symbols, so some
     # window of 24 symbols around them misses it
     arr = pf_prefix(2**11 - 1).to_array().copy()
     arr[1000:1030] = 0
-    monkeypatch.setattr(paperfold, "_prefix_array", lambda n: arr[:n])
-    rep = verify_recurrence(2, 10)
+    with symbols(arr):
+        rep = verify_recurrence(2, 10)
     assert rep.status == "fail"
     assert rep.witness == {"uncovered_window_start": 993}
     assert recurrence_oracle(arr, t_gen(2), 24) == 993
@@ -380,11 +388,12 @@ def aperiodicity_words(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=aperiodicity_words())
-def test_aperiodicity_matches_full_scan(case):
+def test_aperiodicity_matches_full_scan(symbols, case):
     arr, max_period, preperiod = case
     found = aperiodicity_oracle(arr, max_period, preperiod)
     assert paperfold._aperiodicity_witness(arr, max_period, preperiod) == found
-    rep = check_aperiodic(arr.size, max_period, preperiod, word=Word.from_array(arr))
+    with symbols(arr):
+        rep = check_aperiodic(arr.size, max_period, preperiod)
     assert (rep.status, rep.witness) == (
         ("pass", None) if found is None else ("fail", {"period": found[0], "cut": found[1]}))
 

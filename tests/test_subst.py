@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from pfkit import subst
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_prefix
 from pfkit.subst import (
@@ -132,21 +131,22 @@ def test_recoding_identity():
     assert verify_recoding(2**12).status == "pass"
 
 
-def test_recoding_negative_control(monkeypatch):
+def test_recoding_negative_control(symbols):
     # binary symbol 1000 lies in block 500 of the recoded word
     arr = pf_prefix(2**13).to_array().copy()
     arr[1000] ^= 1
-    monkeypatch.setattr(subst, "pf_prefix", lambda L: Word.from_array(arr[:L]))
-    rep = verify_recoding(4096)
+    with symbols(arr):
+        rep = verify_recoding(4096)
     assert (rep.status, rep.witness) == ("fail", {"first_mismatch": 500})
 
 
-def test_intertwining():
+def test_intertwining(symbols):
     assert verify_intertwining(8).status == "pass"
     assert verify_intertwining(2**14).status == "pass"
+    # the identity holds on every binary word
     rng = random.Random(37)
-    noise = Word("".join(rng.choice("01") for _ in range(256)))
-    assert verify_intertwining(256, word=noise).status == "pass"
+    with symbols([rng.choice((0, 1)) for _ in range(256)]):
+        assert verify_intertwining(256).status == "pass"
     with pytest.raises(DomainError):
         verify_intertwining(7)
 
