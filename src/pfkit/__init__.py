@@ -58,7 +58,6 @@ from .dimgroup import (
     DyadicInvolution,
     DyadicPair,
     DyadicRational,
-    TorsionDyadicPair,
     alpha,
     alpha_preimage,
     birkhoff_discrepancy,

@@ -48,12 +48,6 @@ __all__ = [
     "involution_apply",
     "one_plus_sigma_image",
     "one_plus_sigma_preimage",
-    "TorsionDyadicPair",
-    "TORSION_UNIT_BRANCHES",
-    "torsion_add",
-    "torsion_is_positive",
-    "torsion_state_value",
-    "torsion_rescale_unit",
     "birkhoff_discrepancy",
     "discrepancy_profile",
     "coboundary_partial_sums",
@@ -146,9 +140,15 @@ def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
 # q lies in G_n iff d divides every r_i, in H_n iff r = 0, and in (G_n)+
 # iff it lies in G_n and r >= 0.  All three hold for any representation,
 # since they only ask whether M^n q is integral, zero or non-negative.
-# _apply spells M^n v out as four dot products, and _membership_triple
-# reads all three predicates off r; the lattice battery calls both once per
-# image, on vectors it draws already scaled (see _draw_vector below).
+#
+# _apply spells M^n v out as four dot products, and _membership_triple and
+# _closed_form_triple read the predicates off with &, | and ==, never with
+# and, or and not.  So one body serves two kinds of caller: on Python ints
+# (in_G, in_H, in_G_plus, closed_form_membership, alpha) it returns bools,
+# and on equal-length arrays of v_i, d and r_i (the lattice battery, one
+# block of samples per call) it returns boolean arrays, one entry per
+# sample.  The arrays are int64 where a bound proves it exact and object
+# arrays of Python ints beyond that (see verify_lattice_properties).
 
 
 def _scaled(q):
@@ -176,21 +176,21 @@ def _apply(P, v):
     )
 
 
-def _membership_triple(r, d: int):
+def _membership_triple(r, d):
     """(in G_n, in H_n, in (G_n)+) of q = v / d, from its image r = M^n v."""
     r0, r1, r2, r3 = r
-    integral = not (r0 % d or r1 % d or r2 % d or r3 % d)
-    positive = integral and r0 >= 0 and r1 >= 0 and r2 >= 0 and r3 >= 0
-    return integral, not (r0 or r1 or r2 or r3), positive
+    integral = (r0 % d == 0) & (r1 % d == 0) & (r2 % d == 0) & (r3 % d == 0)
+    positive = integral & (r0 >= 0) & (r1 >= 0) & (r2 >= 0) & (r3 >= 0)
+    return integral, (r0 == 0) & (r1 == 0) & (r2 == 0) & (r3 == 0), positive
 
 
-def _closed_form_triple(v, d: int, n: int):
+def _closed_form_triple(v, d, n: int):
     """The closed-form conditions of closed_form_membership on (v, d)."""
     e = 1 << (n - 2)
     S = sum(v)
     D = v[0] - v[1]
-    in_g = (e * S) % d == 0 and D % d == 0
-    return in_g, S == 0 and D == 0, in_g and abs(D) <= e * S
+    in_g = ((e * S) % d == 0) & (D % d == 0)
+    return in_g, (S == 0) & (D == 0), in_g & (abs(D) <= e * S)
 
 
 def _definitional_triple(q, n: int):
@@ -444,56 +444,6 @@ def one_plus_sigma_preimage(inv: DyadicInvolution, target: DyadicPair) -> Dyadic
 
 
 # ---------------------------------------------------------------------------
-# torsion normal form
-
-
-@dataclass(frozen=True)
-class TorsionDyadicPair:
-    """Element (x, q) of Z_2 (+) Z[1/2] with the cone {q > 0} plus (0, 0)."""
-
-    x: int
-    q: DyadicRational
-
-    def __post_init__(self):
-        if self.x not in (0, 1):
-            raise DomainError("torsion component must be a bit")
-
-    def __str__(self):
-        return f"({self.x}, {self.q})"
-
-    def to_json(self):
-        return {"x": self.x, "q": str(self.q)}
-
-
-# the order unit is one of these two; which one is genuinely ambiguous, so
-# it stays a two-valued parameter and every consumer reports both branches
-TORSION_UNIT_BRANCHES = (
-    TorsionDyadicPair(0, DYADIC_ONE),
-    TorsionDyadicPair(1, DYADIC_ONE),
-)
-
-
-def torsion_add(p1: TorsionDyadicPair, p2: TorsionDyadicPair) -> TorsionDyadicPair:
-    return TorsionDyadicPair(p1.x ^ p2.x, p1.q + p2.q)
-
-
-def torsion_is_positive(p: TorsionDyadicPair) -> bool:
-    return p.q > DYADIC_ZERO or (p.x == 0 and p.q == DYADIC_ZERO)
-
-
-def torsion_state_value(p: TorsionDyadicPair) -> DyadicRational:
-    """The unique state: evaluation of the dyadic component.  Any
-    real-valued homomorphism must vanish on the torsion bit."""
-    return p.q
-
-
-def torsion_rescale_unit(p: TorsionDyadicPair, old_unit_q: DyadicRational) -> TorsionDyadicPair:
-    """Unit normalisation on the torsion form, e.g. (x, y) -> (x, y/4)."""
-    scaled = rescale_unit(DyadicPair(p.q, 0), old_unit_q)
-    return TorsionDyadicPair(p.x, scaled.s)
-
-
-# ---------------------------------------------------------------------------
 # Birkhoff discrepancy along the word
 
 
@@ -630,11 +580,11 @@ def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
 # Every battery draws from the getrandbits of one random.Random(seed).  In
 # CPython, randint(lo, hi) is lo + r, where r = getrandbits(k) is redrawn
 # while r >= w, with w = hi - lo + 1 and k = w.bit_length().  _below is that
-# loop, and the lattice draws repeat it inline with their constant (k, w):
-# randint(-1024, 1024) is k = 12, w = 2049, and randint(1, 1024) is k = 11,
-# w = 1024.  So the batteries consume the stream exactly as the randint
-# calls they replace, and a seed keeps its reports; the tests pin both
-# against randint itself.
+# loop, drawn one value at a time by the cone and involution batteries; the
+# lattice battery reads the same stream in bulk (_RandintBlocks below).  So
+# the batteries consume the stream exactly as the randint calls they
+# replace, and a seed keeps its reports; the tests pin both against randint
+# itself.
 
 
 MAX_SAMPLES = 1_000_000
@@ -655,43 +605,6 @@ def _below(getrandbits, w: int) -> int:
     return r
 
 
-def _draw_vector(getrandbits):
-    """A random rational 4-vector q_i = a_i / b_i, scaled once to (v, d),
-    with a_i = randint(-1024, 1024) and b_i = randint(1, 1024)."""
-    while (a0 := getrandbits(12)) >= 2049: pass  # noqa: E701
-    while (b0 := getrandbits(11)) >= 1024: pass  # noqa: E701
-    while (a1 := getrandbits(12)) >= 2049: pass  # noqa: E701
-    while (b1 := getrandbits(11)) >= 1024: pass  # noqa: E701
-    while (a2 := getrandbits(12)) >= 2049: pass  # noqa: E701
-    while (b2 := getrandbits(11)) >= 1024: pass  # noqa: E701
-    while (a3 := getrandbits(12)) >= 2049: pass  # noqa: E701
-    while (b3 := getrandbits(11)) >= 1024: pass  # noqa: E701
-    b0, b1, b2, b3 = b0 + 1, b1 + 1, b2 + 1, b3 + 1
-    d = math.lcm(b0, b1, b2, b3)
-    return ((a0 - 1024) * (d // b0), (a1 - 1024) * (d // b1),
-            (a2 - 1024) * (d // b2), (a3 - 1024) * (d // b3)), d
-
-
-def _draw_member(getrandbits, n: int):
-    """A random element of G_n, scaled to (v, d): the canonical preimage
-    (m, 0, s - m, 0) of a random target (s, m) = (x / 2^k, m) plus a random
-    element (a, a, b, -2a - b) of the stage's kernel, with a = a1 / a2 and
-    b = b1 / b2.  Every numerator is randint(-1024, 1024), every denominator
-    randint(1, 1024), and k is randint(0, n - 2), not drawn at n = 2.
-    Returns (v, d, x, k, m)."""
-    while (x := getrandbits(12)) >= 2049: pass  # noqa: E701
-    k = _below(getrandbits, n - 1) if n > 2 else 0
-    while (m := getrandbits(12)) >= 2049: pass  # noqa: E701
-    while (a1 := getrandbits(12)) >= 2049: pass  # noqa: E701
-    while (a2 := getrandbits(11)) >= 1024: pass  # noqa: E701
-    while (b1 := getrandbits(12)) >= 2049: pass  # noqa: E701
-    while (b2 := getrandbits(11)) >= 1024: pass  # noqa: E701
-    x, m, a1, a2, b1, b2 = x - 1024, m - 1024, a1 - 1024, a2 + 1, b1 - 1024, b2 + 1
-    d = (a2 * b2) << k
-    md, ad, bd = m * d, (a1 * b2) << k, (b1 * a2) << k
-    return (md + ad, ad, x * a2 * b2 - md + bd, -2 * ad - bd), d, x, k, m
-
-
 def _draw_cone_pair(getrandbits):
     """A random (s, m) of the cone battery: s = DyadicRational(randint(-2^20,
     2^20), randint(0, 20)) and m = randint(-2^20, 2^20)."""
@@ -709,12 +622,139 @@ def _draw_twist(getrandbits):
     return DyadicInvolution(a), DyadicPair(s, _below(getrandbits, 2049) - 1024)
 
 
-def _fraction_text(v, d):
-    return [str(Fraction(x, d)) for x in v]
+# The lattice battery's draw stream.  getrandbits(32 * N) returns the
+# generator's next N 32-bit words with the first one in the lowest bits, and
+# getrandbits(k) for k <= 32 is the next word >> (32 - k).  So one randint
+# field, with its (k, w) as above, reads the first word at or after the
+# current position whose top k bits are below w, and the next field starts
+# one word later.  For each field kind an "after" map sends every position
+# of a window of words to one past that word.  Composing the maps of a
+# record's fields in order gives the map from a record's start to its end,
+# so the record starts are walked with one Python step per record, and every
+# field of the records in the window is then gathered at once.
+
+# samples per predicate block, and words per getrandbits call
+_BLOCK = 1024
+_FETCH_WORDS = 1 << 15
 
 
-def _target_text(x, k, m):
-    return [str(Fraction(x, 1 << k)), m]
+def _after(words, lo, hi):
+    """For each position 0..size + 1 of ``words``: one past the first word
+    at or after it that randint(lo, hi) accepts, or size + 1 (none left)."""
+    w = hi - lo + 1
+    accepted = words < (w << (32 - w.bit_length()))  # the top bits are below w
+    dead = words.size + 1
+    ends = np.append(np.flatnonzero(accepted) + 1, dead)
+    # how many accepted words lie before each position
+    before = np.zeros(dead + 1, dtype=np.intp)
+    np.cumsum(accepted, out=before[1:-1])
+    before[-1] = before[-2]
+    return ends[before]
+
+
+class _RandintBlocks:
+    """The randint draws of one random.Random, read in bulk.
+
+    ``take(fields, count)`` returns the next ``count`` records as an int64
+    array of shape (len(fields), count), where a record is one
+    randint(lo, hi) for each (lo, hi) in ``fields``, drawn in that order.
+    Words are fetched _FETCH_WORDS at a time, and those after the last
+    record taken are kept for the next call."""
+
+    def __init__(self, getrandbits):
+        self._getrandbits = getrandbits
+        self._words = np.empty(0, dtype="<u4")
+
+    def take(self, fields, count):
+        parts, size, left = [], 0, count
+        while left:
+            # a draw is accepted with probability at least 1/2, so a record
+            # reads about two words per field; the records a window misses
+            # are read from the next one, and a window that held no whole
+            # record is followed by one twice as large
+            size = max(2 * len(fields) * left, 2 * size)
+            while self._words.size < size:
+                fetched = self._getrandbits(32 * _FETCH_WORDS).to_bytes(4 * _FETCH_WORDS, "little")
+                self._words = np.concatenate((self._words, np.frombuffer(fetched, dtype="<u4")))
+            window = self._words[:size]
+            after = {f: _after(window, *f) for f in set(fields)}
+            ends = np.arange(size + 2)
+            for f in fields:
+                ends = after[f][ends]
+            ends, dead = memoryview(ends), size + 1
+            starts, s = [], 0
+            while len(starts) < left and (t := ends[s]) != dead:
+                starts.append(s)
+                s = t
+            pos = np.array(starts, dtype=np.intp)
+            part = np.empty((len(fields), len(starts)), dtype=np.int64)
+            for row, (lo, hi) in zip(part, fields):
+                pos = after[lo, hi][pos]
+                row[:] = window[pos - 1] >> (32 - (hi - lo + 1).bit_length())
+                row += lo
+            parts.append(part)
+            self._words = self._words[s:]
+            size -= s
+            left -= len(starts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+# randint(-1024, 1024) and randint(1, 1024): every numerator and denominator
+_NUM, _DEN = (-1024, 1024), (1, 1024)
+# a random rational 4-vector q_i = a_i / b_i, drawn a_0, b_0, a_1, b_1, ...
+_VECTOR_FIELDS = (_NUM, _DEN) * 4
+
+
+def _member_fields(n):
+    """x, k, m, a1, a2, b1, b2 of a random member of G_n; k is
+    randint(0, n - 2), not drawn at n = 2."""
+    return (_NUM, *([(0, n - 2)] if n > 2 else []), _NUM, _NUM, _DEN, _NUM, _DEN)
+
+
+def _vectors(fields):
+    """Random vectors q_i = a_i / b_i scaled to (v, d), from the rows
+    a_0, b_0, ..., a_3, b_3 of their drawn fields."""
+    a0, b0, a1, b1, a2, b2, a3, b3 = fields
+    d = np.lcm(np.lcm(b0, b1), np.lcm(b2, b3))
+    return (a0 * (d // b0), a1 * (d // b1), a2 * (d // b2), a3 * (d // b3)), d
+
+
+def _members(fields, n):
+    """Random members of G_n scaled to (v, d), as (v, d, x, k, m), from the
+    rows of their drawn fields: the canonical preimage (m, 0, s - m, 0) of
+    the target (s, m) = (x / 2^k, m) plus the kernel element
+    (a, a, b, -2a - b) with a = a1 / a2 and b = b1 / b2."""
+    x, k, m, a1, a2, b1, b2 = fields if n > 2 else (fields[0], 0 * fields[0], *fields[1:])
+    d = (a2 * b2) << k
+    md, ad, bd = m * d, (a1 * b2) << k, (b1 * a2) << k
+    return (md + ad, ad, x * a2 * b2 - md + bd, -2 * ad - bd), d, x, k, m
+
+
+# The battery runs in int64 up to this index_max and on object arrays of
+# Python ints beyond it.  At index n it multiplies by M^n and M^(n+1),
+# whose entries are at most 2^(n-1) + 1 <= 2^n, so an image entry, and
+# every partial sum of its four products, is at most 2^(n+2) max |v_i|.
+#  - A random vector has |v_i| = |a_i| d / b_i <= 2^10 * 2^30, since d / b_i
+#    divides the product of the other three denominators.  Its images stay
+#    below 2^(n+42), and e * sum(v) of the closed form below 2^(n+40).
+#  - A member has k <= n - 2 and d = a2 b2 2^k <= 2^(n+18), so |m d| <=
+#    2^(n+28), |a1 b2 2^k| and |b1 a2 2^k| are at most 2^(n+18), and
+#    |x a2 b2| <= 2^30 <= 2^(n+28).  Each |v_i| is then below 2^(n+30), its
+#    images below 2^(2n+32), and sum(v) << k below 2^(2n+30).
+#  - The canonical preimage (m 2^k, 0, x - m 2^k, 0) is below 2^(n+10).
+# So every intermediate value stays below 2^(2n+32), which is 2^62 at
+# n = 15, inside int64; at n = 16 the bound reaches 2^64.
+_INT64_INDEX_MAX = 15
+
+
+def _fraction_text(v, d, i):
+    """The witness q = v / d of sample ``i``."""
+    return {"q": [str(Fraction(int(x[i]), int(d[i]))) for x in v]}
+
+
+def _target_text(x, k, m, i):
+    """The witness target (x / 2^k, m) of sample ``i``."""
+    return {"target": [str(Fraction(int(x[i]), 1 << int(k[i]))), int(m[i])]}
 
 
 def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: int = 42) -> CheckReport:
@@ -724,13 +764,27 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     surjectivity witnesses, stage-independence of the quotient map, and
     the cone correspondence for canonical preimages.
 
-    Each sample pair is one random vector (_draw_vector) and one random
-    member of G_n (_draw_member), both drawn already scaled to integers
-    (v, d) from the getrandbits of random.Random(seed), in the stream that
-    randint would give.  Every decision reads a definitional image M^k v,
-    with M^k from mat_pow, at k = n or n + 1, through _membership_triple;
-    the closed form is checked against the image at n, never used in its
-    place.  Fractions are built only for a failure witness.
+    Each sample pair is one random vector q_i = a_i / b_i and one random
+    member of G_n: the canonical preimage (m, 0, s - m, 0) of a random
+    target (s, m) = (x / 2^k, m) plus a random element (a, a, b, -2a - b)
+    of the stage's kernel, with a = a1 / a2 and b = b1 / b2.  Every
+    numerator is randint(-1024, 1024), every denominator randint(1, 1024),
+    and k is randint(0, n - 2), not drawn at n = 2.  Both are scaled to
+    integers (v, d) with q = v / d.
+
+    The draws are those randint calls of random.Random(seed), in their
+    order, read in bulk by _RandintBlocks: 32-bit words fetched 2^15 at a
+    time and one Python step per sample.  The predicates run over blocks
+    of at most 1024 samples as numpy arrays.  Every decision reads a
+    definitional image M^k v, with M^k from mat_pow, at k = n or n + 1,
+    through _membership_triple; the closed form is checked against the
+    image at n, never used in its place.  The arrays are int64 up to
+    index_max = _INT64_INDEX_MAX = 15, where the bound written beside that
+    constant keeps every intermediate value below 2^62, and object arrays
+    of Python ints above it, with the same expressions.  A failure names
+    the lowest failing sample of the first block that fails and the first
+    check it fails, in the order listed above, as a loop over the samples
+    would; only that sample's witness is turned into Fractions.
 
     The total work (index_max - 1) * samples is capped at MAX_SAMPLES, and
     every cap is checked before any matrix power is built."""
@@ -744,43 +798,49 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
             f"{index_max - 1} indices x {samples} samples exceeds the cap of {MAX_SAMPLES}")
     chk = Check("dimgroup.lattice-properties", {"index_max": index_max, "samples": samples},
                 "lattice membership, nesting, quotient kernel and cone all agree exactly", seed=seed)
-    getrandbits = random.Random(seed).getrandbits
-
-    def fail(reason, n, payload):
-        return chk.failed({"reason": reason, "index": n, **payload})
+    draws = _RandintBlocks(random.Random(seed).getrandbits)
+    dtype = np.int64 if index_max <= _INT64_INDEX_MAX else object
 
     for n in range(2, index_max + 1):
         P, P_next, e = _power(n), _power(n + 1), 1 << (n - 2)
-        for _ in range(samples):
-            v, d = _draw_vector(getrandbits)
+        fields = _VECTOR_FIELDS + _member_fields(n)
+        for done in range(0, samples, _BLOCK):
+            F = draws.take(fields, min(_BLOCK, samples - done)).astype(dtype, copy=False)
+            v, d = _vectors(F[:8])
             got = _membership_triple(_apply(P, v), d)
-            if got != _closed_form_triple(v, d, n):
-                return fail("closed-form-disagrees", n, {"q": _fraction_text(v, d)})
-            # nesting into the next stage: on booleans, a > b is a and not b
+            cf = _closed_form_triple(v, d, n)
             nxt = _membership_triple(_apply(P_next, v), d)
-            if got[0] > nxt[0] or got[1] > nxt[1] or got[2] > nxt[2]:
-                return fail("nesting-violated", n, {"q": _fraction_text(v, d)})
 
-            v, d, x, k, m = _draw_member(getrandbits, n)
-            in_g, in_h, _ = _membership_triple(_apply(P, v), d)
-            if not in_g:
-                return fail("constructed-member-outside", n, {"q": _fraction_text(v, d)})
-            # the quotient map at stage n - 2 sends v / d to (sum(v), v1 - v2) / d
-            if sum(v) << k != x * d or v[0] - v[1] != m * d:
-                return fail("quotient-map-wrong-target", n, {"target": _target_text(x, k, m)})
-            # the map does not depend on the stage it is computed at: stage
-            # n - 1 gives the same value, provided the member is in G_{n+1}
-            if not _membership_triple(_apply(P_next, v), d)[0]:
-                return fail("stage-dependence", n, {"target": _target_text(x, k, m)})
-            # kernel identity
-            if in_h != (x == 0 and m == 0):
-                return fail("kernel-identity", n, {"q": _fraction_text(v, d)})
-            # canonical preimage lies in the positive set iff the target
-            # satisfies the stage's cone inequality
+            u, dm, x, k, m = _members(F[8:], n)
+            in_g, in_h, _ = _membership_triple(_apply(P, u), dm)
             base = (m << k, 0, x - (m << k), 0)
-            staged_ok = x >= 0 and abs(m) << k <= e * x
-            if _membership_triple(_apply(P, base), 1 << k)[2] != staged_ok:
-                return fail("cone-correspondence", n, {"target": _target_text(x, k, m)})
+            staged_ok = (x >= 0) & ((abs(m) << k) <= e * x)
+            # (reason, failing samples, witness, its arrays), in check order
+            checks = (
+                ("closed-form-disagrees",
+                 (got[0] != cf[0]) | (got[1] != cf[1]) | (got[2] != cf[2]), _fraction_text, (v, d)),
+                # nesting into the next stage: on booleans, a > b is a and not b
+                ("nesting-violated",
+                 (got[0] > nxt[0]) | (got[1] > nxt[1]) | (got[2] > nxt[2]), _fraction_text, (v, d)),
+                ("constructed-member-outside", ~in_g, _fraction_text, (u, dm)),
+                # the quotient map at stage n - 2 sends u / dm to (sum(u), u1 - u2) / dm
+                ("quotient-map-wrong-target",
+                 ((sum(u) << k) != x * dm) | (u[0] - u[1] != m * dm), _target_text, (x, k, m)),
+                # the map does not depend on the stage it is computed at: stage
+                # n - 1 gives the same value, provided the member is in G_{n+1}
+                ("stage-dependence",
+                 ~_membership_triple(_apply(P_next, u), dm)[0], _target_text, (x, k, m)),
+                ("kernel-identity", in_h != ((x == 0) & (m == 0)), _fraction_text, (u, dm)),
+                # canonical preimage lies in the positive set iff the target
+                # satisfies the stage's cone inequality
+                ("cone-correspondence",
+                 _membership_triple(_apply(P, base), 1 << k)[2] != staged_ok, _target_text, (x, k, m)),
+            )
+            failing = np.logical_or.reduce([bad for _, bad, _, _ in checks])
+            if failing.any():
+                i = int(failing.argmax())
+                reason, _, text, arrays = next(c for c in checks if c[1][i])
+                return chk.failed({"reason": reason, "index": n, **text(*arrays, i)})
     return chk.passed()
 
 

@@ -18,8 +18,6 @@ from pfkit.dimgroup import (
     DyadicInvolution,
     DyadicPair,
     DyadicRational,
-    TorsionDyadicPair,
-    TORSION_UNIT_BRANCHES,
     alpha,
     alpha_preimage,
     birkhoff_discrepancy,
@@ -38,10 +36,6 @@ from pfkit.dimgroup import (
     one_plus_sigma_preimage,
     rescale_unit,
     staged_cone_witness,
-    torsion_add,
-    torsion_is_positive,
-    torsion_rescale_unit,
-    torsion_state_value,
     verify_cone_identity,
     verify_coboundary_bound,
     verify_involution_algebra,
@@ -51,6 +45,7 @@ from pfkit.dimgroup import (
 )
 from pfkit.errors import DomainError, ResourceError
 from pfkit.paperfold import pf_prefix
+from pfkit.report import Check
 from pfkit.words import Word
 
 
@@ -300,32 +295,6 @@ def test_coboundary_sums_bounded():
     assert verify_coboundary_bound(2**12).status == "pass"
 
 
-def test_torsion_pairs():
-    q = DyadicRational(3, 2)
-    a = TorsionDyadicPair(1, q)
-    b = TorsionDyadicPair(1, DyadicRational(1, 2))
-    assert torsion_add(a, b) == TorsionDyadicPair(0, DyadicRational(1, 0))
-    assert torsion_is_positive(TorsionDyadicPair(1, DyadicRational(1, 1)))
-    assert not torsion_is_positive(TorsionDyadicPair(1, DYADIC_ZERO))
-    assert torsion_is_positive(TorsionDyadicPair(0, DYADIC_ZERO))
-    assert torsion_state_value(TorsionDyadicPair(1, DyadicRational(3, 2))) == DyadicRational(3, 2)
-    assert torsion_state_value(TorsionDyadicPair(0, DyadicRational(3, 2))) == DyadicRational(3, 2)
-    assert torsion_rescale_unit(TorsionDyadicPair(1, DyadicRational(4, 0)), DyadicRational(4, 0)) == TorsionDyadicPair(1, DYADIC_ONE)
-    with pytest.raises(DomainError):
-        TorsionDyadicPair(2, q)
-
-
-def test_torsion_unit_branches_stay_ambiguous():
-    assert TORSION_UNIT_BRANCHES == (
-        TorsionDyadicPair(0, DYADIC_ONE),
-        TorsionDyadicPair(1, DYADIC_ONE),
-    )
-    # the unique state cannot tell the two branches apart
-    s0 = torsion_state_value(TORSION_UNIT_BRANCHES[0])
-    s1 = torsion_state_value(TORSION_UNIT_BRANCHES[1])
-    assert s0 == s1 == DYADIC_ONE
-
-
 def test_batteries_pass_quickly():
     assert verify_lattice_properties(4, 50, seed=7).status == "pass"
     assert verify_cone_identity(100, seed=7).status == "pass"
@@ -414,15 +383,25 @@ def test_dyadic_normal_form_matches_halving_loop(num, exp):
     assert (d.num, d.exp) == _halving_normal_form(num, exp)
 
 
-def _off_by_one(monkeypatch, power):
-    """Make the cached power M^power wrong in its top-left entry."""
-    real = dimgroup._power
+def _power_with_entry_off_by_one(entry, real=dimgroup._power):
+    """_power with entry (row, column) of M^power one too large, for
+    entry = (power, row, column); _power itself for None."""
+    if entry is None:
+        return real
+    power, row, column = entry
 
     def perturbed(n):
-        P = real(n)
-        return ((P[0][0] + 1, *P[0][1:]), *P[1:]) if n == power else P
+        P = [list(r) for r in real(n)]
+        if n == power:
+            P[row][column] += 1
+        return tuple(map(tuple, P))
 
-    monkeypatch.setattr(dimgroup, "_power", perturbed)
+    return perturbed
+
+
+def _off_by_one(monkeypatch, power):
+    """Make the cached power M^power wrong in its top-left entry."""
+    monkeypatch.setattr(dimgroup, "_power", _power_with_entry_off_by_one((power, 0, 0)))
 
 
 # the full witness pins the draw stream: a drift in it moves these bytes
@@ -448,12 +427,20 @@ def test_lattice_battery_reads_every_image_through_membership_triple(monkeypatch
     real = dimgroup._membership_triple
 
     def counted(r, d):
-        calls.append(d)
+        calls.append(np.size(d))
         return real(r, d)
 
     monkeypatch.setattr(dimgroup, "_membership_triple", counted)
     assert verify_lattice_properties(4, 50, 42).status == "pass"
-    assert len(calls) == 3 * 50 * 5
+    # one call per image kind and block; every sample's images are entries
+    assert sum(calls) == 3 * 50 * 5
+
+
+def test_lattice_battery_memory_budget(traced_peak):
+    # a block of 1024 samples and a window of about 32,000 words at a time
+    rep, peak = traced_peak(verify_lattice_properties, 12, 10_000, 42)
+    assert rep.status == "pass"
+    assert peak <= 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +481,122 @@ def _randint_twist(randint):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**64), n=st.integers(2, 14))
-def test_battery_draws_follow_the_randint_stream(seed, n):
+@given(field=st.sampled_from([(-1024, 1024), (1, 1024), (0, 1), (0, 2), (0, 12)]), data=st.data())
+def test_after_map_finds_the_next_accepted_word(field, data):
+    lo, hi = field
+    w = hi - lo + 1
+    edge = w << (32 - w.bit_length())  # the least word randint(lo, hi) rejects
+    words = np.array(data.draw(st.lists(st.one_of(
+        st.sampled_from([0, edge - 1, edge, 2**32 - 1]), st.integers(0, 2**32 - 1)), max_size=40)),
+        dtype="<u4")
+    dead = words.size + 1
+    expected = [next((j + 1 for j in range(i, words.size) if words[j] >> (32 - w.bit_length()) < w), dead)
+                for i in range(words.size)] + [dead, dead]
+    assert dimgroup._after(words, lo, hi).tolist() == expected
+
+
+def _columns(arrays, j):
+    return tuple(int(a[j]) for a in arrays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64), n=st.integers(2, 14),
+       counts=st.lists(st.integers(1, 1100), min_size=2, max_size=3),
+       fetch=st.sampled_from([61, 1 << 15]))
+def test_battery_draws_follow_the_randint_stream(seed, n, counts, fetch):
+    # small fetches put records across fetches; about half the windows end
+    # inside a record, and a window too small for any record grows
+    new, ref = random.Random(seed), random.Random(seed)
+    draws = dimgroup._RandintBlocks(new.getrandbits)
+    fields = dimgroup._VECTOR_FIELDS + dimgroup._member_fields(n)
+    with mock.patch.object(dimgroup, "_FETCH_WORDS", fetch):
+        for count in counts:
+            F = draws.take(fields, count)
+            assert F.shape == (len(fields), count)
+            (v, d), (u, du, x, k, m) = dimgroup._vectors(F[:8]), dimgroup._members(F[8:], n)
+            for j in range(count):
+                assert (_columns(v, j), int(d[j])) == _randint_vector(ref.randint)
+                assert (_columns(u, j), *_columns((du, x, k, m), j)) == _randint_member(ref.randint, n)
     new, ref = random.Random(seed), random.Random(seed)
     for _ in range(10):
-        assert dimgroup._draw_vector(new.getrandbits) == _randint_vector(ref.randint)
-        assert dimgroup._draw_member(new.getrandbits, n) == _randint_member(ref.randint, n)
-        assert new.getstate() == ref.getstate()
         assert dimgroup._draw_cone_pair(new.getrandbits) == _randint_cone_pair(ref.randint)
         assert dimgroup._draw_twist(new.getrandbits) == _randint_twist(ref.randint)
         assert new.getstate() == ref.getstate()
+
+
+def reference_lattice_battery(index_max, samples, seed):
+    """The lattice battery as a loop over the samples, each drawn by the
+    randint calls themselves and decided on Python ints through the scalar
+    predicates; the array battery must give the same report."""
+    chk = Check("dimgroup.lattice-properties", {"index_max": index_max, "samples": samples},
+                "lattice membership, nesting, quotient kernel and cone all agree exactly", seed=seed)
+    randint = random.Random(seed).randint
+    _power, _apply, _membership_triple = dimgroup._power, dimgroup._apply, dimgroup._membership_triple
+
+    def fail(reason, n, payload):
+        return chk.failed({"reason": reason, "index": n, **payload})
+
+    def fraction_text(v, d):
+        return [str(Fraction(x, d)) for x in v]
+
+    def target_text(x, k, m):
+        return [str(Fraction(x, 1 << k)), m]
+
+    for n in range(2, index_max + 1):
+        P, P_next, e = _power(n), _power(n + 1), 1 << (n - 2)
+        for _ in range(samples):
+            v, d = _randint_vector(randint)
+            got = _membership_triple(_apply(P, v), d)
+            if got != dimgroup._closed_form_triple(v, d, n):
+                return fail("closed-form-disagrees", n, {"q": fraction_text(v, d)})
+            # nesting into the next stage: on booleans, a > b is a and not b
+            nxt = _membership_triple(_apply(P_next, v), d)
+            if got[0] > nxt[0] or got[1] > nxt[1] or got[2] > nxt[2]:
+                return fail("nesting-violated", n, {"q": fraction_text(v, d)})
+
+            v, d, x, k, m = _randint_member(randint, n)
+            in_g, in_h, _ = _membership_triple(_apply(P, v), d)
+            if not in_g:
+                return fail("constructed-member-outside", n, {"q": fraction_text(v, d)})
+            # the quotient map at stage n - 2 sends v / d to (sum(v), v1 - v2) / d
+            if sum(v) << k != x * d or v[0] - v[1] != m * d:
+                return fail("quotient-map-wrong-target", n, {"target": target_text(x, k, m)})
+            # the map does not depend on the stage it is computed at: stage
+            # n - 1 gives the same value, provided the member is in G_{n+1}
+            if not _membership_triple(_apply(P_next, v), d)[0]:
+                return fail("stage-dependence", n, {"target": target_text(x, k, m)})
+            # kernel identity
+            if in_h != (x == 0 and m == 0):
+                return fail("kernel-identity", n, {"q": fraction_text(v, d)})
+            # canonical preimage lies in the positive set iff the target
+            # satisfies the stage's cone inequality
+            base = (m << k, 0, x - (m << k), 0)
+            staged_ok = x >= 0 and abs(m) << k <= e * x
+            if _membership_triple(_apply(P, base), 1 << k)[2] != staged_ok:
+                return fail("cone-correspondence", n, {"target": target_text(x, k, m)})
+    return chk.passed()
+
+
+def _report_body(rep):
+    return {key: value for key, value in rep.to_dict().items() if key != "elapsed_ms"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64), index_max=st.integers(2, 14), samples=st.integers(1, 2500),
+       entry=st.one_of(st.none(), st.tuples(st.integers(2, 15), st.integers(0, 3), st.integers(0, 3))))
+def test_lattice_battery_matches_the_sample_loop(seed, index_max, samples, entry):
+    # blocks of 1024 samples: up to 2500 samples cross two block edges
+    with mock.patch.object(dimgroup, "_power", _power_with_entry_off_by_one(entry)):
+        assert _report_body(verify_lattice_properties(index_max, samples, seed)) == _report_body(
+            reference_lattice_battery(index_max, samples, seed))
+
+
+@pytest.mark.parametrize("index_max, samples, seed", [(16, 1000, 7), (40, 200, 42)])
+def test_lattice_battery_on_python_ints_past_the_int64_bound(index_max, samples, seed):
+    assert index_max > dimgroup._INT64_INDEX_MAX
+    rep = verify_lattice_properties(index_max, samples, seed)
+    assert rep.status == "pass"
+    assert _report_body(rep) == _report_body(reference_lattice_battery(index_max, samples, seed))
 
 
 @pytest.mark.parametrize("w", [1, 2, 1024, 2049])
