@@ -8,11 +8,9 @@ on dyadic scaled ordered groups.
 
 from .errors import DomainError, ExtensionError, PfkitError, ResourceError
 from .words import (
-    AGREE_ON_RANGE,
     BINARY,
     QUATERNARY,
     Alphabet,
-    Window,
     Word,
     anti_reverse,
     concat,
@@ -20,7 +18,6 @@ from .words import (
     factor_set,
     is_anti_palindrome,
     segment,
-    window_distance,
 )
 from .paperfold import (
     CensusResult,
@@ -36,7 +33,6 @@ from .dihedral import (
     LanguageOracle,
     check_closure_under_antireversal,
     freeness_certificate,
-    is_phi_sigma_fixed_window,
     left_extend,
     parity_class_separation,
 )

@@ -16,15 +16,14 @@ written).
 
 The suite runs its checks one after another on the calling thread, in
 registry order, and reports them in that order.  The census, closure and
-freeness checks read one factor-language oracle over the profile's
-generation, built by the first of them and dropped after the last.
+freeness checks each read the least generation that holds the infinite
+word's factors at their lengths (``paperfold.language_generation``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 
@@ -82,14 +81,14 @@ def _check_self_similarity_battery(budget: int) -> CheckReport:
     return chk.passed()
 
 
-def _check_census(generation: int, max_len: int, census) -> CheckReport:
-    """Anti-palindrome census, the same rule in the suite and the CLI: an
-    unsaturated census is inconclusive; a saturated one passes when there
-    are anti-palindromic factors of lengths 2, 4 and 6 (those <= max_len)
-    and none of any length from 8 to max_len.  ``census()`` computes it."""
+def _check_census(generation: int, max_len: int) -> CheckReport:
+    """Anti-palindrome census of a generation, the same rule in the suite
+    and the CLI: an unsaturated census is inconclusive; a saturated one
+    passes when there are anti-palindromic factors of lengths 2, 4 and 6
+    (those <= max_len) and none of any length from 8 to max_len."""
     chk = Check("paperfold.antipalindrome-census", {"generation": generation, "max_len": max_len},
                 "anti-palindromic factors exist up to length 6 and stop at 8")
-    census = census()
+    census = paperfold.antipalindrome_census(generation, max_len)
     if not census.saturated:
         return chk.report("inconclusive", census.to_json())
     counts = census.counts
@@ -108,10 +107,15 @@ def _check_recurrence_battery(p_max: int) -> CheckReport:
     return chk.passed()
 
 
-def _check_freeness(generation: int, language) -> CheckReport:
+def _check_closure(n_max: int) -> CheckReport:
+    oracle = dihedral.LanguageOracle.from_generation(paperfold.language_generation(n_max), n_max)
+    return dihedral.check_closure_under_antireversal(oracle, n_max)
+
+
+def _check_freeness(generation: int) -> CheckReport:
     chk = Check("dihedral.freeness", {"generation": generation},
                 "closure plus bounded anti-palindromes: the dihedral action has no fixed points")
-    cert = dihedral.freeness_certificate(language())
+    cert = dihedral.freeness_certificate(dihedral.LanguageOracle.from_generation(generation, 8))
     return chk.report(cert.verdict, cert.to_json())
 
 
@@ -136,32 +140,28 @@ def _check_subst_structure() -> CheckReport:
     return chk.report("pass" if ok else "fail", facts)
 
 
-# each entry is called as fn(params, seed, language), language() being the
-# run's shared oracle (see run_all)
+# each entry is called as fn(params, seed)
 REGISTRY = (
-    ("paperfold.generation-fidelity", lambda p, seed, _: paperfold.verify_generation_fidelity()),
-    ("paperfold.self-similarity", lambda p, seed, _: _check_self_similarity_battery(p["selfsim_budget"])),
-    ("paperfold.antipalindrome-census",
-     lambda p, seed, language: _check_census(p["generation"], 8, lambda: language().antipalindrome_census(8))),
-    ("paperfold.recurrence", lambda p, seed, _: _check_recurrence_battery(p["recurrence_p_max"])),
-    ("paperfold.aperiodicity", lambda p, seed, _: paperfold.check_aperiodic(
+    ("paperfold.generation-fidelity", lambda p, seed: paperfold.verify_generation_fidelity()),
+    ("paperfold.self-similarity", lambda p, seed: _check_self_similarity_battery(p["selfsim_budget"])),
+    ("paperfold.antipalindrome-census", lambda p, seed: _check_census(paperfold.language_generation(8), 8)),
+    ("paperfold.recurrence", lambda p, seed: _check_recurrence_battery(p["recurrence_p_max"])),
+    ("paperfold.aperiodicity", lambda p, seed: paperfold.check_aperiodic(
         p["preperiod"] + 2 * p["max_period"], p["max_period"], p["preperiod"])),
-    ("dihedral.antireversal-closure",
-     lambda p, seed, language: dihedral.check_closure_under_antireversal(language(), p["closure_len"])),
-    ("dihedral.freeness", lambda p, seed, language: _check_freeness(p["generation"], language)),
-    ("dihedral.parity-separation", lambda p, seed, _: dihedral.parity_class_separation(p["parity_K"], p["generation"])),
-    ("subst.structure", lambda p, seed, _: _check_subst_structure()),
-    ("subst.recoding", lambda p, seed, _: subst.verify_recoding(2 ** p["recode_exp"])),
-    ("subst.intertwining", lambda p, seed, _: subst.verify_intertwining(2 ** (p["recode_exp"] + 1))),
-    ("dimgroup.matrix-closed-form", lambda p, seed, _: dimgroup.verify_matrix_closed_form(20)),
+    ("dihedral.antireversal-closure", lambda p, seed: _check_closure(p["closure_len"])),
+    ("dihedral.freeness", lambda p, seed: _check_freeness(paperfold.language_generation(8))),
+    ("dihedral.parity-separation", lambda p, seed: dihedral.parity_class_separation(p["parity_K"], p["generation"])),
+    ("subst.structure", lambda p, seed: _check_subst_structure()),
+    ("subst.recoding", lambda p, seed: subst.verify_recoding(2 ** p["recode_exp"])),
+    ("subst.intertwining", lambda p, seed: subst.verify_intertwining(2 ** (p["recode_exp"] + 1))),
+    ("dimgroup.matrix-closed-form", lambda p, seed: dimgroup.verify_matrix_closed_form(20)),
     ("dimgroup.lattice-properties",
-     lambda p, seed, _: dimgroup.verify_lattice_properties(12, p["lattice_samples"], seed)),
-    ("dimgroup.cone-identity", lambda p, seed, _: dimgroup.verify_cone_identity(p["cone_samples"], seed)),
-    ("dimgroup.involution", lambda p, seed, _: dimgroup.verify_involution_algebra(p["involution_samples"], seed)),
-    ("dimgroup.discrepancy-growth", lambda p, seed, _: dimgroup.verify_unbounded_discrepancy(p["discrepancy_N"])),
-    ("dimgroup.coboundary-bound", lambda p, seed, _: dimgroup.verify_coboundary_bound(2**16)),
+     lambda p, seed: dimgroup.verify_lattice_properties(12, p["lattice_samples"], seed)),
+    ("dimgroup.cone-identity", lambda p, seed: dimgroup.verify_cone_identity(p["cone_samples"], seed)),
+    ("dimgroup.involution", lambda p, seed: dimgroup.verify_involution_algebra(p["involution_samples"], seed)),
+    ("dimgroup.discrepancy-growth", lambda p, seed: dimgroup.verify_unbounded_discrepancy(p["discrepancy_N"])),
+    ("dimgroup.coboundary-bound", lambda p, seed: dimgroup.verify_coboundary_bound(2**16)),
 )
-_LAST_LANGUAGE_READER = "dihedral.freeness"  # run_all drops the shared oracle after it
 
 
 def _max_threads() -> int:
@@ -172,27 +172,17 @@ def _max_threads() -> int:
 def run_all(profile: str = "quick", seed: int = DEFAULT_SEED):
     """Run the whole registry with profile-scaled parameters, one check
     after another in registry order; any exception becomes a report with
-    status error.  Every report echoes the suite seed.  ``language()`` is
-    one oracle over the profile's generation to ``closure_len``, built by
-    its first reader (a failed build raises in each) and dropped after
-    _LAST_LANGUAGE_READER."""
+    status error.  Every report echoes the suite seed."""
     if profile not in PROFILES:
         raise PfkitError(f"unknown profile {profile!r}")
     params = PROFILES[profile]
-
-    @functools.cache
-    def language():
-        return dihedral.LanguageOracle.from_generation(params["generation"], params["closure_len"])
-
     reports = []
     for name, fn in REGISTRY:
         chk = Check(name, {"profile": profile}, "")
         try:
-            rep = fn(params, seed, language)
+            rep = fn(params, seed)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             rep = chk.report("error", {"exception": f"{type(exc).__name__}: {exc}"})
-        if name == _LAST_LANGUAGE_READER:
-            language.cache_clear()
         reports.append(dataclasses.replace(rep, seed=seed))
     return reports
 
@@ -244,8 +234,7 @@ def _single(report, args) -> int:
 
 
 def _cmd_census(args) -> int:
-    census = lambda: paperfold.antipalindrome_census(args.generation, args.max_len)  # noqa: E731
-    return _single(_check_census(args.generation, args.max_len, census), args)
+    return _single(_check_census(args.generation, args.max_len), args)
 
 
 def _cmd_selfsim(args) -> int:
@@ -263,8 +252,7 @@ def _cmd_aperiodic(args) -> int:
 
 
 def _cmd_freeness(args) -> int:
-    language = lambda: dihedral.LanguageOracle.from_generation(args.generation, 8)  # noqa: E731
-    return _single(_check_freeness(args.generation, language), args)
+    return _single(_check_freeness(args.generation), args)
 
 
 def _cmd_parity(args) -> int:

@@ -12,9 +12,10 @@ computed on a finite prefix; when the factor sets have not stabilised
 between the reference prefix and the full one, checks answer
 "inconclusive" rather than "pass".
 
-Closure, freeness and the anti-palindrome census all read a
-:class:`LanguageOracle`, so one oracle over a generation serves the three:
-``pfkit report`` builds one per run and hands it to each of them.
+``pfkit report`` reads closure, freeness and the anti-palindrome census
+off generation ``paperfold.language_generation(n)`` for factor lengths up
+to n: that generation has exactly the infinite word's factors of those
+lengths and is saturated there, so its verdicts speak for the subshift.
 
 Minimality of the subshift is not finitely certifiable; its finite
 proxies are uniform recurrence (paperfold.verify_recurrence) and the
@@ -36,12 +37,10 @@ from .words import (
     BINARY,
     MAX_CODE_BITS,
     FactorIndex,
-    Window,
     Word,
     anti_palindrome_codes,
     anti_reverse_code,
     code_to_word,
-    is_anti_palindrome,
     window_codes,
     word_code,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "LanguageOracle",
     "FreenessCertificate",
     "check_closure_under_antireversal",
-    "is_phi_sigma_fixed_window",
     "left_extend",
     "freeness_certificate",
     "parity_class_separation",
@@ -153,20 +151,6 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
             if anti_reverse_code(c, ell) not in codes:
                 return chk.failed({"factor": str(code_to_word(c, ell))})
     return chk.passed()
-
-
-def is_phi_sigma_fixed_window(x: Window) -> bool:
-    """Whether the window is consistent with a fixed point of
-    shift-then-antireverse, i.e. x[j] = 1 - x[1-j] for every representable j.
-
-    The window must cover exactly the slots -K+1 .. K for some K >= 1,
-    which pairs every slot with its mirror; that holds precisely when the
-    underlying word is an anti-palindrome.
-    """
-    n = x.word.length
-    if n < 2 or n % 2 != 0 or x.origin != 1 - n // 2:
-        raise DomainError("window must cover slots [-K+1, K] for some K >= 1")
-    return is_anti_palindrome(x.word)
 
 
 def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) -> Word:

@@ -27,6 +27,7 @@ __all__ = [
     "verify_self_similarity",
     "CensusResult",
     "antipalindrome_census",
+    "language_generation",
     "verify_recurrence",
     "check_aperiodic",
 ]
@@ -176,6 +177,27 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
         )
     index = FactorIndex(_prefix_array(2 ** (generation + 1) - 1), 1, ref_len=2**generation - 1)
     return CensusResult.of(index.codes, index.saturated, max_len)
+
+
+def language_generation(n: int) -> int:
+    """A generation whose factors of every length <= n are exactly the
+    infinite word's, and saturated against the generation before it:
+    p + 4 for the least p >= 0 with 2^(p+1) >= n.
+
+    The bridge lemma.  By the interleaving identity, every later
+    generation, and so the infinite word, is blocks t(p) and anti(t(p))
+    alternating, each followed by one letter.  A window of length
+    <= 2^(p+1) meets at most one of those letters, so it lies in a bridge
+    t(p) c anti(t(p)) or anti(t(p)) c t(p), c in {0, 1}.  Generation p+3
+    is t(2) = 1101100 interleaved with the blocks, and t(2) has both
+    letters at even and at odd positions, so it holds all four bridges.
+    Generations p+3 and p+4 therefore both have the infinite word's
+    factors at every length <= 2^(p+1).  The lemma's premises are the
+    interleaving identity at (p, 2), which paperfold.self-similarity
+    checks, and t(2), which paperfold.generation-fidelity checks."""
+    if n < 1:
+        raise DomainError("factor length must be positive")
+    return max(1, (n - 1).bit_length()) + 3
 
 
 def _generation_hits(text: np.ndarray, p: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,15 +32,12 @@ __all__ = [
     "BINARY",
     "QUATERNARY",
     "Word",
-    "Window",
-    "AGREE_ON_RANGE",
     "concat",
     "segment",
     "count",
     "anti_reverse",
     "is_anti_palindrome",
     "factor_set",
-    "window_distance",
     "MAX_CODE_BITS",
     "window_codes",
     "word_code",
@@ -409,66 +405,6 @@ def factor_set(w: Word, n: int) -> set:
     raw = w.to_array().tobytes()
     seen = {raw[i : i + n] for i in range(w.length - n + 1)}
     return {Word.from_array(np.frombuffer(s, dtype=np.uint8), w.alphabet) for s in seen}
-
-
-@dataclass(frozen=True)
-class Window:
-    """A finite view of a bi-infinite sequence: ``word`` placed so that its
-    first symbol sits at ambient index ``origin`` (may be negative)."""
-
-    word: Word
-    origin: int
-
-    def covers(self, j: int) -> bool:
-        return self.origin <= j < self.origin + self.word.length
-
-    def slot(self, j: int) -> int:
-        if not self.covers(j):
-            raise DomainError(f"slot {j} not covered by window")
-        return self.word[j - self.origin]
-
-    @property
-    def last(self) -> int:
-        return self.origin + self.word.length - 1
-
-
-class _AgreeOnRange:
-    """Sentinel: the two windows agree everywhere on the shared range.
-    Distinct from distance 0, which a finite window can never certify."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "agree-on-range"
-
-
-AGREE_ON_RANGE = _AgreeOnRange()
-
-
-def window_distance(x: Window, y: Window):
-    """Cylinder metric on symmetric windows.
-
-    Both windows must cover exactly the same symmetric range [-K, K].
-    Returns Fraction(1, 2**n) with n the least k >= 0 such that the windows
-    disagree at slot k or -k, or AGREE_ON_RANGE when there is no
-    disagreement on the whole range.
-    """
-    for w in (x, y):
-        if w.origin > 0 or w.last != -w.origin:
-            raise DomainError("window does not cover a symmetric range [-K, K]")
-    if x.origin != y.origin:
-        raise DomainError("windows cover mismatched symmetric ranges")
-    k_max = -x.origin
-    a, b = x.word.to_array(), y.word.to_array()
-    for k in range(k_max + 1):
-        if a[k_max + k] != b[k_max + k] or a[k_max - k] != b[k_max - k]:
-            return Fraction(1, 2**k)
-    return AGREE_ON_RANGE
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +12,12 @@ from pfkit.dihedral import (
     LanguageOracle,
     check_closure_under_antireversal,
     freeness_certificate,
-    is_phi_sigma_fixed_window,
     left_extend,
     parity_class_separation,
 )
 from pfkit.errors import DomainError, ExtensionError, ResourceError
-from pfkit.paperfold import MAX_GENERATION, antipalindrome_census, pf_prefix, pf_word
-from pfkit.words import Window, Word, is_anti_palindrome, segment, window_distance
+from pfkit.paperfold import MAX_GENERATION, antipalindrome_census, language_generation, pf_prefix, pf_word
+from pfkit.words import FactorIndex, Word, anti_reverse
 
 
 def test_oracle_contains_matches_naive_search():
@@ -73,6 +71,30 @@ def test_oracle_saturation():
     assert not noisy.is_saturated(16)
 
 
+@pytest.mark.parametrize("p", range(6))
+def test_language_generation_has_the_infinite_words_factors(p):
+    # the bridge lemma at p: generation p + 4, against p + 3, has exactly
+    # the factors of every length <= 2^(p+1) that a much longer generation
+    # has, and p + 3 has all four bridges
+    L = min(2 ** (p + 1), 62)
+    assert language_generation(L) == p + 4
+    oracle = LanguageOracle.from_generation(p + 4, L)
+    assert oracle.saturated_to(L)
+    deep = FactorIndex(pf_word(p + 8).to_array(), 1)
+    assert all(oracle.factor_codes(ell) == deep.codes(ell) for ell in range(1, L + 1))
+    text, block, anti = str(pf_word(p + 3)), str(pf_word(p)), str(anti_reverse(pf_word(p)))
+    assert all(block + c + anti in text and anti + c + block in text for c in "01")
+    # p + 4 is the least offset that works
+    if p >= 1:
+        assert not LanguageOracle.from_generation(p + 3, L).saturated_to(L)
+
+
+def test_language_generation_bounds():
+    assert [language_generation(n) for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65)] == [4, 4, 5, 5, 6, 6, 7, 7, 8, 9, 10]
+    with pytest.raises(DomainError):
+        language_generation(0)
+
+
 def test_closure_on_the_word():
     oracle = LanguageOracle.from_generation(12, 16)
     rep = check_closure_under_antireversal(oracle, 16)
@@ -111,30 +133,6 @@ def test_closure_witness_is_least_failing_factor():
     assert len(failing) >= 2
     assert rep.status == "fail"
     assert rep.witness == {"factor": min(failing, key=lambda f: int(f[::-1], 2))}
-
-
-def test_phi_sigma_fixed_windows():
-    assert is_phi_sigma_fixed_window(Window(Word("10"), 0))
-    assert not is_phi_sigma_fixed_window(Window(Word("11"), 0))
-    assert is_phi_sigma_fixed_window(Window(Word("011001"), -2))
-    for bad in (Window(Word("10"), 1), Window(Word("101"), -1), Window(Word("1"), 0)):
-        with pytest.raises(DomainError):
-            is_phi_sigma_fixed_window(bad)
-
-
-def test_phi_sigma_agrees_with_anti_palindrome():
-    rng = random.Random(13)
-    for _ in range(200):
-        n = 2 * rng.randrange(1, 8)
-        w = Word("".join(rng.choice("01") for _ in range(n)))
-        assert is_phi_sigma_fixed_window(Window(w, 1 - n // 2)) == is_anti_palindrome(w)
-
-
-def test_phi_sigma_never_on_long_word_factors():
-    # windows of length 8 taken from the word are never fixed-point shaped
-    t = pf_word(12)
-    for i in range(0, len(t) - 8, 37):
-        assert not is_phi_sigma_fixed_window(Window(segment(t, i, i + 7), -3))
 
 
 def test_left_extend_zero_steps():
@@ -277,17 +275,3 @@ def test_pattern_families_cover_and_exclude():
     assert all(any(matches(w, p) for p in EVEN_WINDOW_PATTERNS) for w in even)
     assert all(any(matches(w, p) for p in ODD_WINDOW_PATTERNS) for w in odd)
     assert not (even & odd)
-
-
-def test_even_odd_window_distance_bound():
-    # any even-shift and odd-shift symmetric 7-windows differ within the
-    # center, so their distance is at least 2^-7
-    t = pf_word(12)
-    rng = random.Random(17)
-    for _ in range(300):
-        k = rng.randrange(4, 1000)
-        l = rng.randrange(4, 1000)
-        x = Window(segment(t, 2 * k - 7, 2 * k + 7), -7)
-        y = Window(segment(t, 2 * l + 1 - 7, 2 * l + 1 + 7), -7)
-        d = window_distance(x, y)
-        assert d >= Fraction(1, 2**7)

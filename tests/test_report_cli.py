@@ -5,10 +5,10 @@ import json
 import shlex
 import threading
 import time
-import weakref
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,13 +17,20 @@ from pfkit import paperfold, words
 from pfkit.cli import PROFILES, REGISTRY, exit_code, main, run_all
 from pfkit.dihedral import LanguageOracle
 from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
-from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN
+from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, pf_word
 from pfkit.report import Check, CheckReport, emit_report
 from pfkit.words import Word, read_pfw
 
 # SHA-256 of the quick-profile report at seed 42 with elapsed_ms removed;
 # any change to a report's bytes changes it
-QUICK_REPORT_DIGEST = "bcfcaefaadea767f6685ca88042100d603e6f9c6becedd2a932fbfd9e930cc3f"
+QUICK_REPORT_DIGEST = "5f9a2e13c16593635b07bd71d9fb2e28a0300b5d102b7d8b7f7a232e50591b9d"
+# the same for the full-profile report at seed 42
+FULL_REPORT_DIGEST = "80e24c586e41be51cead7e7d93eea8e1d2471d98aa3c5d2a6b61cd5ffca9a4ea"
+
+
+def report_digest(reports):
+    body = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in reports]
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()
 
 
 def strip_elapsed(obj):
@@ -92,8 +99,8 @@ def test_registry_shape():
     assert len(names) == len(set(names))
     assert len(names) >= 12
     assert set(PROFILES) == {"quick", "full"}
-    # profile scaling pinned: the full run censuses generation 20 and
-    # follows the discrepancy checkpoints to N = 20
+    # profile scaling pinned: the full run separates parities on
+    # generation 20 and follows the discrepancy checkpoints to N = 20
     assert PROFILES["quick"]["generation"] == 12
     assert PROFILES["quick"]["discrepancy_N"] == 10
     assert PROFILES["quick"]["lattice_samples"] == 1000
@@ -208,14 +215,17 @@ def test_run_all_quick_is_deterministic():
     assert all(r["status"] == "pass" for r in a)
     assert all(r["seed"] == 42 for r in a)
     assert [r["check"] for r in a] == [name for name, _ in REGISTRY]
-    body = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in a]
-    assert hashlib.sha256(json.dumps(body).encode()).hexdigest() == QUICK_REPORT_DIGEST
+    assert report_digest(a) == QUICK_REPORT_DIGEST
+
+
+def test_run_all_full_report_digest():
+    assert report_digest([r.to_dict() for r in run_all("full", seed=42)]) == FULL_REPORT_DIGEST
 
 
 def test_run_all_error_isolation(monkeypatch):
     import pfkit.cli as cli_mod
 
-    def boom(p, seed, language):
+    def boom(p, seed):
         raise RuntimeError("synthetic failure")
 
     registry = tuple(
@@ -232,7 +242,7 @@ def test_run_all_error_isolation(monkeypatch):
 def test_run_all_error_report_has_real_elapsed(monkeypatch):
     import pfkit.cli as cli_mod
 
-    def slow_boom(p, seed, language):
+    def slow_boom(p, seed):
         time.sleep(0.05)
         raise RuntimeError("late failure")
 
@@ -248,7 +258,7 @@ def test_run_all_runs_every_check_on_the_calling_thread(monkeypatch):
     threads = []
 
     def record(name):
-        def check(p, seed, language):
+        def check(p, seed):
             threads.append(threading.get_ident())
             return Check(name, {}, "").passed()
         return check
@@ -260,64 +270,56 @@ def test_run_all_runs_every_check_on_the_calling_thread(monkeypatch):
     assert all(r.seed == 7 for r in reports)
 
 
-def _suite_census(oracle, generation):
-    """The suite's census entry, run on ``oracle`` as its shared oracle."""
+def _suite_census(symbols, arr):
+    """The suite's census entry, run with ``arr`` as the symbol source."""
     entry = dict(REGISTRY)["paperfold.antipalindrome-census"]
-    return entry(dict(PROFILES["quick"], generation=generation), 42, lambda: oracle)
+    with symbols(arr):
+        return entry(PROFILES["quick"], 42)
 
 
-def test_unsaturated_census_is_inconclusive_everywhere(capsys):
+def test_unsaturated_census_is_inconclusive_everywhere(capsys, symbols):
     # generation 5 has factors of length 6 and 8 that generation 4 lacks,
     # so its census is not saturated
     assert main(["paperfold", "census", "--generation", "5", "--max-len", "8"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "inconclusive"
     assert payload["witness"]["saturated"] is False
-    rep = _suite_census(LanguageOracle.from_generation(5, PROFILES["quick"]["closure_len"]), 5)
+    # the suite censuses generation 6 against generation 5; a run of ones
+    # after generation 5 adds the factor 1111, so it is not saturated
+    # either, and the command gives the same verdict on the same symbols
+    arr = np.concatenate([pf_word(5).to_array(), np.ones(64, dtype=np.uint8)])
+    rep = _suite_census(symbols, arr)
     assert rep.status == "inconclusive"
+    assert rep.params == {"generation": 6, "max_len": 8}
+    with symbols(arr):
+        assert main(["paperfold", "census", "--generation", "6", "--max-len", "8"]) == 1
+    payload = json.loads(capsys.readouterr().out)
     assert (rep.certifies, rep.witness) == (payload["certifies"], payload["witness"])
 
 
-def test_census_negative_control():
+def test_census_negative_control(symbols):
     # a periodic word is saturated at once and has the length-8
     # anti-palindrome 11001100, so the census must fail
-    rep = _suite_census(LanguageOracle(Word("1100" * 64), 16), 12)
+    rep = _suite_census(symbols, np.resize([1, 1, 0, 0], 127))
     assert rep.status == "fail"
     assert rep.witness["saturated"] is True
     assert rep.witness["counts"]["8"] >= 1
 
 
-def test_run_all_shares_one_oracle_and_drops_it(monkeypatch):
-    import pfkit.cli as cli_mod
+def test_run_all_reads_small_generations_for_the_language(monkeypatch):
+    # the census and freeness read generation 6 and closure generation 7,
+    # so no factor index of the full run codes more than 255 symbols
+    sizes = []
+    index_init = words.FactorIndex.__init__
 
-    indexes, oracles, alive = [], [], []
-    index_init, oracle_init = words.FactorIndex.__init__, LanguageOracle.__init__
-
-    def count_index(self, *args, **kwargs):
+    def record(self, *args, **kwargs):
         index_init(self, *args, **kwargs)
-        indexes.append(self._arr.size)
+        sizes.append(self._arr.size)
 
-    def record_oracle(self, *args, **kwargs):
-        oracle_init(self, *args, **kwargs)
-        oracles.append(weakref.ref(self))
-
-    def probe(fn):
-        def entry(p, seed, language):
-            alive.append(oracles[0]() is not None)
-            return fn(p, seed, language)
-        return entry
-
-    monkeypatch.setattr(words.FactorIndex, "__init__", count_index)
-    monkeypatch.setattr(LanguageOracle, "__init__", record_oracle)
-    last = [name for name, _ in REGISTRY].index("dihedral.freeness")
-    monkeypatch.setattr(cli_mod, "REGISTRY", tuple(
-        (name, probe(fn) if i > last else fn) for i, (name, fn) in enumerate(REGISTRY)))
-    reports = cli_mod.run_all("quick", seed=42)
+    monkeypatch.setattr(words.FactorIndex, "__init__", record)
+    reports = run_all("full", seed=42)
     assert all(r.status == "pass" for r in reports)
-    assert indexes == [2 ** (PROFILES["quick"]["generation"] + 1) - 1]
-    assert len(oracles) == 1 and oracles[0]() is None
-    # dropped after its last reader, not at the end of the run
-    assert alive == [False] * (len(REGISTRY) - last - 1)
+    assert sizes and max(sizes) <= 255
 
 
 def test_oracle_build_failure_errors_only_its_readers(monkeypatch):
@@ -326,10 +328,10 @@ def test_oracle_build_failure_errors_only_its_readers(monkeypatch):
 
     monkeypatch.setattr(LanguageOracle, "from_generation", broken)
     reports = run_all("quick", seed=42)
-    readers = {"paperfold.antipalindrome-census", "dihedral.antireversal-closure", "dihedral.freeness"}
+    readers = {"dihedral.antireversal-closure", "dihedral.freeness"}
     assert {r.check: r.status for r in reports} == {
         name: "error" if name in readers else "pass" for name, _ in REGISTRY}
-    assert sum(r.status == "pass" for r in reports) == 14
+    assert sum(r.status == "pass" for r in reports) == 15
     assert all("oracle build failed" in r.witness["exception"] for r in reports if r.check in readers)
 
 

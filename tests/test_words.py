@@ -10,13 +10,11 @@ from pfkit import words
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_word
 from pfkit.words import (
-    AGREE_ON_RANGE,
     BINARY,
     MAX_CODE_BITS,
     QUATERNARY,
     Alphabet,
     FactorIndex,
-    Window,
     Word,
     anti_reverse,
     concat,
@@ -28,11 +26,9 @@ from pfkit.words import (
     segment,
     to_pfw_bytes,
     window_codes,
-    window_distance,
     word_code,
     write_pfw,
 )
-from fractions import Fraction
 
 
 def rand_word(rng, n, size=2):
@@ -212,33 +208,6 @@ def test_factor_index_across_full_size_chunks():
             assert index.codes(n) == full
             assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
         assert index._ids.dtype == id_type
-
-
-def test_window_distance():
-    w = Word("11011")
-    a = Window(w, -2)
-    assert a.covers(-2) and a.covers(2) and not a.covers(3)
-    assert a.slot(0) == 0
-    b = Window(Word("11111"), -2)
-    assert window_distance(a, b) == Fraction(1, 1)  # differ at slot 0
-    c = Window(Word("11010"), -2)
-    assert window_distance(a, c) == Fraction(1, 4)  # differ at slot +2
-    assert window_distance(a, Window(Word("11011"), -2)) is AGREE_ON_RANGE
-    with pytest.raises(DomainError):
-        window_distance(a, Window(Word("111"), -1))  # mismatched K
-    with pytest.raises(DomainError):
-        window_distance(Window(Word("1101"), -2), Window(Word("1101"), -2))
-
-
-def test_window_distance_far_slot():
-    base = "1" * 15
-    x = Window(Word(base), -7)
-    flipped = base[:14] + "0"  # slot +7
-    y = Window(Word(flipped), -7)
-    assert window_distance(x, y) == Fraction(1, 2**7)
-    flipped0 = "0" + base[1:]  # slot -7
-    z = Window(Word(flipped0), -7)
-    assert window_distance(x, z) == Fraction(1, 2**7)
 
 
 def test_pfw_roundtrip(tmp_path):
