@@ -31,7 +31,9 @@ from pfkit.paperfold import pf_prefix
 
 print("occurrence matrix:", PAPERFOLD_MATRIX)
 print("5th power:", mat_pow(PAPERFOLD_MATRIX, 5))
-# every power from the square on has the closed shape (2^n, 2^n +/- 1)
+# from the square on, M^n has rows (e + k, e - k, e, e) with e = 2^(n-2)
+# and k = 1, 0, 0, -1, so M^n v = (eS + D, eS, eS, eS - D) with S = sum(v)
+# and D = v0 - v1: the lemma behind every lattice fact below
 
 # Lattices: G_n collects rational 4-vectors whose n-th image is integral,
 # H_n those that get killed, and (G_n)+ the ones landing in the positive

@@ -57,7 +57,6 @@ from .dimgroup import (
     alpha,
     alpha_preimage,
     birkhoff_discrepancy,
-    closed_form_membership,
     cone_membership,
     in_G,
     in_G_plus,

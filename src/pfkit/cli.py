@@ -17,7 +17,9 @@ written).
 The suite runs its checks one after another on the calling thread, in
 registry order, and reports them in that order.  The census, closure and
 freeness checks each read the least generation that holds the infinite
-word's factors at their lengths (``paperfold.language_generation``).
+word's factors at their lengths (``paperfold.language_generation``).  The
+two lattice checks prove their facts for every index by the lemma in
+``pfkit.dimgroup`` and draw no random numbers.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ PROFILES = {
         preperiod=512,
         parity_K=4000,
         recode_exp=14,
-        lattice_samples=1000,
         cone_samples=1000,
         involution_samples=1000,
         discrepancy_N=10,
@@ -58,7 +59,6 @@ PROFILES = {
         preperiod=4096,
         parity_K=100_000,
         recode_exp=18,
-        lattice_samples=10_000,
         cone_samples=10_000,
         involution_samples=1000,
         discrepancy_N=20,
@@ -154,9 +154,8 @@ REGISTRY = (
     ("subst.structure", lambda p, seed: _check_subst_structure()),
     ("subst.recoding", lambda p, seed: subst.verify_recoding(2 ** p["recode_exp"])),
     ("subst.intertwining", lambda p, seed: subst.verify_intertwining(2 ** (p["recode_exp"] + 1))),
-    ("dimgroup.matrix-closed-form", lambda p, seed: dimgroup.verify_matrix_closed_form(20)),
-    ("dimgroup.lattice-properties",
-     lambda p, seed: dimgroup.verify_lattice_properties(12, p["lattice_samples"], seed)),
+    ("dimgroup.matrix-closed-form", lambda p, seed: dimgroup.verify_closed_form_induction()),
+    ("dimgroup.lattice-properties", lambda p, seed: dimgroup.verify_lattice_image()),
     ("dimgroup.cone-identity", lambda p, seed: dimgroup.verify_cone_identity(p["cone_samples"], seed)),
     ("dimgroup.involution", lambda p, seed: dimgroup.verify_involution_algebra(p["involution_samples"], seed)),
     ("dimgroup.discrepancy-growth", lambda p, seed: dimgroup.verify_unbounded_discrepancy(p["discrepancy_N"])),

@@ -7,6 +7,16 @@ lattices G_n / H_n / (G_n)+ of rational 4-vectors, the quotient maps onto
 positive cone, the order-two twist forced on it, and the running
 1s-minus-0s discrepancy that witnesses the twist is not the identity.
 
+The lattice facts hold at every index n >= 2 by one lemma, which
+verify_closed_form_induction and verify_lattice_image prove: with
+e = 2^(n-2), S = sum(v) and D = v0 - v1, M^n v = (eS + D, eS, eS, eS - D)
+for every v.  For q = v / d every lattice fact reads off (eS, D): q is in
+G_n iff eS / d and D / d are integers, in H_n iff S = D = 0, and in
+(G_n)+ iff also |D| <= eS; the lattices nest, because e doubles from n to
+n + 1; the quotient map at stage n sends q in G_{n+2} to (S / d, D / d),
+with kernel H_{n+2} and cone |m| <= 2^n s.  The seeded batteries
+verify_matrix_closed_form and verify_lattice_properties are its oracles.
+
 Randomised property checks take explicit seeds; since all arithmetic is
 exact, sampling is sound (no tolerances) and reports are reproducible.
 """
@@ -33,10 +43,11 @@ __all__ = [
     "mat_pow",
     "closed_form_power",
     "verify_matrix_closed_form",
+    "verify_closed_form_induction",
+    "verify_lattice_image",
     "in_G",
     "in_H",
     "in_G_plus",
-    "closed_form_membership",
     "alpha",
     "alpha_preimage",
     "DyadicRational",
@@ -105,18 +116,13 @@ def mat_pow(M, n: int):
 
 
 def closed_form_power(n: int):
-    """The closed form of the n-th power of the occurrence matrix, n >= 2:
-    with e = 2^(n-2) the rows are (e+1, e-1, e, e), (e, e, e, e),
-    (e, e, e, e), (e-1, e+1, e, e)."""
+    """The closed form C(n) of the n-th power of the occurrence matrix,
+    n >= 2: with e = 2^(n-2) the rows are (e + k, e - k, e, e) for
+    k = 1, 0, 0, -1."""
     if n < 2:
         raise DomainError("closed form starts at power 2")
     e = 2 ** (n - 2)
-    return (
-        (e + 1, e - 1, e, e),
-        (e, e, e, e),
-        (e, e, e, e),
-        (e - 1, e + 1, e, e),
-    )
+    return tuple((e + k, e - k, e, e) for k in (1, 0, 0, -1))
 
 
 def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
@@ -131,24 +137,33 @@ def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
     return chk.passed()
 
 
+def verify_closed_form_induction() -> CheckReport:
+    """M^n = closed_form_power(n) for every n >= 2, by induction on n: the
+    base M^2 = C(2), and the step M C(n) = C(n+1) at n = 2 and 3.  The
+    entries of M C(n) and of C(n+1) are affine in e = 2^(n-2), so the step
+    holds at every e once it holds at e = 1 and e = 2."""
+    chk = Check("dimgroup.matrix-closed-form", {"base_n": 2, "step_at_n": [2, 3]},
+                "M^n equals the closed form C(n) for every n >= 2: M^2 = C(2), and "
+                "M C(n) = C(n+1), affine in 2^(n-2), holds at n = 2 and 3")
+    if _mat_mul(PAPERFOLD_MATRIX, PAPERFOLD_MATRIX) != closed_form_power(2):
+        return chk.failed({"reason": "base", "n": 2})
+    for n in (2, 3):
+        if _mat_mul(PAPERFOLD_MATRIX, closed_form_power(n)) != closed_form_power(n + 1):
+            return chk.failed({"reason": "step", "n": n})
+    return chk.passed()
+
+
 # ---------------------------------------------------------------------------
 # lattices of rational 4-vectors
 #
-# One integer core serves every predicate.  A vector q is scaled to (v, d)
-# with q = v / d and d > 0; the representation need not be reduced.  Its
-# definitional image at index n is r = M^n v, with M^n from mat_pow.  Then
-# q lies in G_n iff d divides every r_i, in H_n iff r = 0, and in (G_n)+
-# iff it lies in G_n and r >= 0.  All three hold for any representation,
-# since they only ask whether M^n q is integral, zero or non-negative.
-#
-# _apply spells M^n v out as four dot products, and _membership_triple and
-# _closed_form_triple read the predicates off with &, | and ==, never with
-# and, or and not.  So one body serves two kinds of caller: on Python ints
-# (in_G, in_H, in_G_plus, closed_form_membership, alpha) it returns bools,
-# and on equal-length arrays of v_i, d and r_i (the lattice battery, one
-# block of samples per call) it returns boolean arrays, one entry per
-# sample.  The arrays are int64 where a bound proves it exact and object
-# arrays of Python ints beyond that (see verify_lattice_properties).
+# A vector q is scaled to (v, d) with q = v / d and d > 0, not necessarily
+# reduced.  Its image r = M^n v is _apply(_power(n), v) by definition, or
+# _image(v, n) by the lemma.  Whatever the representation, q lies in G_n iff
+# d divides every r_i, in H_n iff r = 0, and in (G_n)+ iff also r >= 0.
+# _apply, _image and _membership_triple use &, | and ==, never and, or and
+# not, so on Python ints (in_G, in_H, in_G_plus, alpha) they give bools, and
+# on equal-length arrays (the lattice battery, one block of samples per
+# call) boolean arrays, one entry per sample.
 
 
 def _scaled(q):
@@ -176,21 +191,22 @@ def _apply(P, v):
     )
 
 
+def _image(v, n: int):
+    """M^n v for n >= 2, read off S = sum(v) and D = v0 - v1:
+    (eS + D, eS, eS, eS - D) with e = 2^(n-2).  n is capped as in mat_pow."""
+    if n > MAX_MATRIX_POWER:
+        raise ResourceError(f"matrix power {n} exceeds the cap of {MAX_MATRIX_POWER}")
+    v0, v1, v2, v3 = v
+    eS, D = (1 << (n - 2)) * (v0 + v1 + v2 + v3), v0 - v1
+    return eS + D, eS, eS, eS - D
+
+
 def _membership_triple(r, d):
     """(in G_n, in H_n, in (G_n)+) of q = v / d, from its image r = M^n v."""
     r0, r1, r2, r3 = r
     integral = (r0 % d == 0) & (r1 % d == 0) & (r2 % d == 0) & (r3 % d == 0)
     positive = integral & (r0 >= 0) & (r1 >= 0) & (r2 >= 0) & (r3 >= 0)
     return integral, (r0 == 0) & (r1 == 0) & (r2 == 0) & (r3 == 0), positive
-
-
-def _closed_form_triple(v, d, n: int):
-    """The closed-form conditions of closed_form_membership on (v, d)."""
-    e = 1 << (n - 2)
-    S = sum(v)
-    D = v[0] - v[1]
-    in_g = ((e * S) % d == 0) & (D % d == 0)
-    return in_g, (S == 0) & (D == 0), in_g & (abs(D) <= e * S)
 
 
 def _definitional_triple(q, n: int):
@@ -215,35 +231,17 @@ def in_G_plus(q, n: int) -> bool:
     return _definitional_triple(q, n)[2]
 
 
-def closed_form_membership(q, n: int):
-    """(in G_n, in H_n, in (G_n)+) computed from the closed-form conditions
-    only, for lattice index n >= 2: with e = 2^(n-2), membership in G_n is
-    "e * sum(q) and q1 - q2 are integers", in H_n is "sum(q) = 0 and
-    q1 = q2", and in (G_n)+ additionally needs |q1 - q2| <= e * sum(q).
-
-    Note the cone condition inherits the integrality constraints of G_n;
-    the inequality alone does not imply them.
-    """
-    if n < 2:
-        raise DomainError("closed-form membership starts at index 2")
-    return _closed_form_triple(*_scaled(q), n)
-
-
 def alpha(q, n: int) -> "DyadicPair":
     """Quotient map at stage n: q in G_{n+2} goes to (sum(q), q1 - q2)
     inside (1/2^n)Z (+) Z.  Kernel is H_{n+2}."""
     if n < 0:
         raise DomainError("stage must be non-negative")
     v, d = _scaled(q)
-    if not _membership_triple(_apply(_power(n + 2), v), d)[0]:
+    r = _image(v, n + 2)
+    if not _membership_triple(r, d)[0]:
         raise DomainError("vector is not in the stage's lattice G_{n+2}")
-    sd = DyadicRational.from_fraction(Fraction(sum(v), d))
-    if sd.exp > n:
-        raise DomainError("sum lands outside (1/2^n)Z")  # unreachable given G-membership
-    m, rest = divmod(v[0] - v[1], d)
-    if rest:
-        raise DomainError("q1 - q2 is not an integer")  # unreachable likewise
-    return DyadicPair(sd, m)
+    # r = (2^n S + D, 2^n S, ...), and d divides every entry
+    return DyadicPair(DyadicRational(r[1] // d, n), (r[0] - r[1]) // d)
 
 
 def alpha_preimage(s, m: int):
@@ -252,6 +250,20 @@ def alpha_preimage(s, m: int):
     when the target satisfies the stage's cone inequality."""
     s = Fraction(s) if not isinstance(s, DyadicRational) else s.to_fraction()
     return (Fraction(m), Fraction(0), s - m, Fraction(0))
+
+
+def verify_lattice_image() -> CheckReport:
+    """C(n) v = _image(v, n) for every v and every n >= 2, from the four
+    unit vectors at n = 2 and 3: both sides are linear in v and affine in
+    e = 2^(n-2).  With verify_closed_form_induction, the module's lemma."""
+    chk = Check("dimgroup.lattice-properties", {"units_at_n": [2, 3]},
+                "M^n v = (eS + D, eS, eS, eS - D) for every n >= 2 and v: G_n, H_n, (G_n)+, "
+                "nesting, quotient kernel and cone read off (eS, D)")
+    for n in (2, 3):
+        for i, u in enumerate(_IDENTITY):
+            if _apply(closed_form_power(n), u) != _image(u, n):
+                return chk.failed({"n": n, "unit": i})
+    return chk.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +344,6 @@ class DyadicRational:
 
     def __str__(self):
         return f"{self.num}/2^{self.exp}"
-
-    @classmethod
-    def parse(cls, text: str) -> "DyadicRational":
-        num, _, rest = text.partition("/2^")
-        try:
-            num, exp = int(num), int(rest)
-        except ValueError:
-            raise DomainError(f"bad dyadic literal {text!r}") from None
-        return cls(num, exp)
 
     def to_json(self):
         return str(self)
@@ -736,7 +739,7 @@ def _members(fields, n):
 # every partial sum of its four products, is at most 2^(n+2) max |v_i|.
 #  - A random vector has |v_i| = |a_i| d / b_i <= 2^10 * 2^30, since d / b_i
 #    divides the product of the other three denominators.  Its images stay
-#    below 2^(n+42), and e * sum(v) of the closed form below 2^(n+40).
+#    below 2^(n+42), and so do e * sum(v) and eS + D of the (S, D) image.
 #  - A member has k <= n - 2 and d = a2 b2 2^k <= 2^(n+18), so |m d| <=
 #    2^(n+28), |a1 b2 2^k| and |b1 a2 2^k| are at most 2^(n+18), and
 #    |x a2 b2| <= 2^30 <= 2^(n+28).  Each |v_i| is then below 2^(n+30), its
@@ -773,18 +776,16 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     integers (v, d) with q = v / d.
 
     The draws are those randint calls of random.Random(seed), in their
-    order, read in bulk by _RandintBlocks: 32-bit words fetched 2^15 at a
-    time and one Python step per sample.  The predicates run over blocks
-    of at most 1024 samples as numpy arrays.  Every decision reads a
+    order, read in bulk by _RandintBlocks, and the predicates run over
+    blocks of at most 1024 samples as numpy arrays.  Every decision reads a
     definitional image M^k v, with M^k from mat_pow, at k = n or n + 1,
-    through _membership_triple; the closed form is checked against the
-    image at n, never used in its place.  The arrays are int64 up to
-    index_max = _INT64_INDEX_MAX = 15, where the bound written beside that
-    constant keeps every intermediate value below 2^62, and object arrays
-    of Python ints above it, with the same expressions.  A failure names
-    the lowest failing sample of the first block that fails and the first
-    check it fails, in the order listed above, as a loop over the samples
-    would; only that sample's witness is turned into Fractions.
+    through _membership_triple; the (S, D) image of the lemma is checked
+    against the image at n, never used in its place, so the battery is the
+    lemma's sampled oracle.  The arrays are int64 up to index_max = 15
+    (_INT64_INDEX_MAX, whose bound keeps every value below 2^62), and
+    object arrays of Python ints above it.  A failure names the lowest
+    failing sample of the first block that fails and the first check it
+    fails, in the order listed above, as a loop over the samples would.
 
     The total work (index_max - 1) * samples is capped at MAX_SAMPLES, and
     every cap is checked before any matrix power is built."""
@@ -808,7 +809,7 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
             F = draws.take(fields, min(_BLOCK, samples - done)).astype(dtype, copy=False)
             v, d = _vectors(F[:8])
             got = _membership_triple(_apply(P, v), d)
-            cf = _closed_form_triple(v, d, n)
+            cf = _membership_triple(_image(v, n), d)
             nxt = _membership_triple(_apply(P_next, v), d)
 
             u, dm, x, k, m = _members(F[8:], n)

@@ -32,9 +32,10 @@ def mutated_prefix(length, start, stop=None, value=None):
     return arr
 
 
-def power_off_by_one(n, real=dimgroup._power):
-    P = real(n)
-    return ((P[0][0] + 1, *P[0][1:]), *P[1:]) if n == 3 else P
+def image_of_v1_minus_v0(v, n, real=dimgroup._image):
+    """The (S, D) image with D = v1 - v0 in place of v0 - v1."""
+    r0, r1, r2, r3 = real(v, n)
+    return r3, r1, r2, r0
 
 
 def stage_too_early(p, real=dimgroup.staged_cone_witness):
@@ -71,7 +72,7 @@ CONTROLS = {
     "subst.intertwining": lambda symbols: mock.patch.object(subst, "_pair_codes", pair_codes_by_position),
     "dimgroup.matrix-closed-form": lambda symbols: mock.patch.object(
         dimgroup, "PAPERFOLD_MATRIX", ((1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 1, 1))),
-    "dimgroup.lattice-properties": lambda symbols: mock.patch.object(dimgroup, "_power", power_off_by_one),
+    "dimgroup.lattice-properties": lambda symbols: mock.patch.object(dimgroup, "_image", image_of_v1_minus_v0),
     "dimgroup.cone-identity": lambda symbols: mock.patch.object(
         dimgroup, "staged_cone_witness", stage_too_early),
     "dimgroup.involution": lambda symbols: mock.patch.object(
