@@ -67,10 +67,11 @@ class LanguageOracle:
     generation) have identical factor sets of length ell.
 
     Factor sets, saturation and membership all come from one
-    :class:`~pfkit.words.FactorIndex` over the prefix, grown a length at a
-    time as queries need it: ``contains`` looks the query's code up in its
-    length's set and scans the prefix only for queries longer than
-    MAX_CODE_BITS // bits symbols, which have no integer code.
+    :class:`~pfkit.words.FactorIndex` over the prefix, built by one pass on
+    the first query, with each length's set read off it as queries need
+    it: ``contains`` looks the query's code up in its length's set and
+    scans the prefix only for queries longer than MAX_CODE_BITS // bits
+    symbols, which have no integer code.
     """
 
     def __init__(self, source: Word, max_len: int, reference_len: Optional[int] = None):

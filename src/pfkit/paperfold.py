@@ -164,7 +164,8 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
     every even length up to ``max_len``.
 
     Counts and saturation (against generation - 1) come from one factor
-    index over the generation, built a length at a time."""
+    index over the generation, built in one pass over its longest
+    windows."""
     if max_len % 2 != 0 or max_len < 2:
         raise DomainError("max_len must be even and at least 2")
     if max_len > MAX_CODE_BITS:

@@ -5,11 +5,13 @@ size 4, least-significant-bit first within each byte) with a lazily cached
 numpy symbol array for scans.  All values are immutable after construction
 and every operation is pure, so words are safe to share between threads.
 
-Factor languages have one engine, :class:`FactorIndex`: it builds the
-factor codes of every length of a symbol array one length at a time from
-the previous length's, and reads saturation against a reference prefix off
-the same pass.  ``window_codes`` codes one length from scratch; it stays as
-the direct formulation for single scans and as the index's test oracle.
+Factor languages have one engine, :class:`FactorIndex`: one chunked,
+sorted pass over a symbol array keeps the distinct codes of its longest
+codable windows, and the factor codes of every shorter length, and their
+saturation against a reference prefix, are masks of those codes.
+``window_codes`` codes one length from scratch; it stays as the direct
+formulation for single scans, codes the few windows near the array's end
+that the index's longest windows miss, and is the index's test oracle.
 ``anti_palindrome_codes`` is the one anti-palindrome filter over factor
 codes: the census counts through it and the freeness certificate takes its
 examples from it.
@@ -276,96 +278,107 @@ def word_code(v: Word) -> int:
     return int.from_bytes(v.payload, "little")
 
 
-_CHUNK = 1 << 18  # windows per step of a pass; the step's pair buffer is 2 MiB
+_CHUNK = 1 << 16  # windows per step of the build; its two buffers take 1 MiB
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes``, ascending; sorts ``codes`` in place."""
+    codes.sort()
+    keep = np.empty(codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 class FactorIndex:
-    """The factor codes of every length of one symbol array, built one
-    length at a time.
+    """The factor codes of every length of one symbol array, from one
+    sorted pass over its longest codable windows.
 
-    Each length-ell window gets a dense id: the rank of the pair
-    ``id_{ell-1}[i] * size + arr[i+ell-1]`` among the pairs that occur
-    (Karp-Miller-Rosenberg renaming).  The pairs are marked in a bitmap of
-    ``|F_{ell-1}| * size`` entries and ranked by a lookup table, and each
-    id carries the window code of its factor (see window_codes).  So a
-    length costs one marking pass and one renaming pass over a single id
-    array, updated in place in fixed chunks through one reused pair
-    buffer; no length is coded twice and no prefix is rescanned.  The id
-    array has the narrowest unsigned type that holds the ids (one byte
-    while a length has at most 256 factors, as every paper-folding length
-    up to 62 does), so a pass moves few bytes and makes few numpy calls.
+    Every factor of length n <= W = min(MAX_CODE_BITS // bits, len(arr))
+    is a prefix of a length-W window, or a window of the last W - 1
+    symbols.  Since a window's first symbol sits in the low bits (see
+    window_codes), a prefix's code is a mask of the window's code.  So the
+    index keeps only the distinct length-W window codes, sorted: those of
+    every start, and those of the starts whose windows lie inside the
+    first ``ref_len`` symbols (default: all of them).  Length n's codes
+    are the first set masked to n symbols plus the windows of the last
+    W - 1 symbols; ``saturated(n)`` compares them with the same formula
+    over the reference windows and the last W - 1 symbols before
+    ``ref_len``.  A length past the array has no factors and is saturated.
 
-    ``saturated(ell)`` tells whether the windows inside the first
-    ``ref_len`` symbols (default: all of them) already reach every
-    length-ell factor; it is read off the same marking pass.  Lengths are
-    built on first request, under a lock, up to MAX_CODE_BITS // bits; a
-    length beyond the array has no factors and is saturated.
+    The pass runs on the first request, under a lock.  It codes the
+    length-W windows ``_CHUNK`` starts at a time, doubling the width in
+    place, then sorts each chunk and drops its duplicates; only the
+    distinct codes outlive a chunk, so nothing of the array's size is
+    kept.  Each length's set and saturation are cached on first request.
     """
 
     def __init__(self, arr: np.ndarray, bits: int, ref_len: int | None = None):
         self._arr = arr
         self._bits = bits
         self._ref_len = arr.size if ref_len is None else ref_len
-        # length 0: every position starts the empty factor, id 0, code 0
-        self._ids = np.zeros(arr.size, dtype=np.uint8)
-        self._id_codes = np.zeros(1, dtype=np.int64)
-        self._codes: list[set] = []
-        self._saturated: list[bool] = []
+        self._width = min(MAX_CODE_BITS // bits, arr.size)  # W
+        self._every = self._ref = None  # distinct length-W window codes
+        self._codes: dict[int, set] = {}
+        self._saturated: dict[int, bool] = {}
         self._lock = threading.Lock()
 
     def codes(self, n: int) -> set:
         """The set of codes of the length-n factors."""
-        self._build(n)
-        return self._codes[n - 1]
+        longest = MAX_CODE_BITS // self._bits
+        if not 1 <= n <= longest:
+            raise DomainError(f"window length {n} outside 1..{longest} for integer coding")
+        with self._lock:
+            if n not in self._codes:
+                self._build()
+                self._codes[n] = self._masked(self._every, self._arr.size, n)
+            return self._codes[n]
 
     def saturated(self, n: int) -> bool:
         """Whether the reference prefix has every length-n factor."""
-        self._build(n)
-        return self._saturated[n - 1]
-
-    def _build(self, n: int) -> None:
-        if not 1 <= n <= MAX_CODE_BITS // self._bits:
-            longest = MAX_CODE_BITS // self._bits
-            raise DomainError(f"window length {n} outside 1..{longest} for integer coding")
+        full = self.codes(n)
         with self._lock:
-            while len(self._codes) < n:
-                self._grow()
+            if n not in self._saturated:
+                self._saturated[n] = self._masked(self._ref, self._ref_len, n) == full
+            return self._saturated[n]
 
-    def _pairs(self, ell: int, a: int, b: int, buf: np.ndarray) -> np.ndarray:
-        """Pairs (id of the length ell-1 prefix, last symbol) of the
-        length-ell windows starting at a..b-1, written into ``buf``."""
-        pairs = buf[: b - a]
-        np.left_shift(self._ids[a:b], self._bits, out=pairs, dtype=np.int64)
-        np.bitwise_or(pairs, self._arr[a + ell - 1 : b + ell - 1], out=pairs)
-        return pairs
+    def _masked(self, windows: np.ndarray, end: int, n: int) -> set:
+        """Codes of the length-n windows inside arr[:end], given the
+        distinct codes of the length-W windows there."""
+        if n > self._width:
+            return set()
+        codes = set((windows & ((1 << (self._bits * n)) - 1)).tolist())
+        last = self._arr[max(end - self._width + 1, 0) : end]
+        codes.update(window_codes(last, n, self._bits).tolist())
+        return codes
 
-    def _grow(self) -> None:
-        ell = len(self._codes) + 1
-        bits = self._bits
-        m = max(self._arr.size - ell + 1, 0)  # windows of length ell
-        m_ref = self._ref_len - ell + 1  # those inside the reference prefix
-        buf = np.empty(min(m, _CHUNK), dtype=np.int64)
-        seen = np.zeros(self._id_codes.size << bits, dtype=bool)
-        in_ref = np.zeros_like(seen)
+    def _build(self) -> None:
+        if self._every is not None:
+            return
+        arr, bits, width = self._arr, self._bits, self._width
+        m = arr.size - width + 1 if width else 0  # length-W windows
+        m_ref = self._ref_len - width + 1  # those inside the reference prefix
+        ref = every = np.empty(0, dtype=np.int64)
+        buf = np.empty(min(m, _CHUNK) + max(width - 1, 0), dtype=np.int64)
+        shifted = np.empty_like(buf)
         for a in range(0, m, _CHUNK):
-            pairs = self._pairs(ell, a, min(a + _CHUNK, m), buf)
-            seen[pairs] = True
-            if a < m_ref:
-                in_ref[pairs[: m_ref - a]] = True
-        pairs = np.flatnonzero(seen)
-        # widen the id array only when this length has more ids than it holds
-        width = np.promote_types(self._ids.dtype, np.min_scalar_type(max(pairs.size - 1, 0)))
-        ids = self._ids if width == self._ids.dtype else np.empty(m, dtype=width)
-        rank = np.zeros(seen.size, dtype=width)
-        rank[pairs] = np.arange(pairs.size, dtype=width)
-        for a in range(0, m, _CHUNK):
-            b = min(a + _CHUNK, m)
-            np.take(rank, self._pairs(ell, a, b, buf), out=ids[a:b], mode="clip")
-        self._ids = ids
-        last = (pairs & ((1 << bits) - 1)) << (bits * (ell - 1))
-        self._id_codes = self._id_codes[pairs >> bits] | last
-        self._codes.append(set(self._id_codes.tolist()))
-        self._saturated.append(bool(np.array_equal(seen, in_ref)))
+            count = min(_CHUNK, m - a)
+            span = count + width - 1
+            buf[:span] = arr[a : a + span]
+            # width w -> w + s: the window at i + s holds the s symbols that
+            # follow the window at i, and the w - s it shares with it agree
+            w = 1
+            while w < width:
+                s = min(w, width - w)
+                valid = span - w - s + 1
+                np.left_shift(buf[s : s + valid], bits * s, out=shifted[:valid])
+                np.bitwise_or(buf[:valid], shifted[:valid], out=buf[:valid])
+                w += s
+            k = min(max(m_ref - a, 0), count)
+            inside, rest = _distinct(buf[:k]), _distinct(buf[k:count])
+            ref = _distinct(np.concatenate((ref, inside)))
+            every = _distinct(np.concatenate((every, inside, rest)))
+        self._ref, self._every = ref, every
 
 
 def anti_reverse_code(code: int, n: int) -> int:

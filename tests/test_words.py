@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -194,20 +195,55 @@ def test_factor_index_matches_window_codes(case, chunk, data):
 
 def test_factor_index_across_full_size_chunks():
     # several chunks of the default size, with the reference end in a later
-    # one; the random quaternary word has more than 2^16 factors of length
-    # 9, so its id array widens from one byte to four on the way
+    # one; the random quaternary word has more than 2^16 distinct windows
+    # of its longest codable length, so the merged codes outgrow a chunk
     rng = np.random.default_rng(4)
-    cases = [(pf_word(19).to_array(), 1, 2**19 - 1, np.uint8),
+    cases = [(pf_word(17).to_array(), 1, 2**17 - 1),
              (rng.integers(0, 4, size=2 * words._CHUNK + 12_345).astype(np.uint8), 2,
-              words._CHUNK + 7, np.uint32)]
-    for arr, bits, ref_len, id_type in cases:
+              words._CHUNK + 7)]
+    for arr, bits, ref_len in cases:
         assert arr.size > 2 * words._CHUNK and ref_len > words._CHUNK
         index = FactorIndex(arr, bits, ref_len)
-        for n in range(1, 10):
+        for n in range(1, MAX_CODE_BITS // bits + 1):
             full = _unique_codes(arr, n, bits)
             assert index.codes(n) == full
             assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
-        assert index._ids.dtype == id_type
+
+
+def test_factor_index_edges():
+    # the empty array has no factors, so every length is saturated
+    empty = FactorIndex(np.empty(0, dtype=np.uint8), 1)
+    for n in range(1, MAX_CODE_BITS + 1):
+        assert empty.codes(n) == set() and empty.saturated(n)
+    # words shorter than MAX_CODE_BITS // bits, with every reference end,
+    # so the reference has no longest window
+    for size, symbols in ((2, [1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0]), (4, [3, 1, 2, 1, 3, 0, 2])):
+        arr = np.array(symbols, dtype=np.uint8)
+        bits = Alphabet(size).bits
+        for ref_len in range(arr.size + 1):
+            index = FactorIndex(arr, bits, ref_len)
+            for n in range(1, MAX_CODE_BITS // bits + 1):
+                full = _unique_codes(arr, n, bits)
+                assert index.codes(n) == full
+                assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
+
+
+def test_factor_index_memory_over_generation_20():
+    # the build keeps no array of the generation's size, and its pass
+    # stays within a few chunk buffers
+    arr = pf_word(20).to_array()
+    tracemalloc.start()
+    try:
+        index = FactorIndex(arr, 1, 2**20 - 1)
+        index.saturated(1)
+        kept = tracemalloc.get_traced_memory()[0]
+        for n in range(2, 25):
+            index.saturated(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10
+    assert peak < 2 << 20
 
 
 def test_pfw_roundtrip(tmp_path):
