@@ -52,6 +52,7 @@ __all__ = [
     "left_extend",
     "freeness_certificate",
     "parity_class_separation",
+    "MAX_PARITY_K",
     "EVEN_WINDOW_PATTERNS",
     "ODD_WINDOW_PATTERNS",
 ]
@@ -253,16 +254,24 @@ EVEN_WINDOW_PATTERNS = ("110x100", "0x100y1", "100x110", "0x110y1")
 ODD_WINDOW_PATTERNS = ("10x100y", "x100y11", "00x110y", "x110y10")
 
 
+# the window codes of 2K + 2 offsets and their temporaries peak at about
+# 35 bytes per unit of K, some 300 MB at the cap
+MAX_PARITY_K = 2**23
+
+
 def parity_class_separation(K: int, generation: int) -> CheckReport:
     """Even-offset and odd-offset 7-windows never coincide.
 
     Checks, for all offsets up to K: (a) the set of 7-windows at even
     positions is disjoint from the set at odd positions, and (b) every
     even window matches one of the four even patterns and every odd
-    window one of the four odd patterns.
+    window one of the four odd patterns.  K is capped at MAX_PARITY_K =
+    2^23; a larger K raises ResourceError before any symbol is built.
     """
     if K < 0:
         raise DomainError("K must be non-negative")
+    if K > MAX_PARITY_K:
+        raise ResourceError(f"K {K} exceeds the cap of {MAX_PARITY_K}")
     if generation > MAX_GENERATION:
         raise ResourceError(f"generation {generation} exceeds the cap of {MAX_GENERATION}")
     if 2 * K + 8 > 2 ** (generation + 1) - 1:

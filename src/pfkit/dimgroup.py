@@ -17,8 +17,19 @@ n + 1; the quotient map at stage n sends q in G_{n+2} to (S / d, D / d),
 with kernel H_{n+2} and cone |m| <= 2^n s.  The seeded batteries
 verify_matrix_closed_form and verify_lattice_properties are its oracles.
 
-Randomised property checks take explicit seeds; since all arithmetic is
-exact, sampling is sound (no tolerances) and reports are reproducible.
+The twist sigma_a(s, m) = (s + a m, -m) is multilinear in s, m and a, and
+so is each side of its four identities (it squares to the identity, fixes
+every (q, 0), and 1 + sigma_a maps onto {(q, 0)} with preimage (q/2, 0)).
+verify_twist_identity checks them on a 2x2x2 grid, which proves them for
+every dyadic a and s and every integer m; the seeded battery
+verify_involution_algebra is its oracle.
+
+Of the suite's dimension-group checks, matrix-closed-form,
+lattice-properties and involution are these proofs, and cone-identity is
+the one sampled check: its least-stage search is not a polynomial in
+(num, exp, m), so no grid argument covers it.  Randomised property checks
+take explicit seeds; since all arithmetic is exact, sampling is sound (no
+tolerances) and reports are reproducible.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ __all__ = [
     "verify_lattice_properties",
     "verify_cone_identity",
     "verify_involution_algebra",
+    "verify_twist_identity",
 ]
 
 # occurrence matrix of the substitution 3->31, 2->30, 1->21, 0->20:
@@ -890,6 +902,23 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
     return chk.passed()
 
 
+def _twist_failure(inv: DyadicInvolution, p: DyadicPair):
+    """The failure witness of the first twist identity that fails at
+    (a, p), or None: the twist squares to the identity, fixes (q, 0) for
+    q the dyadic part of p, 1 + twist sends p to integer part 0, and sends
+    the halved preimage of (q, 0) back to (q, 0)."""
+    if involution_apply(inv, involution_apply(inv, p)) != p:
+        return {"reason": "not-an-involution", "a": str(inv.a), "p": str(p)}
+    fixed = DyadicPair(p.s, 0)
+    if involution_apply(inv, fixed) != fixed:
+        return {"reason": "does-not-fix-dyadics", "a": str(inv.a), "p": str(fixed)}
+    if one_plus_sigma_image(inv, p).m != 0:
+        return {"reason": "image-not-integer-free", "a": str(inv.a), "p": str(p)}
+    if one_plus_sigma_image(inv, one_plus_sigma_preimage(inv, fixed)) != fixed:
+        return {"reason": "preimage-wrong", "a": str(inv.a), "target": str(fixed)}
+    return None
+
+
 def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckReport:
     """For random dyadic twist values a: the twist squares to the
     identity and fixes every (q, 0); adding the twisted copy always lands
@@ -898,22 +927,42 @@ def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckRepor
     chk = Check("dimgroup.involution", {"samples": samples},
                 "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
     getrandbits = random.Random(seed).getrandbits
-
-    def fail(reason, payload):
-        return chk.failed({"reason": reason, **payload})
-
     for _ in range(samples):
-        inv, p = _draw_twist(getrandbits)
-        if involution_apply(inv, involution_apply(inv, p)) != p:
-            return fail("not-an-involution", {"a": str(inv.a), "p": str(p)})
-        fixed = DyadicPair(p.s, 0)
-        if involution_apply(inv, fixed) != fixed:
-            return fail("does-not-fix-dyadics", {"a": str(inv.a), "p": str(fixed)})
-        image = one_plus_sigma_image(inv, p)
-        if image.m != 0:
-            return fail("image-not-integer-free", {"a": str(inv.a), "p": str(p)})
-        target = DyadicPair(p.s, 0)
-        pre = one_plus_sigma_preimage(inv, target)
-        if one_plus_sigma_image(inv, pre) != target:
-            return fail("preimage-wrong", {"a": str(inv.a), "target": str(target)})
+        witness = _twist_failure(*_draw_twist(getrandbits))
+        if witness is not None:
+            return chk.failed(witness)
+    return chk.passed()
+
+
+# two values of each of s, m and a; the non-zero dyadics have positive
+# exponents, so the checks run through the dyadic shifts
+_TWIST_GRID = {
+    "s": (DYADIC_ZERO, DyadicRational(3, 5)),
+    "m": (0, 7),
+    "a": (DYADIC_ZERO, DyadicRational(-5, 3)),
+}
+
+
+def verify_twist_identity() -> CheckReport:
+    """The twist identities of verify_involution_algebra for every dyadic
+    a and s and every integer m, from the 8 points of a 2x2x2 grid.
+
+    involution_apply is (s + a m, -m), so each side of each identity, the
+    twist applied twice, the twist of (q, 0), the integer part of
+    p + twist(p) and the image (q/2 + q/2 + a 0, 0) of the halved
+    preimage, has degree at most 1 in each of s, m and a.  Such a
+    polynomial is fixed by its values on any grid of two values per
+    variable, so the identities hold everywhere once they hold on the
+    grid, as the affine step of verify_closed_form_induction does for its
+    lemma."""
+    chk = Check("dimgroup.involution",
+                {name: [v if isinstance(v, int) else str(v) for v in values]
+                 for name, values in _TWIST_GRID.items()},
+                "for every dyadic a, s and integer m the twist (s + a m, -m) is an involution "
+                "fixing (q, 0), and 1 + twist maps onto {(q, 0)} via (q/2, 0): multilinear "
+                "identities checked on a 2x2x2 grid")
+    for s, m, a in itertools.product(*_TWIST_GRID.values()):
+        witness = _twist_failure(DyadicInvolution(a), DyadicPair(s, m))
+        if witness is not None:
+            return chk.failed(witness)
     return chk.passed()

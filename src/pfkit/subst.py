@@ -177,13 +177,27 @@ def abelianization(s: Substitution) -> AbelianMatrix:
     return AbelianMatrix(tuple(rows))
 
 
+def _covering_prefix(s: Substitution, w: Word, L: int) -> Word:
+    """The shortest prefix of ``w`` whose image has at least L symbols, or
+    ``w`` itself when its whole image is shorter."""
+    arr = w.to_array()
+    if s._uniform:
+        k = -(-L // s._uniform)
+    else:
+        lengths = np.array([s.rules[a].length for a in range(s.alphabet.size)])
+        k = int(np.searchsorted(np.cumsum(lengths[arr]), L)) + 1
+    return w if k >= w.length else Word.from_array(arr[:k], s.alphabet)
+
+
 def fixed_prefix(s: Substitution, L: int) -> Word:
     """First L symbols of the substitution's one-sided fixed point.
 
     Requires a primitive, left-proper substitution.  Iterates from the
     common first letter and asserts prefix stability between the last two
-    iterations.  ``L`` is capped at paperfold.MAX_PREFIX_LEN (2^31 - 1),
-    the budget of paperfold.pf_prefix; larger requests raise ResourceError.
+    iterations.  Each application reads only the letters whose images
+    cover the first L symbols, so no iterate is longer than L plus one
+    image.  ``L`` is capped at paperfold.MAX_PREFIX_LEN (2^31 - 1), the
+    budget of paperfold.pf_prefix; larger requests raise ResourceError.
     """
     if L < 0:
         raise DomainError("prefix length must be non-negative")
@@ -203,7 +217,8 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     while cur.length < L:
         nxt = cur
         for _ in range(step):
-            nxt = apply(s, nxt)
+            nxt = apply(s, _covering_prefix(s, nxt, L))
+        # images are never empty, so nxt is at least as long as cur
         if not np.array_equal(nxt.to_array()[: cur.length], cur.to_array()):
             raise DomainError("iteration is not prefix-stable; no fixed point")
         cur = nxt

@@ -1,12 +1,15 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfkit import paperfold
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
+    MAX_PARITY_K,
     ODD_WINDOW_PATTERNS,
     FreenessCertificate,
     LanguageOracle,
@@ -245,6 +248,18 @@ def test_parity_reads_only_the_windows_it_codes(symbols):
             parity_class_separation(10, MAX_GENERATION + 1)
         with pytest.raises(DomainError):
             parity_class_separation(-1, 30)
+
+
+def test_parity_cap_is_checked_before_any_symbol_is_built():
+    class PrefixBuilt(Exception):
+        pass
+
+    with mock.patch.object(paperfold, "_prefix_array", side_effect=PrefixBuilt):
+        for K in (MAX_PARITY_K + 1, 10**9):
+            with pytest.raises(ResourceError):
+                parity_class_separation(K, MAX_GENERATION)
+        with pytest.raises(PrefixBuilt):  # the cap itself passes validation
+            parity_class_separation(MAX_PARITY_K, MAX_GENERATION)
 
 
 def test_parity_negative_control(symbols):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -751,3 +752,83 @@ def test_cone_battery_holds_one_sample_at_a_time(traced_peak):
     rep, peak = traced_peak(verify_cone_identity, 10_000, 42)
     assert rep.status == "pass"
     assert peak < 0.25 * 2**20
+
+
+# the twist identities: the grid proof, its premise and its controls
+
+dyadics = st.builds(DyadicRational, st.integers(-(2**40), 2**40), st.integers(0, 30))
+
+
+def twist_formula_mismatch(a, s, m, q):
+    """Whether the twist maps differ, at (a, (s, m)) and target (q, 0), from
+    the Fraction formulas (s + a m, -m), (2s + a m, 0) and (q/2, 0) that
+    the grid proof reads off the code."""
+    inv, p = DyadicInvolution(a), DyadicPair(s, m)
+    fa, fs, fq = a.to_fraction(), s.to_fraction(), q.to_fraction()
+    got = [(x.s.to_fraction(), x.m) for x in (
+        dimgroup.involution_apply(inv, p),
+        dimgroup.one_plus_sigma_image(inv, p),
+        dimgroup.one_plus_sigma_preimage(inv, DyadicPair(q, 0)))]
+    return got != [(fs + fa * m, -m), (2 * fs + fa * m, 0), (fq / 2, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=dyadics, s=dyadics, m=st.integers(-(2**40), 2**40), q=dyadics)
+def test_twist_maps_match_their_fraction_formulas(a, s, m, q):
+    assert not twist_formula_mismatch(a, s, m, q)
+
+
+def reference_involution_battery(samples, seed):
+    """The involution battery with its four identities written inline;
+    the battery must give the same report, failure payloads included."""
+    chk = Check("dimgroup.involution", {"samples": samples},
+                "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
+    randint = random.Random(seed).randint
+    apply = dimgroup.involution_apply
+    for _ in range(samples):
+        inv, p = _randint_twist(randint)
+        if apply(inv, apply(inv, p)) != p:
+            return chk.failed({"reason": "not-an-involution", "a": str(inv.a), "p": str(p)})
+        fixed = DyadicPair(p.s, 0)
+        if apply(inv, fixed) != fixed:
+            return chk.failed({"reason": "does-not-fix-dyadics", "a": str(inv.a), "p": str(fixed)})
+        if dimgroup.one_plus_sigma_image(inv, p).m != 0:
+            return chk.failed({"reason": "image-not-integer-free", "a": str(inv.a), "p": str(p)})
+        pre = dimgroup.one_plus_sigma_preimage(inv, fixed)
+        if dimgroup.one_plus_sigma_image(inv, pre) != fixed:
+            return chk.failed({"reason": "preimage-wrong", "a": str(inv.a), "target": str(fixed)})
+    return chk.passed()
+
+
+def _twist(shift, sign=-1, power=1):
+    """(s + shift(a) m^power, sign m) as an involution_apply mutation."""
+    return lambda inv, p: DyadicPair(p.s + shift(inv.a) * DyadicRational(p.m**power, 0), sign * p.m)
+
+
+# name -> (patched function, replacement, verdict of the identity checks).
+# "a dropped" and "a m doubled" are the twists sigma_0 and sigma_2a, which
+# satisfy every identity for every a: no check of the identities, proof or
+# battery, can fail under them, and only the premise test tells them from
+# sigma_a.  The other mutations break an identity.
+TWIST_MUTATIONS = {
+    "none": (None, None, "pass"),
+    "sign kept": ("involution_apply", _twist(lambda a: a, sign=1), "fail"),
+    "a dropped": ("involution_apply", _twist(lambda a: DYADIC_ZERO), "pass"),
+    "a m doubled": ("involution_apply", _twist(lambda a: 2 * a), "pass"),
+    "a m squared": ("involution_apply", _twist(lambda a: a, power=2), "fail"),
+    "image drops p": ("one_plus_sigma_image", lambda inv, p: dimgroup.involution_apply(inv, p), "fail"),
+    "preimage not halved": ("one_plus_sigma_preimage", lambda inv, target: target, "fail"),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIST_MUTATIONS))
+def test_twist_proof_and_battery_under_mutation(name):
+    target, replacement, verdict = TWIST_MUTATIONS[name]
+    patch = mock.patch.object(dimgroup, target, replacement) if target else contextlib.nullcontext()
+    with patch:
+        proof, battery = dimgroup.verify_twist_identity(), verify_involution_algebra(1000, 42)
+        assert _report_body(battery) == _report_body(reference_involution_battery(1000, 42))
+        mismatch = twist_formula_mismatch(DyadicRational(-5, 3), DyadicRational(3, 5), 7, DyadicRational(3, 5))
+    assert (proof.status, battery.status) == (verdict, verdict), (proof.witness, battery.witness)
+    assert mismatch == (name != "none")
+    assert proof.params == {"s": ["0/2^0", "3/2^5"], "m": [0, 7], "a": ["0/2^0", "-5/2^3"]}

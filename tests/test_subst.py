@@ -101,6 +101,19 @@ def test_fixed_prefix():
         fixed_prefix(not_proper, 8)
 
 
+def test_fixed_prefix_builds_no_iterate_past_the_requested_length(tmp_path, traced_peak):
+    # four 64-letter images: the iterate that covers 64^3 + 1 symbols is
+    # 64^4 = 2^24 symbols long, but only its first 64^3 + 64 are built
+    rules = {a: "3" + "".join("0123"[(a + 5 * i) % 4] for i in range(63)) for a in range(4)}
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": rules}))
+    s = Substitution.from_json(path.read_bytes())
+    prefix, peak = traced_peak(fixed_prefix, s, 64**3 + 1)
+    # the fixed point u is its own image: u[:64^3 + 1] starts the image of u[:64^2 + 1]
+    assert prefix == Word.from_array(apply(s, fixed_prefix(s, 64**2 + 1)).to_array()[: 64**3 + 1], QUATERNARY)
+    assert peak < 4 * 2**20
+
+
 def test_block_code():
     assert str(block_code(Word("1101100111001001"))) == "31213021"
     assert str(block_code(Word("00"))) == "0"
