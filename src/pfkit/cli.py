@@ -19,10 +19,11 @@ registry order, and reports them in that order.  The census, closure and
 freeness checks each read the least generation that holds the infinite
 word's factors at their lengths (``paperfold.language_generation``).  The
 two lattice checks prove their facts for every index by the lemma in
-``pfkit.dimgroup``, and the involution check proves the twist identities
-for every dyadic twist value from a 2x2x2 grid; none of the three draws a
-random number.  ``dimgroup.cone-identity`` is the one seeded, sampled
-check.
+``pfkit.dimgroup``, the involution check proves the twist identities
+for every dyadic twist value from a 2x2x2 grid, and the cone check proves
+the least-stage cone identity for every dyadic pair from its closed form.
+No suite check draws a random number: the seed is echoed in every report,
+and only ``pfkit dimgroup verify`` draws from it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 import sys
 
 from . import dihedral, dimgroup, paperfold, subst
-from .errors import ExtensionError, PfkitError
+from .errors import ExtensionError, PfkitError, ResourceError
 from .report import Check, CheckReport, emit_report
 from .words import Word, to_pfw_bytes, write_pfw
 
@@ -48,7 +49,6 @@ PROFILES = {
         preperiod=512,
         parity_K=4000,
         recode_exp=14,
-        cone_samples=1000,
         discrepancy_N=10,
     ),
     "full": dict(
@@ -59,7 +59,6 @@ PROFILES = {
         preperiod=4096,
         parity_K=100_000,
         recode_exp=18,
-        cone_samples=10_000,
         discrepancy_N=20,
     ),
 }
@@ -139,26 +138,26 @@ def _check_subst_structure() -> CheckReport:
     return chk.report("pass" if ok else "fail", facts)
 
 
-# each entry is called as fn(params, seed)
+# each entry is called as fn(params)
 REGISTRY = (
-    ("paperfold.generation-fidelity", lambda p, seed: paperfold.verify_generation_fidelity()),
-    ("paperfold.self-similarity", lambda p, seed: _check_self_similarity_battery(p["selfsim_budget"])),
-    ("paperfold.antipalindrome-census", lambda p, seed: _check_census(paperfold.language_generation(8), 8)),
-    ("paperfold.recurrence", lambda p, seed: _check_recurrence_battery(p["recurrence_p_max"])),
-    ("paperfold.aperiodicity", lambda p, seed: paperfold.check_aperiodic(
+    ("paperfold.generation-fidelity", lambda p: paperfold.verify_generation_fidelity()),
+    ("paperfold.self-similarity", lambda p: _check_self_similarity_battery(p["selfsim_budget"])),
+    ("paperfold.antipalindrome-census", lambda p: _check_census(paperfold.language_generation(8), 8)),
+    ("paperfold.recurrence", lambda p: _check_recurrence_battery(p["recurrence_p_max"])),
+    ("paperfold.aperiodicity", lambda p: paperfold.check_aperiodic(
         p["preperiod"] + 2 * p["max_period"], p["max_period"], p["preperiod"])),
-    ("dihedral.antireversal-closure", lambda p, seed: _check_closure(16)),
-    ("dihedral.freeness", lambda p, seed: _check_freeness(paperfold.language_generation(8))),
-    ("dihedral.parity-separation", lambda p, seed: dihedral.parity_class_separation(p["parity_K"], p["generation"])),
-    ("subst.structure", lambda p, seed: _check_subst_structure()),
-    ("subst.recoding", lambda p, seed: subst.verify_recoding(2 ** p["recode_exp"])),
-    ("subst.intertwining", lambda p, seed: subst.verify_intertwining(2 ** (p["recode_exp"] + 1))),
-    ("dimgroup.matrix-closed-form", lambda p, seed: dimgroup.verify_closed_form_induction()),
-    ("dimgroup.lattice-properties", lambda p, seed: dimgroup.verify_lattice_image()),
-    ("dimgroup.cone-identity", lambda p, seed: dimgroup.verify_cone_identity(p["cone_samples"], seed)),
-    ("dimgroup.involution", lambda p, seed: dimgroup.verify_twist_identity()),
-    ("dimgroup.discrepancy-growth", lambda p, seed: dimgroup.verify_unbounded_discrepancy(p["discrepancy_N"])),
-    ("dimgroup.coboundary-bound", lambda p, seed: dimgroup.verify_coboundary_bound(2**16)),
+    ("dihedral.antireversal-closure", lambda p: _check_closure(16)),
+    ("dihedral.freeness", lambda p: _check_freeness(paperfold.language_generation(8))),
+    ("dihedral.parity-separation", lambda p: dihedral.parity_class_separation(p["parity_K"], p["generation"])),
+    ("subst.structure", lambda p: _check_subst_structure()),
+    ("subst.recoding", lambda p: subst.verify_recoding(2 ** p["recode_exp"])),
+    ("subst.intertwining", lambda p: subst.verify_intertwining(2 ** (p["recode_exp"] + 1))),
+    ("dimgroup.matrix-closed-form", lambda p: dimgroup.verify_closed_form_induction()),
+    ("dimgroup.lattice-properties", lambda p: dimgroup.verify_lattice_image()),
+    ("dimgroup.cone-identity", lambda p: dimgroup.verify_cone_stage()),
+    ("dimgroup.involution", lambda p: dimgroup.verify_twist_identity()),
+    ("dimgroup.discrepancy-growth", lambda p: dimgroup.verify_unbounded_discrepancy(p["discrepancy_N"])),
+    ("dimgroup.coboundary-bound", lambda p: dimgroup.verify_coboundary_bound(2**16)),
 )
 
 
@@ -178,7 +177,7 @@ def run_all(profile: str = "quick", seed: int = DEFAULT_SEED):
     for name, fn in REGISTRY:
         chk = Check(name, {"profile": profile}, "")
         try:
-            rep = fn(params, seed)
+            rep = fn(params)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             rep = chk.report("error", {"exception": f"{type(exc).__name__}: {exc}"})
         reports.append(dataclasses.replace(rep, seed=seed))
@@ -258,6 +257,9 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    # refused before the oracle builds its generation
+    if args.steps > dihedral.MAX_EXTEND_STEPS:
+        raise ResourceError(f"steps {args.steps} exceeds the cap of {dihedral.MAX_EXTEND_STEPS}")
     params = {"seed": args.seed, "steps": args.steps, "horizon": args.horizon,
               "generation": args.generation}
     chk = Check("dihedral.left-extend", params, "the seed extends leftwards inside the language")

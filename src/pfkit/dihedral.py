@@ -50,6 +50,7 @@ __all__ = [
     "FreenessCertificate",
     "check_closure_under_antireversal",
     "left_extend",
+    "MAX_EXTEND_STEPS",
     "freeness_certificate",
     "parity_class_separation",
     "MAX_PARITY_K",
@@ -155,6 +156,11 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
     return chk.passed()
 
 
+# each step probes the oracle with up to one new window per letter; at the
+# cap a run takes about 2 s
+MAX_EXTEND_STEPS = 2**16
+
+
 def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) -> Word:
     """Extend ``seed`` to the left by ``steps`` letters, keeping every
     window of length up to ``horizon`` inside the language.
@@ -163,10 +169,13 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
     admissible when the longest new window it creates (capped by the
     horizon) is a factor.  Raises ExtensionError with the stuck prefix
     when no letter works, which signals a too-small horizon or a
-    non-recurrent source, not a contradiction.
+    non-recurrent source, not a contradiction.  ``steps`` is capped at
+    MAX_EXTEND_STEPS = 2^16; more raise ResourceError.
     """
     if steps < 0 or horizon < 1:
         raise DomainError("need steps >= 0 and horizon >= 1")
+    if steps > MAX_EXTEND_STEPS:
+        raise ResourceError(f"steps {steps} exceeds the cap of {MAX_EXTEND_STEPS}")
     if steps + seed.length + horizon > oracle.max_len:
         raise DomainError("steps + |seed| + horizon must stay within oracle.max_len")
     if not oracle.contains(seed):

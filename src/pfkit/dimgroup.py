@@ -24,12 +24,19 @@ verify_twist_identity checks them on a 2x2x2 grid, which proves them for
 every dyadic a and s and every integer m; the seeded battery
 verify_involution_algebra is its oracle.
 
-Of the suite's dimension-group checks, matrix-closed-form,
-lattice-properties and involution are these proofs, and cone-identity is
-the one sampled check: its least-stage search is not a polynomial in
-(num, exp, m), so no grid argument covers it.  Randomised property checks
-take explicit seeds; since all arithmetic is exact, sampling is sound (no
-tolerances) and reports are reproducible.
+The least stage of a point (s, m) of the cone, s = num / 2^exp > 0, is
+exp + (c - 1).bit_length() with c = max(1, ceil(|m| / num)).  It is valid
+and least by the bracket 2^(b-1) <= x < 2^b of b = x.bit_length(), and
+cone membership on both sides is a case split on the sign of num, which
+rescaling by a power of 2 keeps.  verify_cone_stage checks the bracket at
+its edges and one point of each sign class; the seeded battery
+verify_cone_identity is its oracle.
+
+So of the suite's dimension-group checks, matrix-closed-form,
+lattice-properties, cone-identity and involution are proofs, the
+discrepancy and coboundary checks scan a fixed prefix, and none draws a
+random number.  The batteries take explicit seeds; since all arithmetic
+is exact, sampling is sound (no tolerances) and reports are reproducible.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ __all__ = [
     "verify_coboundary_bound",
     "verify_lattice_properties",
     "verify_cone_identity",
+    "verify_cone_stage",
     "verify_involution_algebra",
     "verify_twist_identity",
 ]
@@ -407,16 +415,15 @@ def staged_cone_witness(p: DyadicPair):
     """Least stage n certifying cone membership: s lies in (1/2^n)Z,
     s >= 0 and |m| <= 2^n * s.  None when p is not in the cone; together
     with cone_membership this is the identity between the stagewise union
-    and its closed description."""
-    if p.s == DYADIC_ZERO:
-        return 0 if p.m == 0 else None
-    if p.s < DYADIC_ZERO:
-        return None
-    n, val = p.s.exp, p.s.num
-    while val < abs(p.m):
-        val *= 2
-        n += 1
-    return n
+    and its closed description.
+
+    For s = num / 2^exp > 0 the stage is exp + (c - 1).bit_length(), with
+    c = max(1, ceil(|m| / num)) the least c with c * num >= |m|."""
+    num, exp = p.s.num, p.s.exp
+    if num <= 0:
+        return 0 if num == 0 and p.m == 0 else None
+    c = max(1, -(-abs(p.m) // num))
+    return exp + (c - 1).bit_length()
 
 
 def rescale_unit(p: DyadicPair, old_unit_s: DyadicRational) -> DyadicPair:
@@ -857,48 +864,111 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     return chk.passed()
 
 
+def _unit_failure():
+    """The failure witness of the unit normalisation facts, or None: the
+    all-ones vector maps to (4, 0), and rescaling by 4 makes it (1, 0)."""
+    unit_pair = alpha((1, 1, 1, 1), 0)
+    if unit_pair != DyadicPair(DyadicRational(4, 0), 0):
+        return {"reason": "unit-image", "got": str(unit_pair)}
+    rescaled = rescale_unit(unit_pair, DyadicRational(4, 0))
+    if rescaled != DyadicPair(DYADIC_ONE, 0):
+        return {"reason": "unit-rescale", "got": str(rescaled)}
+    return None
+
+
+def _cone_failure(p: DyadicPair):
+    """The failure witness of the first cone fact that fails at p, or
+    None: staged_cone_witness gives a stage exactly when p is in the cone,
+    that stage n is valid (exp <= n, s >= 0 and |m| <= 2^n s) and least
+    (n = exp, or |m| > 2^(n-1) s), and rescaling by 4 keeps the cone."""
+    direct = cone_membership(p)
+    n = staged_cone_witness(p)
+    if (n is not None) != direct:
+        return {"reason": "staged-vs-direct", "p": str(p)}
+    if n is not None:
+        num, exp = p.s.num, p.s.exp
+        if not (exp <= n and p.s >= DYADIC_ZERO and abs(p.m) <= num * 2 ** (n - exp)):
+            return {"reason": "witness-invalid", "p": str(p), "witness": n}
+        if n > exp and num * 2 ** (n - exp - 1) >= abs(p.m):
+            return {"reason": "witness-not-least", "p": str(p), "witness": n}
+    if cone_membership(rescale_unit(p, DyadicRational(4, 0))) != direct:
+        return {"reason": "rescale-not-order-preserving", "p": str(p)}
+    return None
+
+
 def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
     """Staged-vs-direct cone membership agreement on the dyadic grid
-    |num| <= 2^20, exp <= 20, |m| <= 2^20, with explicit stage witnesses,
-    plus the unit normalisation facts: the all-ones vector maps to (4, 0)
-    and rescaling by 4 makes it (1, 0)."""
+    |num| <= 2^20, exp <= 20, |m| <= 2^20, with explicit stage witnesses
+    checked valid and least, plus the unit normalisation facts: the
+    all-ones vector maps to (4, 0) and rescaling by 4 makes it (1, 0)."""
     _check_samples(samples)
     chk = Check("dimgroup.cone-identity", {"samples": samples},
                 "staged cone union equals {s > 0} plus the origin; unit maps to (1,0)", seed=seed)
     getrandbits = random.Random(seed).getrandbits
-
-    def fail(reason, payload):
-        return chk.failed({"reason": reason, **payload})
-
-    unit_pair = alpha((1, 1, 1, 1), 0)
-    if unit_pair != DyadicPair(DyadicRational(4, 0), 0):
-        return fail("unit-image", {"got": str(unit_pair)})
-    if rescale_unit(unit_pair, DyadicRational(4, 0)) != DyadicPair(DYADIC_ONE, 0):
-        return fail("unit-rescale", {"got": str(rescale_unit(unit_pair, DyadicRational(4, 0)))})
-
     specials = [
         DyadicPair(DYADIC_ZERO, 0),
         DyadicPair(DYADIC_ZERO, 5),
         DyadicPair(DyadicRational(1, 3), 1000),
         DyadicPair(DyadicRational(-1, 2), 0),
     ]
-    draws = (_draw_cone_pair(getrandbits) for _ in range(samples))
-    for p in itertools.chain(specials, draws):
-        direct = cone_membership(p)
-        witness_n = staged_cone_witness(p)
-        if (witness_n is not None) != direct:
-            return fail("staged-vs-direct", {"p": str(p)})
-        if witness_n is not None:
-            ok = (
-                p.s.exp <= witness_n
-                and p.s >= DYADIC_ZERO
-                and abs(p.m) <= p.s.num * 2 ** (witness_n - p.s.exp)
-            )
-            if not ok:
-                return fail("witness-invalid", {"p": str(p), "witness": witness_n})
-        # rescaling by a positive power of 2 preserves the cone
-        if cone_membership(rescale_unit(p, DyadicRational(4, 0))) != direct:
-            return fail("rescale-not-order-preserving", {"p": str(p)})
+    pairs = itertools.chain(specials, (_draw_cone_pair(getrandbits) for _ in range(samples)))
+    for witness in itertools.chain([_unit_failure()], map(_cone_failure, pairs)):
+        if witness is not None:
+            return chk.failed(witness)
+    return chk.passed()
+
+
+# s = num / 2^5 for each sign of num, and the ceilings c at which the
+# bracket of (c - 1).bit_length() is evaluated: 1, 2, and 2^j, 2^j + 1 for
+# a j past the 32-bit and one past the 64-bit width
+_CONE_NUMS = (-3, 0, 3)
+_CONE_J = (33, 65)
+
+
+def _cone_points():
+    """One pair per sign class of num with m = 0, 1 and -1, then for
+    s = 3/2^5 and each ceiling c the |m| = 3c, a multiple of num, and
+    |m| = 3(c - 1) + 1, not one, with both signs of m."""
+    for num in _CONE_NUMS:
+        for m in (0, 1, -1):
+            yield DyadicPair(DyadicRational(num, 5), m)
+    s = DyadicRational(3, 5)
+    for c in (1, 2, *(c for j in _CONE_J for c in (2**j, 2**j + 1))):
+        for abs_m in (3 * c, 3 * (c - 1) + 1):
+            yield DyadicPair(s, abs_m)
+            yield DyadicPair(s, -abs_m)
+
+
+def verify_cone_stage() -> CheckReport:
+    """The cone identity of verify_cone_identity, with least stages, for
+    every dyadic s and every integer m, from the unit facts and 33 pairs.
+
+    Let s = num / 2^exp.  cone_membership holds iff num > 0, or num = 0
+    and m = 0.  staged_cone_witness returns None for num < 0, 0 or None for
+    num = 0 as m is 0 or not, and exp + b for num > 0, with
+    b = (c - 1).bit_length() and c = max(1, ceil(|m| / num)).  Rescaling by
+    a positive power of 2 changes exp, never num's sign or m.  So whether
+    each side holds, before and after rescaling, is constant on each sign
+    class of num with m = 0 and m != 0, and one pair per class, m = 0, 1
+    and -1, decides it.  For num > 0, b is read off the bracket
+    2^(b-1) <= c - 1 < 2^b (c - 1 = 0 when b = 0).  Its right half gives
+    c <= 2^b, so num 2^b >= num c >= |m| and stage exp + b is valid; its
+    left half with c - 1 < |m| / num gives num 2^(b-1) < |m|, so no
+    earlier stage is.  The bracket holds for every integer by the
+    definition of bit_length, and the check evaluates the code at its
+    edges c = 1, 2, 2^j and 2^j + 1, past the 32- and 64-bit widths, with
+    |m| a multiple of num and not, of both signs, where a floor for the
+    ceiling or c for c - 1 would move the stage, as verify_twist_identity
+    reads its identities' degree off the code."""
+    chk = Check("dimgroup.cone-identity",
+                {"num": list(_CONE_NUMS), "exp": 5, "m": [0, 1, -1], "j": list(_CONE_J)},
+                "for every dyadic s and integer m the least stage n with |m| <= 2^n s exists "
+                "exactly when s > 0 or (s, m) = (0, 0), and rescaling keeps the cone; unit maps "
+                "to (1,0): one pair per sign class, and the bit-length bracket at "
+                "c = 1, 2, 2^j, 2^j + 1")
+    for witness in itertools.chain([_unit_failure()], map(_cone_failure, _cone_points())):
+        if witness is not None:
+            return chk.failed(witness)
     return chk.passed()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pfkit import paperfold
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
+    MAX_EXTEND_STEPS,
     MAX_PARITY_K,
     ODD_WINDOW_PATTERNS,
     FreenessCertificate,
@@ -172,6 +173,8 @@ def test_left_extend_errors():
         left_extend(oracle, Word("11111111"), 2, 10)  # not a factor
     with pytest.raises(DomainError):
         left_extend(oracle, pf_word(3), 20, 30)  # budget over max_len
+    with pytest.raises(ResourceError):
+        left_extend(oracle, pf_word(3), MAX_EXTEND_STEPS + 1, 30)  # over the cap
     # non-recurrent source gets stuck: nothing can precede the global head
     src = Word("10000000")
     small = LanguageOracle(src, 8, reference_len=8)

@@ -37,6 +37,7 @@ from pfkit.dimgroup import (
     rescale_unit,
     staged_cone_witness,
     verify_cone_identity,
+    verify_cone_stage,
     verify_coboundary_bound,
     verify_involution_algebra,
     verify_lattice_properties,
@@ -752,6 +753,82 @@ def test_cone_battery_holds_one_sample_at_a_time(traced_peak):
     rep, peak = traced_peak(verify_cone_identity, 10_000, 42)
     assert rep.status == "pass"
     assert peak < 0.25 * 2**20
+
+
+# the cone identity: the closed-form proof, its premise and its controls
+
+
+def search_cone_witness(p):
+    """The least stage by search, doubling num / 2^exp until it reaches
+    |m|: the premise oracle of the closed form in staged_cone_witness."""
+    if p.s == DYADIC_ZERO:
+        return 0 if p.m == 0 else None
+    if p.s < DYADIC_ZERO:
+        return None
+    n, val = p.s.exp, p.s.num
+    while val < abs(p.m):
+        val *= 2
+        n += 1
+    return n
+
+
+@settings(max_examples=500, deadline=None)
+@given(num=st.integers(-(2**40), 2**40), exp=st.integers(0, 60), m=st.integers(-(2**60), 2**60))
+def test_cone_stage_matches_the_search(num, exp, m):
+    p = DyadicPair(DyadicRational(num, exp), m)
+    assert staged_cone_witness(p) == search_cone_witness(p)
+
+
+def test_cone_stage_matches_the_search_next_to_powers_of_two():
+    for k in range(80):
+        for m in (2**k - 1, 2**k + 1, 1 - 2**k, -(2**k) - 1):
+            for num, exp in ((1, 0), (3, 4), (2**40 - 1, 60)):
+                p = DyadicPair(DyadicRational(num, exp), m)
+                assert staged_cone_witness(p) == search_cone_witness(p), (p, k)
+
+
+def _shifted(k, real=dimgroup.staged_cone_witness):
+    """The stage moved by k, as staged_cone_witness mutations; stage 0 is
+    not moved below 0."""
+    return lambda p: None if (n := real(p)) is None else max(n + k, 0)
+
+
+def _closed_stage(ceil=lambda m, num: -(-m // num), bits=lambda c: (c - 1).bit_length(),
+                  admit_negative=False, admit_zero=False):
+    """staged_cone_witness's closed form with one part replaceable."""
+    def stage(p):
+        num = abs(p.s.num) if admit_negative else p.s.num
+        if num <= 0:
+            return 0 if num == 0 and (p.m == 0 or admit_zero) else None
+        return p.s.exp + bits(max(1, ceil(abs(p.m), num)))
+    return stage
+
+
+# name -> (staged_cone_witness replacement, verdict of the proof, verdict of
+# verify_cone_identity(10_000, 42)).  "one stage late" and "c for c - 1"
+# give valid stages, so only the leastness check fails them.  A float
+# ceiling is exact on the battery's grid (|m| <= 2^20) and first goes wrong
+# at the proof's c = 2^65 + 1.
+CONE_MUTATIONS = {
+    "none": (None, "pass", "pass"),
+    "one stage early": (_shifted(-1), "fail", "fail"),
+    "one stage late": (_shifted(1), "fail", "fail"),
+    "floor for ceiling": (_closed_stage(ceil=lambda m, num: m // num), "fail", "fail"),
+    "c for c - 1": (_closed_stage(bits=lambda c: c.bit_length()), "fail", "fail"),
+    "negative num admitted": (_closed_stage(admit_negative=True), "fail", "fail"),
+    "(0, m != 0) admitted": (_closed_stage(admit_zero=True), "fail", "fail"),
+    "float ceiling": (_closed_stage(ceil=lambda m, num: math.ceil(m / num)), "fail", "pass"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONE_MUTATIONS))
+def test_cone_proof_and_battery_under_mutation(name):
+    replacement, proof_verdict, battery_verdict = CONE_MUTATIONS[name]
+    patch = (mock.patch.object(dimgroup, "staged_cone_witness", replacement)
+             if replacement else contextlib.nullcontext())
+    with patch:
+        proof, battery = verify_cone_stage(), verify_cone_identity(10_000, 42)
+    assert (proof.status, battery.status) == (proof_verdict, battery_verdict), (proof.witness, battery.witness)
 
 
 # the twist identities: the grid proof, its premise and its controls

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pfkit import dimgroup, paperfold, words
 from pfkit.cli import PROFILES, REGISTRY, exit_code, main, run_all
-from pfkit.dihedral import MAX_PARITY_K, LanguageOracle
+from pfkit.dihedral import MAX_EXTEND_STEPS, MAX_PARITY_K, LanguageOracle
 from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
 from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, pf_word
 from pfkit.report import Check, CheckReport, emit_report
@@ -23,9 +23,9 @@ from pfkit.words import Word, read_pfw
 
 # SHA-256 of the quick-profile report at seed 42 with elapsed_ms removed;
 # any change to a report's bytes changes it
-QUICK_REPORT_DIGEST = "62ec4e00e7d90d9a08af82316bdb68831bfc9d932692ac51b528af65f4df3900"
+QUICK_REPORT_DIGEST = "bf503f1e6f0ac120365491b114060bf7d6a9685d5a0039b5cf25e623c2906b6e"
 # the same for the full-profile report at seed 42
-FULL_REPORT_DIGEST = "e40bcdc88764cca64bfe1a6d1658a24dbaf99b0ce30b554f4c6be00b9cbe2484"
+FULL_REPORT_DIGEST = "b196d09db000cec1a98f010db9e613086c42f8661e3e6943650c427627eb596f"
 
 
 def report_digest(reports):
@@ -220,34 +220,50 @@ def test_run_all_full_report_digest():
     assert report_digest([r.to_dict() for r in run_all("full", seed=42)]) == FULL_REPORT_DIGEST
 
 
-def test_run_all_samples_no_lattice(monkeypatch):
-    # the suite proves the lattice facts for every index; the seeded
-    # battery and the sampled closed form stay outside it
+@pytest.mark.parametrize("samplers", [
+    ("_RandintBlocks", "verify_lattice_properties", "verify_matrix_closed_form"),
+    ("_draw_twist", "verify_involution_algebra"),
+    ("_draw_cone_pair", "verify_cone_identity"),
+], ids=["lattice", "twist", "cone"])
+def test_run_all_draws_nothing(monkeypatch, samplers):
+    # the suite proves the lattice facts for every index, the twist
+    # identities for every a, s and m, and the cone identity for every
+    # dyadic pair; the seeded batteries and their draws stay outside it
     def no_sampling(*args):
-        raise AssertionError("the suite sampled a lattice")
+        raise AssertionError("the suite sampled")
 
-    for name in ("_RandintBlocks", "verify_lattice_properties", "verify_matrix_closed_form"):
+    for name in samplers:
         monkeypatch.setattr(dimgroup, name, no_sampling)
     reports = run_all("full", seed=42)
     assert [(r.check, r.status) for r in reports] == [(name, "pass") for name, _ in REGISTRY]
 
 
-def test_run_all_samples_no_twist(monkeypatch):
-    # the suite proves the twist identities for every a, s and m; the
-    # seeded involution battery stays outside it
-    def no_sampling(*args):
-        raise AssertionError("the suite sampled a twist")
+class _ReadRecorder(dict):
+    """A profile that records which of its keys are read."""
 
-    for name in ("_draw_twist", "verify_involution_algebra"):
-        monkeypatch.setattr(dimgroup, name, no_sampling)
-    reports = run_all("full", seed=42)
-    assert [(r.check, r.status) for r in reports] == [(name, "pass") for name, _ in REGISTRY]
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("profile", list(PROFILES))
+def test_run_all_reads_every_profile_key(monkeypatch, profile):
+    # a key no check reads is a dead knob, such as the sample count of a
+    # check that became a proof
+    params = _ReadRecorder(PROFILES[profile])
+    monkeypatch.setitem(PROFILES, profile, params)
+    run_all(profile, seed=42)
+    assert params.read == set(params)
 
 
 def test_run_all_error_isolation(monkeypatch):
     import pfkit.cli as cli_mod
 
-    def boom(p, seed):
+    def boom(p):
         raise RuntimeError("synthetic failure")
 
     registry = tuple(
@@ -264,7 +280,7 @@ def test_run_all_error_isolation(monkeypatch):
 def test_run_all_error_report_has_real_elapsed(monkeypatch):
     import pfkit.cli as cli_mod
 
-    def slow_boom(p, seed):
+    def slow_boom(p):
         time.sleep(0.05)
         raise RuntimeError("late failure")
 
@@ -280,7 +296,7 @@ def test_run_all_runs_every_check_on_the_calling_thread(monkeypatch):
     threads = []
 
     def record(name):
-        def check(p, seed):
+        def check(p):
             threads.append(threading.get_ident())
             return Check(name, {}, "").passed()
         return check
@@ -296,7 +312,7 @@ def _suite_census(symbols, arr):
     """The suite's census entry, run with ``arr`` as the symbol source."""
     entry = dict(REGISTRY)["paperfold.antipalindrome-census"]
     with symbols(arr):
-        return entry(PROFILES["quick"], 42)
+        return entry(PROFILES["quick"])
 
 
 def test_unsaturated_census_is_inconclusive_everywhere(capsys, symbols):
@@ -483,6 +499,12 @@ CAPPED_COMMANDS = {
         st.one_of(st.tuples(st.integers(-2, 3000), st.integers(MAX_GENERATION + 1, 60)),
                   st.tuples(st.integers(MAX_PARITY_K + 1, 10**10), st.integers(-2, 60)))),
     "dihedral freeness": (("--generation",), _ints(-2, 14), _ints(MAX_GENERATION + 1, 60)),
+    # at the default generation 16
+    "dihedral extend": (
+        ("--seed", "--steps", "--horizon"),
+        st.tuples(st.sampled_from(["1", "1101100"]), st.integers(-2, 40), st.integers(-2, 40)),
+        st.tuples(st.sampled_from(["1", "1101100"]), st.integers(MAX_EXTEND_STEPS + 1, 2**40),
+                  st.integers(-2, 40))),
     # recoding reads 2L binary symbols
     "subst verify recode": (("--len",), _ints(-2, 5000), _ints(MAX_PREFIX_LEN // 2 + 1, 2**40)),
     "subst verify intertwine": (("--len",), _ints(-2, 5000), _ints(MAX_PREFIX_LEN + 1, 2**40)),
