@@ -34,7 +34,7 @@ import json
 import sys
 
 from . import dihedral, dimgroup, paperfold, subst
-from .errors import ExtensionError, PfkitError, ResourceError
+from .errors import DomainError, ExtensionError, PfkitError, ResourceError
 from .report import Check, CheckReport, emit_report
 from .words import Word, to_pfw_bytes, write_pfw
 
@@ -258,6 +258,8 @@ def _cmd_parity(args) -> int:
 
 def _cmd_extend(args) -> int:
     # refused before the oracle builds its generation
+    if args.steps < 0 or args.horizon < 1:
+        raise DomainError("need steps >= 0 and horizon >= 1")
     if args.steps > dihedral.MAX_EXTEND_STEPS:
         raise ResourceError(f"steps {args.steps} exceeds the cap of {dihedral.MAX_EXTEND_STEPS}")
     params = {"seed": args.seed, "steps": args.steps, "horizon": args.horizon,

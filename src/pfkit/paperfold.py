@@ -201,40 +201,81 @@ def language_generation(n: int) -> int:
     return max(1, (n - 1).bit_length()) + 3
 
 
-def _generation_hits(text: np.ndarray, p: int) -> np.ndarray:
-    """Bool mask over the starts 0 .. text.size - |t(p)| of ``text``,
-    true where t(p) occurs.  Needs ``text.size >= |t(p)|``.
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """A 0/1 array as little-endian 64-bit words, bit i of the array at bit
+    i % 64 of word i // 64, with zero bits after it and one zero word more."""
+    out = np.zeros(-(-bits.size // 64) + 1, dtype="<u8")
+    packed = np.packbits(bits, bitorder="little")
+    out.view(np.uint8)[: packed.size] = packed
+    return out
+
+
+def _shift_into(x: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Bit i of ``out`` becomes bit i + s of ``x``, or 0 past the end of
+    ``x``: a shift by s // 64 words, then by s % 64 bits across each pair
+    of neighbouring words.  ``x`` and ``out`` are distinct packed arrays
+    of one size."""
+    q, r = divmod(s, 64)
+    n = max(x.size - q, 0)
+    out[n:] = 0
+    if r == 0:
+        out[:n] = x[q:]
+    elif n:
+        np.right_shift(x[q:], r, out=out[:n])
+        out[: n - 1] |= x[q + 1 :] << (64 - r)
+    return out
+
+
+def _generation_hits(text: np.ndarray, p: int):
+    """The starts 0 .. text.size - |t(p)| of ``text`` where t(p) occurs, as
+    a packed bit mask (see ``_packed``) and the number of starts.  Needs
+    ``text.size >= |t(p)|``.
 
     t(k+1) = t(k) 1 anti(t(k)) and anti(t(k+1)) = t(k) 0 anti(t(k)), so
     the masks of t(k+1) and anti(t(k+1)) are the mask of t(k) AND the
     shifted mask of anti(t(k)), split by the symbol between them.  Each
-    level works in place in the two level-0 masks, so the search takes p
-    passes however long t(p) is."""
-    hits, anti = text == 1, text == 0
+    level works in place in preallocated buffers, so the search takes p
+    passes over text.size / 8 bytes however long t(p) is.  Bits past the
+    last start are never read at a start, so they are left as they fall."""
+    bits = _packed(text)
+    hits, anti = bits.copy(), ~bits
+    shifted = np.empty_like(bits)
+    m = text.size
     for k in range(p):
         lk = 2 ** (k + 1) - 1  # |t(k)|
-        m = hits.size - lk - 1  # starts of t(k+1)
-        np.logical_and(hits[:m], anti[lk + 1 :], out=hits[:m])
-        # on 0/1 values, hit > symbol is hit AND NOT symbol
-        np.greater(hits[:m], text[lk : lk + m], out=anti[:m])
-        np.logical_and(hits[:m], text[lk : lk + m], out=hits[:m])
-        hits, anti = hits[:m], anti[:m]
-    return hits
+        m -= lk + 1  # starts of t(k+1)
+        hits &= _shift_into(anti, lk + 1, shifted)
+        _shift_into(bits, lk, shifted)  # the symbol after t(k)
+        # hit AND NOT symbol = hit XOR (hit AND symbol)
+        np.bitwise_and(hits, shifted, out=shifted)
+        np.bitwise_xor(hits, shifted, out=anti)
+        hits, shifted = shifted, hits
+    return hits, m
 
 
-def _first_uncovered(hits: np.ndarray, span: int):
-    """The first start s with no hit in hits[s : s + span], or None;
-    there are hits.size - span + 1 >= 1 starts.  Overwrites ``hits``.
+def _first_uncovered(hits: np.ndarray, n: int, span: int):
+    """The first start s with no hit among bits s .. s + span - 1 of the
+    packed mask ``hits`` of ``n`` starts, or None; there are
+    n - span + 1 >= 1 starts.  Overwrites ``hits``.
 
     The OR over a sliding window is widened in place, at most doubling
     its width per pass, so it takes about log2(span) passes."""
+    shifted = np.empty_like(hits)
     width = 1
     while width < span:
         step = min(width, span - width)
-        n = hits.size - step
-        np.logical_or(hits[:n], hits[step:], out=hits[:n])
-        hits, width = hits[:n], width + step
-    return None if hits.all() else int(np.argmin(hits))
+        hits |= _shift_into(hits, step, shifted)
+        n, width = n - step, width + step
+    full, tail = divmod(n, 64)
+    if tail:  # the bits past the last start count as covered
+        hits[full] |= np.uint64(2**64 - (1 << tail))
+        full += 1
+    covered = hits[:full] == np.uint64(2**64 - 1)
+    if covered.all():
+        return None
+    i = int(np.argmin(covered))
+    word = int(hits[i])
+    return 64 * i + (~word & (word + 1)).bit_length() - 1  # its lowest zero bit
 
 
 def verify_recurrence(p: int, test_generation: int) -> CheckReport:
@@ -243,10 +284,10 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
 
     Containment of t(p) itself is sufficient for all its subwords, so only
     t(p) is searched for, as its recursion defines it: its occurrences are
-    one bool mask built in p in-place passes (``_generation_hits``), and a
-    window with none is read from a sliding OR over that mask
-    (``_first_uncovered``).  No list or integer array of positions is
-    built.
+    one bit mask, packed 64 starts to a word and built in p in-place
+    passes (``_generation_hits``), and a window with none is read from a
+    sliding OR over that mask (``_first_uncovered``).  No list or integer
+    array of positions is built.
     """
     if p < 0:
         raise DomainError("p must be non-negative")
@@ -258,7 +299,7 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     chk = Check("paperfold.recurrence", {"p": p, "test_generation": test_generation, "window": W},
                 "every window of length 3*2^(p+1) contains generation p")
     text = _prefix_array(2 ** (test_generation + 1) - 1)
-    bad = _first_uncovered(_generation_hits(text, p), W - 2 ** (p + 1) + 2)
+    bad = _first_uncovered(*_generation_hits(text, p), W - 2 ** (p + 1) + 2)
     if bad is None:
         return chk.passed()
     return chk.failed({"uncovered_window_start": bad})

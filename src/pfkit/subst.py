@@ -57,12 +57,12 @@ class Substitution:
             raise DomainError("rules must cover every letter of the alphabet")
         self.rules = table
         lengths = {w.length for w in table.values()}
-        # uniform-length images allow a fully vectorised apply
+        # uniform images of q letters make apply one gather: each image is
+        # one q-byte void item, so table[arr] copies whole images
         self._uniform = lengths.pop() if len(lengths) == 1 else None
         if self._uniform:
-            self._table_arr = np.stack(
-                [table[a].to_array() for a in range(self.alphabet.size)]
-            )
+            images = np.stack([table[a].to_array() for a in range(self.alphabet.size)])
+            self._table = images.view(np.dtype((np.void, self._uniform))).ravel()
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Substitution":
@@ -99,11 +99,16 @@ def apply(s: Substitution, w: Word) -> Word:
         raise DomainError("word is over a different alphabet than the substitution")
     if w.length == 0:
         return w
-    arr = w.to_array()
+    return Word.from_array(_image(s, w.to_array()), s.alphabet)
+
+
+def _image(s: Substitution, arr: np.ndarray) -> np.ndarray:
+    """Symbols of the image of a nonempty letter array.  The uniform gather
+    indexes with the uint8 letters themselves: np.take would first copy
+    them to an intp array, eight bytes per letter."""
     if s._uniform:
-        return Word.from_array(s._table_arr[arr].ravel(), s.alphabet)
-    images = [s.rules[a].to_array() for a in arr.tolist()]
-    return Word.from_array(np.concatenate(images), s.alphabet)
+        return s._table[arr].view(np.uint8)
+    return np.concatenate([s.rules[a].to_array() for a in arr.tolist()])
 
 
 def _letter_sets(s: Substitution) -> dict:
@@ -177,16 +182,15 @@ def abelianization(s: Substitution) -> AbelianMatrix:
     return AbelianMatrix(tuple(rows))
 
 
-def _covering_prefix(s: Substitution, w: Word, L: int) -> Word:
-    """The shortest prefix of ``w`` whose image has at least L symbols, or
-    ``w`` itself when its whole image is shorter."""
-    arr = w.to_array()
+def _covering_prefix(s: Substitution, arr: np.ndarray, L: int) -> np.ndarray:
+    """The shortest prefix of the letters ``arr`` whose image has at least
+    L symbols, or ``arr`` itself when its whole image is shorter."""
     if s._uniform:
         k = -(-L // s._uniform)
     else:
         lengths = np.array([s.rules[a].length for a in range(s.alphabet.size)])
         k = int(np.searchsorted(np.cumsum(lengths[arr]), L)) + 1
-    return w if k >= w.length else Word.from_array(arr[:k], s.alphabet)
+    return arr[:k]
 
 
 def fixed_prefix(s: Substitution, L: int) -> Word:
@@ -196,8 +200,11 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     common first letter and asserts prefix stability between the last two
     iterations.  Each application reads only the letters whose images
     cover the first L symbols, so no iterate is longer than L plus one
-    image.  ``L`` is capped at paperfold.MAX_PREFIX_LEN (2^31 - 1), the
-    budget of paperfold.pf_prefix; larger requests raise ResourceError.
+    image.  The iterates are plain symbol arrays, imaged by the kernel
+    behind ``apply`` (one gather for uniform images), and only the result
+    is packed into a Word.  ``L`` is capped at paperfold.MAX_PREFIX_LEN
+    (2^31 - 1), the budget of paperfold.pf_prefix; larger requests raise
+    ResourceError.
     """
     if L < 0:
         raise DomainError("prefix length must be non-negative")
@@ -210,19 +217,17 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
         raise DomainError("substitution must be left-proper and primitive")
     if L == 0:
         return Word("", s.alphabet)
+    # the seed c is the first letter of every p-th image, so its own image
+    # starts with it: head(c) = head(head^p(c)) = head^p(head(c)) = c
     seed = first_letters(s, p)[0]
-    # iterate the p-th power if a single application does not refix the seed
-    step = 1 if s.rules[seed][0] == seed else p
-    cur = Word(str(seed), s.alphabet)
-    while cur.length < L:
-        nxt = cur
-        for _ in range(step):
-            nxt = apply(s, _covering_prefix(s, nxt, L))
+    cur = np.array([seed], dtype=np.uint8)
+    while cur.size < L:
+        nxt = _image(s, _covering_prefix(s, cur, L))
         # images are never empty, so nxt is at least as long as cur
-        if not np.array_equal(nxt.to_array()[: cur.length], cur.to_array()):
+        if not np.array_equal(nxt[: cur.size], cur):
             raise DomainError("iteration is not prefix-stable; no fixed point")
         cur = nxt
-    return Word.from_array(cur.to_array()[:L], s.alphabet)
+    return Word.from_array(cur[:L], s.alphabet)
 
 
 def _pair_codes(arr: np.ndarray) -> np.ndarray:

@@ -153,10 +153,14 @@ class Word:
             raise DomainError(
                 f"payload has {len(payload)} bytes, expected {need} for length {length}"
             )
-        arr = _unpack(payload, length, alphabet.bits)
-        # repack so that padding bits are canonically zero (hash/eq rely on it)
+        payload = bytes(payload)
+        # padding bits past the last symbol are canonically zero (hash/eq
+        # rely on it); the symbols are unpacked only when first read
+        used = length * alphabet.bits % 8
+        if used and payload[-1] >> used:
+            payload = payload[:-1] + bytes([payload[-1] & ((1 << used) - 1)])
         w = cls.__new__(cls)
-        w._init(alphabet, length, _pack(arr, alphabet.bits), arr)
+        w._init(alphabet, length, payload, None)
         return w
 
     def to_array(self) -> np.ndarray:

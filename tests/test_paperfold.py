@@ -263,8 +263,31 @@ def t_gen(p):
     return Word(T_REFERENCE[p]).to_array()
 
 
+def all_bits(words):
+    return np.unpackbits(words.view(np.uint8), bitorder="little")
+
+
+@pytest.mark.parametrize("n", [1, 130, 200, 1000])
+def test_packed_bits_and_their_shifts(n):
+    bits = random_bits(n, n)
+    x = paperfold._packed(bits)
+    assert x.size == -(-n // 64) + 1 and x[-1] == 0
+    every = all_bits(x)
+    assert np.array_equal(every[:n], bits) and not every[n:].any()
+    x[-1] = 2**64 - 1  # a set last word, so reads past the end show
+    every = all_bits(x)
+    total = every.size
+    for s in sorted({0, 1, 63, 64, 65, 130, n - 1, n, n + 1, total - 65, total - 64, total - 1,
+                     total, total + 1}):
+        out = np.full_like(x, 0x5555)
+        assert paperfold._shift_into(x, s, out) is out
+        want = np.zeros(total, np.uint8)
+        want[: max(total - s, 0)] = every[s:]
+        assert np.array_equal(all_bits(out), want), s
+
+
 def recurrence_core(text, p, W):
-    return paperfold._first_uncovered(paperfold._generation_hits(text, p), W - 2 ** (p + 1) + 2)
+    return paperfold._first_uncovered(*paperfold._generation_hits(text, p), W - 2 ** (p + 1) + 2)
 
 
 @st.composite
@@ -335,11 +358,12 @@ def test_recurrence_report_matches_list_scan(symbols, p, extra, i, flip, fill):
 
 
 def test_recurrence_runs_in_a_few_bytes_per_symbol(traced_peak):
-    # the occurrence array and its np.diff took 8.5 bytes per symbol at p = 0
+    # the occurrence array and its np.diff took 8.5 bytes per symbol at
+    # p = 0, and two bool masks 2; the packed masks take 5/8
     for p in range(9):
         rep, peak = traced_peak(verify_recurrence, p, 20)
         assert rep.status == "pass"
-        assert peak <= 4 * (2**21 - 1), p
+        assert peak <= 2**21 - 1, p
 
 
 def test_recurrence_negative_control(symbols):

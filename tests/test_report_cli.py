@@ -480,6 +480,15 @@ def test_cli_extend_arguments(seed, steps, horizon):
     _assert_one_json_result(code, out, err)
 
 
+@pytest.mark.parametrize("steps, horizon", [(-1, 16), (4, 0), (-3, -1)])
+def test_cli_extend_refuses_bad_steps_or_horizon_before_building_the_oracle(steps, horizon):
+    with mock.patch.object(LanguageOracle, "from_generation") as build:
+        code, out, err = _run_cli(["dihedral", "extend", "--seed", "1", "--steps", str(steps),
+                                   "--horizon", str(horizon), "--generation", "24"])
+    _assert_one_json_result(code, out, err)
+    assert code == 2 and not build.called
+
+
 def _ints(lo, hi, n=1):
     return st.tuples(*[st.integers(lo, hi)] * n)
 

@@ -332,3 +332,15 @@ def test_quaternary_packing_lsb_first():
     # 0 | 1<<2 | 2<<4 | 3<<6 = 0b11100100
     assert w.payload == bytes([0b11100100])
     assert np.array_equal(w.to_array(), np.array([0, 1, 2, 3], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("size, text", [(2, "1101100"), (2, "1"), (4, "312"), (4, "3")])
+def test_set_padding_bits_decode_to_the_canonical_word(size, text):
+    w = Word(text, size)
+    used = w.length * w.alphabet.bits % 8
+    dirty = w.payload[:-1] + bytes([w.payload[-1] | (0xFF << used) & 0xFF])
+    assert dirty != w.payload
+    for back in (Word.from_packed(dirty, w.length, size),
+                 from_pfw_bytes(_pfw_blob(size, w.length, dirty))):
+        assert back == w and hash(back) == hash(w)
+        assert back.payload == w.payload and str(back) == text
