@@ -83,11 +83,18 @@ def _pack(arr: np.ndarray, bits: int) -> bytes:
         return b""
     if bits == 1:
         return np.packbits(arr, bitorder="little").tobytes()
-    pad = (-arr.size) % 4
-    if pad:
-        arr = np.concatenate([arr, np.zeros(pad, np.uint8)])
-    q = arr.reshape(-1, 4).astype(np.uint8)
-    return (q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)).tobytes()
+    # four symbols a byte, filled in place from the whole groups by
+    # Horner's rule; the last partial group is packed on its own
+    whole = arr.size // 4 * 4
+    out = np.empty((arr.size + 3) // 4, dtype=np.uint8)
+    body, q = out[: whole // 4], arr[:whole].reshape(-1, 4)
+    body[:] = q[:, 3]
+    for k in (2, 1, 0):
+        body <<= 2
+        body |= q[:, k]
+    if whole < arr.size:
+        out[-1] = sum(int(s) << (2 * k) for k, s in enumerate(arr[whole:]))
+    return out.tobytes()
 
 
 def _unpack(payload: bytes, length: int, bits: int) -> np.ndarray:

@@ -21,7 +21,8 @@ from pfkit.dihedral import (
 )
 from pfkit.errors import DomainError, ExtensionError, ResourceError
 from pfkit.paperfold import MAX_GENERATION, antipalindrome_census, language_generation, pf_prefix, pf_word
-from pfkit.words import FactorIndex, Word, anti_reverse
+from pfkit.subst import block_code
+from pfkit.words import BINARY, MAX_CODE_BITS, FactorIndex, Word, anti_reverse, code_to_word, window_codes
 
 
 def test_oracle_contains_matches_naive_search():
@@ -46,8 +47,8 @@ def test_oracle_contains_matches_naive_search():
 # texts on both sides of the coding limit: 62 binary symbols, 31 quaternary ones
 CONTAINS_TEXTS = (
     (str(pf_word(9)), 2),
-    ("".join(random.Random(8).choice("01") for _ in range(1500)), 2),
-    ("".join(random.Random(9).choice("0123") for _ in range(400)), 4),
+    ("".join(random.Random(8).choices("01", k=1500)), 2),
+    ("".join(random.Random(9).choices("0123", k=400)), 4),
 )
 CONTAINS_ORACLES = [LanguageOracle(Word(text, size), 70) for text, size in CONTAINS_TEXTS]
 
@@ -183,6 +184,95 @@ def test_left_extend_errors():
     assert isinstance(err.value.stuck_prefix, Word)
 
 
+def _left_extend_by_words(oracle, seed, steps, horizon):
+    """left_extend word by word: every probe is a Word built by
+    concatenation and looked up with ``contains`` (the guards are the
+    caller's)."""
+    alphabet = oracle.source.alphabet
+    cur = seed.to_array()
+    for _ in range(steps):
+        probe_len = min(horizon, cur.size + 1)
+        chosen = None
+        for a in range(alphabet.size):
+            head = np.concatenate([np.array([a], dtype=np.uint8), cur[: probe_len - 1]])
+            if oracle.contains(Word.from_array(head, alphabet)):
+                chosen = a
+                break
+        if chosen is None:
+            raise ExtensionError(Word.from_array(cur, alphabet), horizon)
+        cur = np.concatenate([np.array([chosen], dtype=np.uint8), cur])
+    return Word.from_array(cur, alphabet)
+
+
+def _extension_outcome(extend, oracle, seed, steps, horizon):
+    try:
+        return "word", extend(oracle, seed, steps, horizon)
+    except ExtensionError as err:
+        return "stuck", err.stuck_prefix, err.horizon
+
+
+# generation oracles, a quaternary one by two-letter blocks, and random
+# texts, where long horizons get stuck
+EXTEND_ORACLES = [
+    LanguageOracle.from_generation(9, 100),
+    LanguageOracle.from_generation(12, 100),
+    LanguageOracle(block_code(pf_prefix(2**12)), 60),
+    LanguageOracle(Word("".join(random.Random(4).choices("01", k=3000))), 100),
+    LanguageOracle(Word("".join(random.Random(5).choices("0123", k=600)), 4), 60),
+]
+
+
+@pytest.mark.parametrize("which", range(len(EXTEND_ORACLES)))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_left_extend_matches_the_word_by_word_loop(which, data):
+    oracle = EXTEND_ORACLES[which]
+    text = oracle.source.to_array()
+    longest = MAX_CODE_BITS // oracle.source.alphabet.bits
+    horizon = data.draw(st.one_of(st.sampled_from([1, longest, longest + 1]),
+                                  st.integers(1, longest + 1)), label="horizon")
+    n = data.draw(st.integers(0, min(40, oracle.max_len - horizon)), label="seed length")
+    # a seed at the text's head gets stuck when its head occurs nowhere else
+    start = data.draw(st.one_of(st.just(0), st.integers(0, text.size - n)), label="seed start")
+    steps = data.draw(st.integers(0, oracle.max_len - n - horizon), label="steps")
+    seed = Word.from_array(text[start : start + n], oracle.source.alphabet)
+    assert (_extension_outcome(left_extend, oracle, seed, steps, horizon)
+            == _extension_outcome(_left_extend_by_words, oracle, seed, steps, horizon))
+
+
+@pytest.mark.parametrize("source, max_len, seed, steps, horizon, kind", [
+    ("10000000", 8, "10", 3, 3, "stuck"),  # nothing precedes the global head
+    ("10000000", 8, "100", 2, 3, "stuck"),
+    ("0" * 20 + "1" + "0" * 79, 100, "1" + "0" * 10, 30, 40, "stuck"),  # after 20 steps
+    # probes past the coding limit
+    ("1" + "0" * 199, 200, "1" + "0" * 62, 3, 64, "stuck"),
+    ("0" * 50 + "1" + "0" * 149, 200, "1" + "0" * 70, 60, 64, "stuck"),
+    # "0" + "1" * 62 is a factor, "0" + "1" * 62 + "0" is not: the first
+    # letter is 1 only if the probe reads all 64 symbols
+    ("1" * 63 + "0" + "1" * 80, 144, "1" * 62 + "0", 2, 64, "word"),
+])
+def test_left_extend_fixed_cases(source, max_len, seed, steps, horizon, kind):
+    oracle = LanguageOracle(Word(source), max_len, reference_len=len(source))
+    outcome = _extension_outcome(left_extend, oracle, Word(seed), steps, horizon)
+    assert outcome == _extension_outcome(_left_extend_by_words, oracle, Word(seed), steps, horizon)
+    assert outcome[0] == kind
+
+
+def test_left_extend_builds_a_constant_number_of_words():
+    oracle, seed = LanguageOracle.from_generation(14, 1100), pf_word(3)
+    from_array = Word.__dict__["from_array"].__func__
+    for steps in (1, 1000):
+        built = []
+
+        def counting(cls, arr, alphabet=BINARY):
+            built.append(len(arr))
+            return from_array(cls, arr, alphabet)
+
+        with mock.patch.object(Word, "from_array", classmethod(counting)):
+            out = left_extend(oracle, seed, steps, 40)
+        assert built == [out.length]
+
+
 def test_freeness_certificate_on_the_word():
     oracle = LanguageOracle.from_generation(14, 8)
     cert = freeness_certificate(oracle)
@@ -273,6 +363,51 @@ def test_parity_negative_control(symbols):
     with symbols(arr):
         rep = parity_class_separation(4000, 12)
     assert (rep.status, rep.witness) == ("fail", {"k": 497, "l": 11, "window": "0110010"})
+
+
+def _parity_witness_by_sets(arr, K):
+    """The parity check's witness from Python sets and text patterns: the
+    least window code at both parities and its first offsets, else the
+    first window that matches no pattern of its family, else None."""
+    codes = window_codes(arr[: 2 * K + 8], 7)
+    even, odd = codes[0 : 2 * K + 1 : 2].tolist(), codes[1 : 2 * K + 2 : 2].tolist()
+    clash = set(even) & set(odd)
+    if clash:
+        c = min(clash)
+        return {"k": even.index(c), "l": odd.index(c), "window": str(code_to_word(c, 7))}
+    text = "".join(map(str, arr[: 2 * K + 8].tolist()))
+    for name, first, patterns in (("even", 0, EVEN_WINDOW_PATTERNS), ("odd", 1, ODD_WINDOW_PATTERNS)):
+        for i in range(K + 1):
+            window = text[2 * i + first : 2 * i + first + 7]
+            if not any(all(p in "xy" or p == ch for p, ch in zip(pat, window)) for pat in patterns):
+                return {"family": name, "offset_index": i, "window": window}
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 8007), min_size=1, max_size=3))
+def test_parity_witness_matches_the_set_formulation(symbols, flips):
+    arr = pf_prefix(8008).to_array().copy()
+    for i in flips:
+        arr[i] ^= 1
+    with symbols(arr):
+        rep = parity_class_separation(4000, 12)
+    assert rep.witness == _parity_witness_by_sets(arr, 4000)
+    assert rep.status == ("pass" if rep.witness is None else "fail")
+
+
+@pytest.mark.parametrize("flips, witness", [
+    # the even and odd windows share the codes 9, 19 and 38; the least names the clash
+    ((1000, 1001), {"k": 498, "l": 20, "window": "1001000"}),
+    ((8000,), {"family": "even", "offset_index": 3997, "window": "0010010"}),
+])
+def test_parity_failure_witnesses(symbols, flips, witness):
+    arr = pf_prefix(8008).to_array().copy()
+    arr[list(flips)] ^= 1
+    with symbols(arr):
+        rep = parity_class_separation(4000, 12)
+    assert (rep.status, rep.witness) == ("fail", witness)
+    assert _parity_witness_by_sets(arr, 4000) == witness
 
 
 def test_parity_first_windows_differ():

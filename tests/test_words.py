@@ -334,6 +334,37 @@ def test_quaternary_packing_lsb_first():
     assert np.array_equal(w.to_array(), np.array([0, 1, 2, 3], dtype=np.uint8))
 
 
+def _pack_by_padding(arr):
+    """Quaternary packing by the padded formula: pad to whole groups of
+    four and OR the shifted columns."""
+    if arr.size == 0:
+        return b""
+    arr = np.concatenate([arr, np.zeros((-arr.size) % 4, np.uint8)])
+    q = arr.reshape(-1, 4)
+    return (q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 9), st.integers(2**16 - 3, 2**16 + 3)), st.integers(0, 2**32 - 1))
+def test_quaternary_pack_matches_the_padded_formula(n, seed):
+    arr = np.random.default_rng(seed).integers(0, 4, size=n).astype(np.uint8)
+    assert words._pack(arr, 2) == _pack_by_padding(arr)
+    assert np.array_equal(Word.from_array(arr, QUATERNARY).to_array(), arr)
+
+
+@pytest.mark.parametrize("n", [2**21, 2**21 - 1])
+def test_quaternary_pack_peaks_under_a_byte_per_symbol(n):
+    arr = np.random.default_rng(n).integers(0, 4, size=n).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        packed = words._pack(arr, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed == _pack_by_padding(arr)
+    assert peak < n
+
+
 @pytest.mark.parametrize("size, text", [(2, "1101100"), (2, "1"), (4, "312"), (4, "3")])
 def test_set_padding_bits_decode_to_the_canonical_word(size, text):
     w = Word(text, size)
