@@ -15,7 +15,9 @@ from pfkit.subst import (
     is_left_proper,
     is_primitive,
     verify_intertwining,
+    verify_intertwining_pairs,
     verify_recoding,
+    verify_recoding_induction,
 )
 from pfkit.words import Word
 
@@ -39,6 +41,10 @@ L = 2**10
 assert block_code(pf_prefix(2 * L)) == fixed_prefix(rho, L)
 print("block recoding of the binary word reproduces the fixed point (L =", L, ")")
 print("recoding check:", verify_recoding(2**12).status)
+# Each rule is a -> (2 + hi(a), lo(a)), the step the recoded word takes
+# from index i to 2i and 2i + 1, so the two agree at every length.
+print("recoding proof:", verify_recoding_induction().status)
 
 # The block code trades two binary shifts for one quaternary shift.
 print("intertwining check:", verify_intertwining(2**12).status)
+print("intertwining proof:", verify_intertwining_pairs().status)

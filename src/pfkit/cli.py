@@ -22,8 +22,13 @@ two lattice checks prove their facts for every index by the lemma in
 ``pfkit.dimgroup``, the involution check proves the twist identities
 for every dyadic twist value from a 2x2x2 grid, and the cone check proves
 the least-stage cone identity for every dyadic pair from its closed form.
-No suite check draws a random number: the seed is echoed in every report,
-and only ``pfkit dimgroup verify`` draws from it.
+The recoding check proves that the two-block recoding of the binary word
+is the substitution's fixed point at every length, by the induction in
+``subst.verify_recoding_induction``, and the intertwining check proves
+its identity on every binary word from the 16 words of length 4
+(``subst.verify_intertwining_pairs``); neither reads the word.  No suite
+check draws a random number: the seed is echoed in every report, and only
+``pfkit dimgroup verify`` draws from it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ PROFILES = {
         max_period=512,
         preperiod=512,
         parity_K=4000,
-        recode_exp=14,
         discrepancy_N=10,
     ),
     "full": dict(
@@ -58,7 +62,6 @@ PROFILES = {
         max_period=4096,
         preperiod=4096,
         parity_K=100_000,
-        recode_exp=18,
         discrepancy_N=20,
     ),
 }
@@ -150,8 +153,8 @@ REGISTRY = (
     ("dihedral.freeness", lambda p: _check_freeness(paperfold.language_generation(8))),
     ("dihedral.parity-separation", lambda p: dihedral.parity_class_separation(p["parity_K"], p["generation"])),
     ("subst.structure", lambda p: _check_subst_structure()),
-    ("subst.recoding", lambda p: subst.verify_recoding(2 ** p["recode_exp"])),
-    ("subst.intertwining", lambda p: subst.verify_intertwining(2 ** (p["recode_exp"] + 1))),
+    ("subst.recoding", lambda p: subst.verify_recoding_induction()),
+    ("subst.intertwining", lambda p: subst.verify_intertwining_pairs()),
     ("dimgroup.matrix-closed-form", lambda p: dimgroup.verify_closed_form_induction()),
     ("dimgroup.lattice-properties", lambda p: dimgroup.verify_lattice_image()),
     ("dimgroup.cone-identity", lambda p: dimgroup.verify_cone_stage()),

@@ -287,8 +287,9 @@ EVEN_WINDOW_PATTERNS = ("110x100", "0x100y1", "100x110", "0x110y1")
 ODD_WINDOW_PATTERNS = ("10x100y", "x100y11", "00x110y", "x110y10")
 
 
-# the window codes of 2K + 2 offsets and their temporaries peak at 32
-# bytes per unit of K (tracemalloc at K = 2^20), some 270 MB at the cap
+# the uint8 window codes of 2K + 2 offsets and the pattern test's three
+# K-byte arrays peak at 5 bytes per unit of K beyond the prefix they read
+# (tracemalloc at K = 2^20), some 42 MB at the cap
 MAX_PARITY_K = 2**23
 
 

@@ -4,6 +4,13 @@ The canonical instance sends 3 -> 31, 2 -> 30, 1 -> 21, 0 -> 20.  Reading
 the binary word in two-letter blocks xy -> 2x + y turns the paper-folding
 word into the fixed point of this substitution, and the block code
 intertwines the square of the binary shift with the quaternary shift.
+
+Both facts hold at every length.  verify_recoding_induction proves the
+recoding by induction on the index, from the pair codes, the four rules
+and the first letter; verify_intertwining_pairs proves the intertwining
+from the 16 binary words of length 4.  Neither reads a symbol of the
+word.  The scans verify_recoding and verify_intertwining, which compare a
+prefix of given length, are their oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ __all__ = [
     "fixed_prefix",
     "block_code",
     "verify_recoding",
+    "verify_recoding_induction",
     "verify_intertwining",
+    "verify_intertwining_pairs",
 ]
 
 
@@ -268,6 +277,46 @@ def verify_recoding(L: int) -> CheckReport:
     return chk.failed({"first_mismatch": int(np.nonzero(a != b)[0][0])})
 
 
+def verify_recoding_induction() -> CheckReport:
+    """Two-block recoding of the paper-folding word is the substitution's
+    fixed point at every length, by induction on the index.
+
+    Let r[j] = 2 t[2j] + t[2j+1] be the block code of the paper-folding
+    word t and u the fixed point, and write hi(a) = a >> 1, lo(a) = a & 1.
+    If every rule is a -> (2 + hi(a), lo(a)), then u[2i] = 2 + hi(u[i]) and
+    u[2i+1] = lo(u[i]).  The interleaving identity at p = 0 says
+    t[2j] = 1 - (j mod 2) and t[2j+1] = t[j], so hi(r[j]) = 1 - (j mod 2)
+    and lo(r[j]) = t[j]; then r[2i] = 2 + (1 - (i mod 2)) = 2 + hi(r[i]),
+    r[2i+1] = t[i] = lo(r[i]), and r[0] = 3.  With u[0] = 3, r and u
+    agree at index 0 and take the same step from index i to 2i and 2i + 1,
+    so they agree at every index.
+
+    The check reads the three facts the induction uses off the code: the
+    pair codes of 00, 01, 10 and 11 are 0, 1, 2 and 3, each rule is
+    (2 + hi(a), lo(a)), and the fixed point starts with 3.  The rules are
+    checked before the fixed point is built, so a table that is not
+    left-proper or primitive fails on its rule.  The premise, the
+    interleaving identity at p = 0, is the one paperfold.self-similarity
+    checks, as the bridge lemma of paperfold.language_generation names its
+    premises.  verify_recoding is the oracle."""
+    chk = Check("subst.recoding", {"pairs": ["00", "01", "10", "11"], "letters": [0, 1, 2, 3]},
+                "two-block recoding of the binary word is the substitution fixed point at every "
+                "length: pair codes 2x + y, rules a -> (2 + hi(a), lo(a)) and first letter 3, "
+                "by induction from the interleaving identity at p = 0")
+    codes = _pair_codes(np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)).tolist()
+    if codes != [0, 1, 2, 3]:
+        return chk.failed({"reason": "pair-codes", "codes": codes})
+    s = PAPERFOLD_SUBSTITUTION
+    for a in range(s.alphabet.size):
+        image = s.rules[a].to_array().tolist()
+        if image != [2 + (a >> 1), a & 1]:
+            return chk.failed({"reason": "rule", "letter": a, "image": str(s.rules[a])})
+    first = str(fixed_prefix(s, 1))
+    if first != "3":
+        return chk.failed({"reason": "first-letter", "fixed_prefix_1": first})
+    return chk.passed()
+
+
 def verify_intertwining(L: int) -> CheckReport:
     """Check that recoding after a double shift equals shifting the
     recoded word on the paper-folding prefix of length L: the block code
@@ -284,3 +333,27 @@ def verify_intertwining(L: int) -> CheckReport:
     if np.array_equal(left, right):
         return chk.passed()
     return chk.failed({"first_mismatch_block": int(np.nonzero(left != right)[0][0])})
+
+
+def verify_intertwining_pairs() -> CheckReport:
+    """The block code intertwines the squared binary shift with the
+    quaternary shift on every binary word, from the 16 words of length 4.
+
+    The premise, read off the code, is that _pair_codes is
+    arr[0::2] * 2 + arr[1::2], so block i is a function of the pair
+    (arr[2i], arr[2i+1]) alone that does not depend on i.  Dropping two
+    symbols moves pair i + 1 to block i, so the identity of
+    verify_intertwining says that a pair gets the same letter at block i
+    as at block i + 1, which the premise gives for every i.  The 16 words
+    of length 4 check it where the code can show it, every pair at block 0
+    and at block 1; a map that depends on where a pair sits fails there.
+    verify_intertwining is the oracle."""
+    chk = Check("subst.intertwining", {"word_length": 4, "words": 16},
+                "block code intertwines the squared binary shift with the quaternary shift on "
+                "every binary word: identity on all 16 words of length 4, pair codes read off "
+                "the code")
+    for w in range(16):
+        arr = np.array([(w >> k) & 1 for k in (3, 2, 1, 0)], dtype=np.uint8)
+        if not np.array_equal(_pair_codes(arr[2:]), _pair_codes(arr)[1:]):
+            return chk.failed({"word": "".join(map(str, arr.tolist()))})
+    return chk.passed()

@@ -271,15 +271,20 @@ def window_codes(arr: np.ndarray, n: int, bits: int = 1) -> np.ndarray:
 
     Position j of a window contributes ``symbol << (bits*j)``, so the first
     symbol sits in the least significant bits.  Requires n*bits <= 62.
+    The codes are uint8 when n*bits <= 8 and int64 otherwise.  They are
+    built in place by Horner's rule, last symbol first, so no slice of
+    ``arr`` is copied to the code type.
     """
     if n * bits > MAX_CODE_BITS:
         raise DomainError(f"window length {n} too large for integer coding")
+    dtype = np.uint8 if n * bits <= 8 else np.int64
     m = arr.size - n + 1
     if m <= 0:
-        return np.empty(0, dtype=np.int64)
-    codes = np.zeros(m, dtype=np.int64)
-    for j in range(n):
-        codes |= arr[j : j + m].astype(np.int64) << (bits * j)
+        return np.empty(0, dtype=dtype)
+    codes = np.zeros(m, dtype=dtype)
+    for j in reversed(range(n)):
+        codes <<= bits
+        codes |= arr[j : j + m]
     return codes
 
 

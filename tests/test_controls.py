@@ -68,7 +68,10 @@ CONTROLS = {
     # the rules of 3 and 2 swapped: still primitive and left-proper
     "subst.structure": lambda symbols: mock.patch.object(
         subst, "PAPERFOLD_SUBSTITUTION", Substitution({3: "30", 2: "31", 1: "21", 0: "20"})),
-    "subst.recoding": lambda symbols: symbols(mutated_prefix(2**15, 1000)),
+    # the proof reads the rules, not the word: 1 -> 20 and 0 -> 21 keep the
+    # table primitive and left-proper, with fixed point 31203021...
+    "subst.recoding": lambda symbols: mock.patch.object(
+        subst, "PAPERFOLD_SUBSTITUTION", Substitution({3: "31", 2: "30", 1: "20", 0: "21"})),
     "subst.intertwining": lambda symbols: mock.patch.object(subst, "_pair_codes", pair_codes_by_position),
     "dimgroup.matrix-closed-form": lambda symbols: mock.patch.object(
         dimgroup, "PAPERFOLD_MATRIX", ((1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 1, 1))),
@@ -81,10 +84,22 @@ CONTROLS = {
 }
 
 
+def _run_one(monkeypatch, name):
+    monkeypatch.setattr(cli, "REGISTRY", tuple(entry for entry in cli.REGISTRY if entry[0] == name))
+    (rep,) = cli.run_all("quick")
+    return rep
+
+
 @pytest.mark.parametrize("name", [name for name, _ in cli.REGISTRY if name not in WITHOUT_CONTROL])
 def test_every_check_fails_under_its_control(monkeypatch, symbols, name):
     assert name in CONTROLS, f"{name} has no negative control"
-    monkeypatch.setattr(cli, "REGISTRY", tuple(entry for entry in cli.REGISTRY if entry[0] == name))
     with CONTROLS[name](symbols):
-        (rep,) = cli.run_all("quick")
+        rep = _run_one(monkeypatch, name)
     assert rep.status == "fail", rep.witness
+
+
+def test_structure_control_fails_the_recoding_proof(monkeypatch, symbols):
+    # the swapped rules of 3 and 2 break the step u[2i] = 2 + hi(u[i])
+    with CONTROLS["subst.structure"](symbols):
+        rep = _run_one(monkeypatch, "subst.recoding")
+    assert (rep.status, rep.witness) == ("fail", {"reason": "rule", "letter": 2, "image": "31"})

@@ -355,6 +355,15 @@ def test_parity_cap_is_checked_before_any_symbol_is_built():
             parity_class_separation(MAX_PARITY_K, MAX_GENERATION)
 
 
+def test_parity_separation_runs_in_a_few_bytes_per_offset(traced_peak):
+    # uint8 window codes of 2K + 2 offsets and the pattern test's K-byte
+    # arrays; int64 codes alone would take 16 bytes per unit of K
+    K = 2**20
+    rep, peak = traced_peak(parity_class_separation, K, 21)
+    assert rep.status == "pass"
+    assert peak <= 8 * K
+
+
 def test_parity_negative_control(symbols):
     # flipping symbol 1000 makes the even window at offset 994 equal the
     # odd window at offset 23

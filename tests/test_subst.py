@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pfkit import subst
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_prefix
 from pfkit.subst import (
@@ -19,7 +21,9 @@ from pfkit.subst import (
     is_left_proper,
     is_primitive,
     verify_intertwining,
+    verify_intertwining_pairs,
     verify_recoding,
+    verify_recoding_induction,
 )
 from pfkit.words import QUATERNARY, Word
 
@@ -233,6 +237,50 @@ def test_intertwining(symbols):
         assert verify_intertwining(256).status == "pass"
     with pytest.raises(DomainError):
         verify_intertwining(7)
+
+
+def one_image_changes():
+    """Every table that differs from the canonical one in one length-2
+    image: 4 letters times 15 other images."""
+    for a, image in itertools.product(range(4), map("".join, itertools.product("0123", repeat=2))):
+        if image != str(RHO.rules[a]):
+            yield {**{b: str(w) for b, w in RHO.rules.items()}, a: image}
+
+
+def test_recoding_proof_agrees_with_the_scan(monkeypatch):
+    # the proof fails every changed table on its rule; the scan agrees on
+    # the 20 that have a fixed point and rejects the other 40 in fixed_prefix
+    verdicts = []
+    for rules in [dict(RHO.rules), *one_image_changes()]:
+        monkeypatch.setattr(subst, "PAPERFOLD_SUBSTITUTION", Substitution(rules))
+        proof = verify_recoding_induction()
+        try:
+            scan = verify_recoding(2**10).status
+        except DomainError:
+            scan = "error"
+        verdicts.append((proof.status, scan))
+    assert verdicts[0] == ("pass", "pass")
+    assert sorted(verdicts[1:]) == [("fail", "error")] * 40 + [("fail", "fail")] * 20
+
+
+def pair_codes_with_swapped_weights(arr):
+    return arr[0::2] + 2 * arr[1::2]
+
+
+def pair_codes_by_position(arr, real=subst._pair_codes):
+    codes = real(arr)
+    return codes ^ (np.arange(codes.size) & 1).astype(codes.dtype)
+
+
+@pytest.mark.parametrize("pair_codes, recoding, intertwining", [
+    # still a function of the pair alone, but not the one the rules read
+    (pair_codes_with_swapped_weights, "fail", "pass"),
+    (pair_codes_by_position, "fail", "fail"),
+], ids=["swapped-weights", "by-position"])
+def test_pair_code_proofs_agree_with_the_scans(monkeypatch, pair_codes, recoding, intertwining):
+    monkeypatch.setattr(subst, "_pair_codes", pair_codes)
+    assert verify_recoding_induction().status == verify_recoding(2**10).status == recoding
+    assert verify_intertwining_pairs().status == verify_intertwining(2**12).status == intertwining
 
 
 def test_block_code_shift_commutation():

@@ -164,6 +164,19 @@ engine_words = st.sampled_from([2, 4]).flatmap(
 )
 
 
+@pytest.mark.parametrize("bits", [1, 2])
+def test_window_codes_fit_uint8_up_to_eight_bits(bits):
+    # codes of at most 8 bits are uint8, wider ones int64; every code is
+    # the sum of symbol << (bits * j) over the window
+    arr = np.random.default_rng(9).integers(0, 1 << bits, 200).astype(np.uint8)
+    for n in range(1, MAX_CODE_BITS // bits + 1):
+        codes = window_codes(arr, n, bits)
+        assert codes.dtype == (np.uint8 if n * bits <= 8 else np.int64)
+        want = [sum(int(a) << (bits * j) for j, a in enumerate(arr[i : i + n])) for i in range(arr.size - n + 1)]
+        assert codes.tolist() == want
+    assert window_codes(arr[:3], 4, bits).dtype == np.uint8
+
+
 def _unique_codes(arr, n, bits):
     return set(np.unique(window_codes(arr, n, bits)).tolist())
 
