@@ -70,10 +70,11 @@ class LanguageOracle:
 
     Factor sets, saturation and membership all come from one
     :class:`~pfkit.words.FactorIndex` over the prefix, built by one pass on
-    the first query, with each length's set read off it as queries need
-    it: ``contains`` looks the query's code up in its length's set and
-    scans the prefix only for queries longer than MAX_CODE_BITS // bits
-    symbols, which have no integer code.  ``left_extend`` probes the sets
+    the first query over its windows of min(max_len, MAX_CODE_BITS // bits)
+    symbols, with each length's set read off it as queries need it:
+    ``contains`` looks the query's code up in its length's set and scans
+    the prefix only for queries longer than MAX_CODE_BITS // bits symbols,
+    which have no integer code.  ``left_extend`` probes the sets
     from ``factor_codes`` with codes it builds itself, so its probes make
     no ``contains`` call and build no Word.
     """
@@ -90,7 +91,7 @@ class LanguageOracle:
         )
         if not 0 < self.reference_len <= source.length:
             raise DomainError("bad reference length")
-        self._index = FactorIndex(source.to_array(), source.alphabet.bits, self.reference_len)
+        self._index = FactorIndex(source.to_array(), source.alphabet.bits, self.reference_len, max_len)
 
     @classmethod
     def from_generation(cls, generation: int, max_len: int) -> "LanguageOracle":
@@ -160,9 +161,9 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
 
 # each step probes the oracle with one integer window code per letter; at
 # the cap, `pfkit dihedral extend` takes about 0.4 s as a process at
-# generation 20.  A horizon past MAX_CODE_BITS // bits symbols searches
-# the text for every long probe instead: about 25 s at the cap at
-# generation 18
+# generation 20.  With a horizon past MAX_CODE_BITS // bits symbols, a
+# long probe searches the text once its head is a factor, about once a
+# step: at the cap about 1.1 s at generation 18 and 2.5 s at generation 20
 MAX_EXTEND_STEPS = 2**16
 
 
@@ -179,9 +180,11 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
 
     The probe for letter a is the window code (see window_codes) of a
     followed by the word's first L - 1 symbols, a | (tail << bits), looked
-    up in the oracle's length-L factor codes; probes longer than
-    MAX_CODE_BITS // bits symbols have no code and search the oracle's
-    text instead.
+    up in the oracle's length-L factor codes.  A probe longer than
+    H = MAX_CODE_BITS // bits symbols has no code of one int64, so it
+    searches the oracle's text, but only when its first H symbols are a
+    factor: a prefix of a factor is a factor, so the other searches would
+    fail.
     """
     if steps < 0 or horizon < 1:
         raise DomainError("need steps >= 0 and horizon >= 1")
@@ -196,18 +199,19 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
     rev = seed.to_array()[::-1].tolist()  # the word, last symbol first
     mask = (1 << (bits * (horizon - 1))) - 1
     tail = word_code(seed) & mask  # code of the word's first horizon - 1 symbols
+    head_len = MAX_CODE_BITS // bits  # H
+    head_mask = (1 << (bits * head_len)) - 1
     codes, codes_len = None, 0
     for _ in range(steps):
         probe_len = min(horizon, len(rev) + 1)
-        coded = probe_len * bits <= MAX_CODE_BITS
-        if coded and probe_len != codes_len:
-            codes, codes_len = oracle.factor_codes(probe_len), probe_len
+        coded = probe_len <= head_len
+        if probe_len != codes_len:
+            codes, codes_len = oracle.factor_codes(min(probe_len, head_len)), probe_len
         for a in range(alphabet.size):
             probe = a | (tail << bits)
-            if coded:
-                if probe in codes:
-                    break
-            elif oracle._raw.find(bytes([a, *rev[: -probe_len : -1]])) >= 0:
+            # a coded probe is its own head
+            if (probe & head_mask) in codes and (
+                    coded or oracle._raw.find(bytes([a, *rev[: -probe_len : -1]])) >= 0):
                 break
         else:
             raise ExtensionError(_reversed_word(rev, alphabet), horizon)

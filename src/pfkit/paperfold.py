@@ -51,15 +51,24 @@ _prefix_cache.setflags(write=False)
 
 def _prefix_array(length: int) -> np.ndarray:
     """First ``length`` symbols of the infinite word, growing the cache
-    by the recursion as needed.  The cache is read-only, so no caller can
-    change the symbols that later callers read."""
+    to the least generation that covers them.  The cache is read-only, so
+    no caller can change the symbols that later callers read; growth
+    fills a new array, so views of the old one stay as they were."""
     global _prefix_cache
-    while _prefix_cache.size < length:
-        cur = _prefix_cache
-        _prefix_cache = np.concatenate(
-            [cur, np.array([1], dtype=np.uint8), (1 - cur)[::-1]]
-        )
-        _prefix_cache.setflags(write=False)
+    m = _prefix_cache.size
+    if m < length:
+        size = m
+        while size < length:
+            size = 2 * size + 1
+        out = np.empty(size, dtype=np.uint8)
+        out[:m] = _prefix_cache
+        # t(k+1) = t(k) 1 anti(t(k)), each new half written in place
+        while m < size:
+            out[m] = 1
+            np.bitwise_xor(out[m - 1 :: -1], 1, out=out[m + 1 : 2 * m + 1])
+            m = 2 * m + 1
+        out.setflags(write=False)
+        _prefix_cache = out
     return _prefix_cache[:length]
 
 
@@ -164,8 +173,8 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
     every even length up to ``max_len``.
 
     Counts and saturation (against generation - 1) come from one factor
-    index over the generation, built in one pass over its longest
-    windows."""
+    index over the generation, built in one pass over its windows of
+    length ``max_len``."""
     if max_len % 2 != 0 or max_len < 2:
         raise DomainError("max_len must be even and at least 2")
     if max_len > MAX_CODE_BITS:
@@ -176,7 +185,8 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
         raise DomainError(
             f"generation {generation} too small to census lengths up to {max_len}"
         )
-    index = FactorIndex(_prefix_array(2 ** (generation + 1) - 1), 1, ref_len=2**generation - 1)
+    index = FactorIndex(_prefix_array(2 ** (generation + 1) - 1), 1, ref_len=2**generation - 1,
+                        max_len=max_len)
     return CensusResult.of(index.codes, index.saturated, max_len)
 
 

@@ -6,9 +6,12 @@ numpy symbol array for scans.  All values are immutable after construction
 and every operation is pure, so words are safe to share between threads.
 
 Factor languages have one engine, :class:`FactorIndex`: one chunked,
-sorted pass over a symbol array keeps the distinct codes of its longest
-codable windows, and the factor codes of every shorter length, and their
-saturation against a reference prefix, are masks of those codes.
+sorted pass over a symbol array keeps the distinct codes of its windows of
+width W, the longest length its caller can ask for (at most
+MAX_CODE_BITS // bits symbols), and the factor codes of every shorter
+length, and their saturation against a reference prefix, are masks of
+those codes.  The codes are uint32 when they fit in 32 bits and int64
+otherwise.
 ``window_codes`` codes one length from scratch; it stays as the direct
 formulation for single scans, codes the few windows near the array's end
 that the index's longest windows miss, and is the index's test oracle.
@@ -294,7 +297,7 @@ def word_code(v: Word) -> int:
     return int.from_bytes(v.payload, "little")
 
 
-_CHUNK = 1 << 16  # windows per step of the build; its two buffers take 1 MiB
+_CHUNK = 1 << 16  # windows per step of the build; its two buffers take at most 1 MiB
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -307,33 +310,41 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 
 
 class FactorIndex:
-    """The factor codes of every length of one symbol array, from one
-    sorted pass over its longest codable windows.
+    """The factor codes of every length up to ``max_len`` of one symbol
+    array, from one sorted pass over its longest windows.
 
-    Every factor of length n <= W = min(MAX_CODE_BITS // bits, len(arr))
-    is a prefix of a length-W window, or a window of the last W - 1
-    symbols.  Since a window's first symbol sits in the low bits (see
-    window_codes), a prefix's code is a mask of the window's code.  So the
-    index keeps only the distinct length-W window codes, sorted: those of
-    every start, and those of the starts whose windows lie inside the
-    first ``ref_len`` symbols (default: all of them).  Length n's codes
-    are the first set masked to n symbols plus the windows of the last
-    W - 1 symbols; ``saturated(n)`` compares them with the same formula
-    over the reference windows and the last W - 1 symbols before
-    ``ref_len``.  A length past the array has no factors and is saturated.
+    ``codes(n)`` and ``saturated(n)`` accept 1 <= n <= min(max_len,
+    MAX_CODE_BITS // bits); with no ``max_len`` that is every codable
+    length.  Every factor of length n <= W = min(max_len,
+    MAX_CODE_BITS // bits, len(arr)) is a prefix of a length-W window, or
+    a window of the last W - 1 symbols.  Since a window's first symbol
+    sits in the low bits (see window_codes), a prefix's code is a mask of
+    the window's code.  So the index keeps only the distinct length-W
+    window codes, sorted: those of every start, and those of the starts
+    whose windows lie inside the first ``ref_len`` symbols (default: all
+    of them).  Length n's codes are the first set masked to n symbols plus
+    the windows of the last W - 1 symbols; ``saturated(n)`` compares them
+    with the same formula over the reference windows and the last W - 1
+    symbols before ``ref_len``.  A length past the array has no factors
+    and is saturated.
 
     The pass runs on the first request, under a lock.  It codes the
     length-W windows ``_CHUNK`` starts at a time, doubling the width in
     place, then sorts each chunk and drops its duplicates; only the
     distinct codes outlive a chunk, so nothing of the array's size is
-    kept.  Each length's set and saturation are cached on first request.
+    kept.  The codes are uint32 when bits * W <= 32, where numpy sorts
+    them about twice as fast as int64, and int64 otherwise.  Each
+    length's set and saturation are cached on first request.
     """
 
-    def __init__(self, arr: np.ndarray, bits: int, ref_len: int | None = None):
+    def __init__(self, arr: np.ndarray, bits: int, ref_len: int | None = None,
+                 max_len: int | None = None):
         self._arr = arr
         self._bits = bits
         self._ref_len = arr.size if ref_len is None else ref_len
-        self._width = min(MAX_CODE_BITS // bits, arr.size)  # W
+        longest = MAX_CODE_BITS // bits
+        self._longest = longest if max_len is None else min(max_len, longest)
+        self._width = min(self._longest, arr.size)  # W
         self._every = self._ref = None  # distinct length-W window codes
         self._codes: dict[int, set] = {}
         self._saturated: dict[int, bool] = {}
@@ -341,9 +352,8 @@ class FactorIndex:
 
     def codes(self, n: int) -> set:
         """The set of codes of the length-n factors."""
-        longest = MAX_CODE_BITS // self._bits
-        if not 1 <= n <= longest:
-            raise DomainError(f"window length {n} outside 1..{longest} for integer coding")
+        if not 1 <= n <= self._longest:
+            raise DomainError(f"window length {n} outside 1..{self._longest} for this index")
         with self._lock:
             if n not in self._codes:
                 self._build()
@@ -374,8 +384,9 @@ class FactorIndex:
         arr, bits, width = self._arr, self._bits, self._width
         m = arr.size - width + 1 if width else 0  # length-W windows
         m_ref = self._ref_len - width + 1  # those inside the reference prefix
-        ref = every = np.empty(0, dtype=np.int64)
-        buf = np.empty(min(m, _CHUNK) + max(width - 1, 0), dtype=np.int64)
+        dtype = np.uint32 if bits * width <= 32 else np.int64
+        ref = every = np.empty(0, dtype=dtype)
+        buf = np.empty(min(m, _CHUNK) + max(width - 1, 0), dtype=dtype)
         shifted = np.empty_like(buf)
         for a in range(0, m, _CHUNK):
             count = min(_CHUNK, m - a)
@@ -428,7 +439,7 @@ def factor_set(w: Word, n: int) -> set:
         return set()
     bits = w.alphabet.bits
     if n * bits <= MAX_CODE_BITS:
-        codes = FactorIndex(w.to_array(), bits).codes(n)
+        codes = FactorIndex(w.to_array(), bits, max_len=n).codes(n)
         return {code_to_word(c, n, w.alphabet) for c in codes}
     # long windows: fall back to hashing raw symbol slices
     raw = w.to_array().tobytes()

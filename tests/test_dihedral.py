@@ -229,8 +229,11 @@ def test_left_extend_matches_the_word_by_word_loop(which, data):
     oracle = EXTEND_ORACLES[which]
     text = oracle.source.to_array()
     longest = MAX_CODE_BITS // oracle.source.alphabet.bits
+    # horizons up to 8 symbols past the coding limit, whose probes search
+    # the text only when their first `longest` symbols are a factor
     horizon = data.draw(st.one_of(st.sampled_from([1, longest, longest + 1]),
-                                  st.integers(1, longest + 1)), label="horizon")
+                                  st.integers(1, longest + 1),
+                                  st.integers(longest + 1, longest + 8)), label="horizon")
     n = data.draw(st.integers(0, min(40, oracle.max_len - horizon)), label="seed length")
     # a seed at the text's head gets stuck when its head occurs nowhere else
     start = data.draw(st.one_of(st.just(0), st.integers(0, text.size - n)), label="seed start")
@@ -256,6 +259,28 @@ def test_left_extend_fixed_cases(source, max_len, seed, steps, horizon, kind):
     outcome = _extension_outcome(left_extend, oracle, Word(seed), steps, horizon)
     assert outcome == _extension_outcome(_left_extend_by_words, oracle, Word(seed), steps, horizon)
     assert outcome[0] == kind
+
+
+def test_left_extend_searches_only_probes_with_a_factor_head():
+    # past the coding limit a probe searches the text only when its first
+    # 62 symbols are a factor; the word's left extensions of that length
+    # are almost always unique, so about one search a step is made, where
+    # searching both letters would make about one and a half
+    oracle, seed, steps = LanguageOracle.from_generation(12, 1200), pf_word(3), 1000
+    text = oracle.source.to_array().tobytes()
+    searches = []
+
+    class Text(bytes):
+        def find(self, needle):
+            searches.append(needle)
+            return super().find(needle)
+
+    oracle.__dict__["_raw"] = Text(text)
+    out = left_extend(oracle, seed, steps, 70)
+    assert out == _left_extend_by_words(LanguageOracle.from_generation(12, 1200), seed, steps, 70)
+    long_steps = steps - (MAX_CODE_BITS - seed.length)  # steps with a probe past 62 symbols
+    assert all(text.find(needle[:MAX_CODE_BITS]) >= 0 for needle in searches)
+    assert long_steps <= len(searches) < 1.1 * long_steps
 
 
 def test_left_extend_builds_a_constant_number_of_words():

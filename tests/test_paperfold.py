@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,32 @@ def test_prefix_cache_is_read_only():
     assert not paperfold._prefix_cache.flags.writeable
     assert str(pf_word(2)) == "1101100"
     assert verify_generation_fidelity().status == "pass"
+
+
+def test_prefix_cache_grows_in_place_to_the_closed_form(monkeypatch):
+    # from a cold cache, each request grows the cache to the least
+    # generation that covers it, holding no more than the old cache and
+    # the new one; every array handed out is read-only, and later growth
+    # leaves the earlier ones as they were
+    cold = np.array([1], dtype=np.uint8)
+    cold.setflags(write=False)
+    monkeypatch.setattr(paperfold, "_prefix_cache", cold)
+    handed, covered = [], 1
+    for length in (5, 2**10, 2**17 + 3, 2**21 - 1, 2**10):
+        before, covered = covered, max(covered, 2 ** length.bit_length() - 1)
+        tracemalloc.start()
+        try:
+            arr = paperfold._prefix_array(length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (before + covered if covered > before else 0) + 4096
+        ks = np.arange(1, length + 1, dtype=np.int64)
+        assert np.array_equal(arr, (ks // (ks & -ks) % 4 == 1).astype(np.uint8))
+        assert not arr.flags.writeable and not paperfold._prefix_cache.flags.writeable
+        assert paperfold._prefix_cache.size == covered
+        handed.append((arr, arr.copy()))
+    assert all(np.array_equal(arr, copy) for arr, copy in handed)
 
 
 def test_resource_guards():

@@ -361,18 +361,20 @@ def test_census_negative_control(symbols):
 
 def test_run_all_reads_small_generations_for_the_language(monkeypatch):
     # the census and freeness read generation 6 and closure generation 7,
-    # so no factor index of the full run codes more than 255 symbols
-    sizes = []
+    # so no factor index of the full run codes more than 255 symbols, and
+    # each codes windows only as long as its check reads: 8 symbols for
+    # the census and freeness, 16 for closure
+    builds = []
     index_init = words.FactorIndex.__init__
 
     def record(self, *args, **kwargs):
         index_init(self, *args, **kwargs)
-        sizes.append(self._arr.size)
+        builds.append((self._arr.size, self._width))
 
     monkeypatch.setattr(words.FactorIndex, "__init__", record)
     reports = run_all("full", seed=42)
     assert all(r.status == "pass" for r in reports)
-    assert sizes and max(sizes) <= 255
+    assert sorted(builds) == [(127, 8), (127, 8), (255, 16)]
 
 
 def test_oracle_build_failure_errors_only_its_readers(monkeypatch):

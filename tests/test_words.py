@@ -185,25 +185,48 @@ def _unique_codes(arr, n, bits):
 @given(engine_words, st.sampled_from([1, 5, 1 << 16]), st.data())
 def test_factor_index_matches_window_codes(case, chunk, data):
     # the engine against the per-length formulation it replaces: every
-    # codable length, also past the word's end, on the full array and on
-    # the reference prefix; small chunks put chunk edges inside the word
+    # length up to the index's max_len (by default every codable one),
+    # also past the word's end, on the full array and on the reference
+    # prefix; small chunks put chunk edges inside the word
     size, symbols = case
     arr = np.array(symbols, dtype=np.uint8)
     bits = Alphabet(size).bits
     ref_len = data.draw(st.integers(1, arr.size), label="ref_len")
-    index = FactorIndex(arr, bits, ref_len)
+    max_len = data.draw(st.one_of(st.none(), st.integers(1, MAX_CODE_BITS // bits)), label="max_len")
+    longest = MAX_CODE_BITS // bits if max_len is None else max_len
+    index = FactorIndex(arr, bits, ref_len, max_len)
     with mock.patch.object(words, "_CHUNK", chunk):
-        index.codes(MAX_CODE_BITS // bits)
-    for n in range(1, MAX_CODE_BITS // bits + 1):
+        index.codes(longest)
+    for n in range(1, longest + 1):
         full = _unique_codes(arr, n, bits)
         assert index.codes(n) == full
         assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
         if n <= arr.size:
             word = Word.from_array(arr[:n], Alphabet(size))
             assert word_code(word) == int(window_codes(arr, n, bits)[0])
-    for bad in (0, MAX_CODE_BITS // bits + 1):
+    for bad in (0, longest + 1):
         with pytest.raises(DomainError):
             index.codes(bad)
+        with pytest.raises(DomainError):
+            index.saturated(bad)
+
+
+@pytest.mark.parametrize("bits, max_len, dtype", [
+    (1, 32, np.uint32), (1, 33, np.int64), (2, 16, np.uint32), (2, 17, np.int64)])
+def test_factor_index_codes_fit_uint32_up_to_32_bits(bits, max_len, dtype):
+    # windows of at most 32 bits are coded and sorted as uint32, wider ones
+    # as int64; a random word uses the top bit of the widest codes, and
+    # chunk edges fall inside it
+    arr = np.random.default_rng(12).integers(0, 1 << bits, 3000).astype(np.uint8)
+    index = FactorIndex(arr, bits, 1700, max_len)
+    with mock.patch.object(words, "_CHUNK", 1000):
+        index.codes(max_len)
+    assert index._every.dtype == index._ref.dtype == dtype
+    assert max(index.codes(max_len)) >> (bits * max_len - 1) == 1
+    for n in (1, max_len - 1, max_len):
+        full = _unique_codes(arr, n, bits)
+        assert index.codes(n) == full
+        assert index.saturated(n) == (_unique_codes(arr[:1700], n, bits) == full)
 
 
 def test_factor_index_across_full_size_chunks():
@@ -243,20 +266,22 @@ def test_factor_index_edges():
 
 def test_factor_index_memory_over_generation_20():
     # the build keeps no array of the generation's size, and its pass
-    # stays within a few chunk buffers
+    # stays within a few chunk buffers: int64 ones for the 62-windows,
+    # uint32 ones, under 1 MiB in all, for an index of length 8
     arr = pf_word(20).to_array()
-    tracemalloc.start()
-    try:
-        index = FactorIndex(arr, 1, 2**20 - 1)
-        index.saturated(1)
-        kept = tracemalloc.get_traced_memory()[0]
-        for n in range(2, 25):
-            index.saturated(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert kept < 64 << 10
-    assert peak < 2 << 20
+    for max_len, longest, budget in ((None, 24, 2 << 20), (8, 8, 1 << 20)):
+        tracemalloc.start()
+        try:
+            index = FactorIndex(arr, 1, 2**20 - 1, max_len)
+            index.saturated(1)
+            kept = tracemalloc.get_traced_memory()[0]
+            for n in range(2, longest + 1):
+                index.saturated(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 << 10
+        assert peak < budget
 
 
 def test_pfw_roundtrip(tmp_path):
