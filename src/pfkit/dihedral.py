@@ -41,6 +41,7 @@ from .words import (
     anti_palindrome_codes,
     anti_reverse_code,
     code_to_word,
+    segment,
     window_codes,
     word_code,
 )
@@ -72,9 +73,10 @@ class LanguageOracle:
     :class:`~pfkit.words.FactorIndex` over the prefix, built by one pass on
     the first query over its windows of min(max_len, MAX_CODE_BITS // bits)
     symbols, with each length's set read off it as queries need it:
-    ``contains`` looks the query's code up in its length's set and scans
-    the prefix only for queries longer than MAX_CODE_BITS // bits symbols,
-    which have no integer code.  ``left_extend`` probes the sets
+    ``contains`` looks the query's code up in its length's set; a query
+    longer than H = MAX_CODE_BITS // bits symbols has no integer code, so
+    it scans the prefix, but only when its first H symbols are a factor.
+    ``left_extend`` probes the sets
     from ``factor_codes`` with codes it builds itself, so its probes make
     no ``contains`` call and build no Word.
     """
@@ -113,9 +115,12 @@ class LanguageOracle:
             raise DomainError(f"query length {v.length} exceeds oracle max_len")
         if v.length == 0:
             return True
-        if v.length * v.alphabet.bits <= MAX_CODE_BITS:
+        head = MAX_CODE_BITS // v.alphabet.bits
+        if v.length <= head:
             return word_code(v) in self._index.codes(v.length)
-        return self._raw.find(v.to_array().tobytes()) >= 0
+        # a prefix of a factor is a factor: search only if the head is one
+        return (word_code(segment(v, 0, head - 1)) in self._index.codes(head)
+                and self._raw.find(v.to_array().tobytes()) >= 0)
 
     def factor_codes(self, length: int) -> set:
         """Set of integer window codes of the given length."""

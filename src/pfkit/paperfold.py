@@ -2,8 +2,9 @@
 
 The generations are t(0) = "1", t(n+1) = t(n) + "1" + anti_reverse(t(n)),
 so |t(n)| = 2^(n+1) - 1 and each generation is a prefix of the next.  The
-module keeps one growing prefix array as a cache; words handed out are
-read-only views into it.
+module keeps one growing prefix array as a cache, filled forward by the
+interleaving identity t[2j] = 1 - (j mod 2), t[2j+1] = t[j]; words handed
+out are read-only views into it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,13 @@ def _prefix_array(length: int) -> np.ndarray:
     """First ``length`` symbols of the infinite word, growing the cache
     to the least generation that covers them.  The cache is read-only, so
     no caller can change the symbols that later callers read; growth
-    fills a new array, so views of the old one stay as they were."""
+    fills a new array, so views of the old one stay as they were.
+
+    Each new half m .. 2m of t(k+1) = t(k) 1 anti(t(k)), m = |t(k)|, is
+    filled forward by the interleaving identity t[2j] = 1 - (j mod 2),
+    t[2j+1] = t[j] (Allouche & Shallit, Automatic Sequences, 2003): its
+    odd slots are one strided copy of t[(m - 1) / 2 .. m - 1], and its
+    even slots alternate between two constants."""
     global _prefix_cache
     m = _prefix_cache.size
     if m < length:
@@ -62,10 +69,11 @@ def _prefix_array(length: int) -> np.ndarray:
             size = 2 * size + 1
         out = np.empty(size, dtype=np.uint8)
         out[:m] = _prefix_cache
-        # t(k+1) = t(k) 1 anti(t(k)), each new half written in place
         while m < size:
-            out[m] = 1
-            np.bitwise_xor(out[m - 1 :: -1], 1, out=out[m + 1 : 2 * m + 1])
+            out[m : 2 * m + 1 : 2] = out[(m - 1) // 2 : m]
+            first = 1 - (m + 1) // 2 % 2  # t[m + 1], at j = (m + 1) / 2
+            out[m + 1 : 2 * m + 1 : 4] = first
+            out[m + 3 : 2 * m + 1 : 4] = 1 - first
             m = 2 * m + 1
         out.setflags(write=False)
         _prefix_cache = out

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .paperfold import MAX_PREFIX_LEN, pf_prefix
 from .report import Check, CheckReport
-from .words import QUATERNARY, Word
+from .words import QUATERNARY, Word, same_symbols
 
 __all__ = [
     "Substitution",
@@ -210,10 +210,11 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     iterations.  Each application reads only the letters whose images
     cover the first L symbols, so no iterate is longer than L plus one
     image.  The iterates are plain symbol arrays, imaged by the kernel
-    behind ``apply`` (one gather for uniform images), and only the result
-    is packed into a Word.  ``L`` is capped at paperfold.MAX_PREFIX_LEN
-    (2^31 - 1), the budget of paperfold.pf_prefix; larger requests raise
-    ResourceError.
+    behind ``apply`` (one gather for uniform images) and compared a chunk
+    at a time by ``words.same_symbols``; only the result becomes a Word,
+    which keeps the array as it is.  ``L`` is capped at
+    paperfold.MAX_PREFIX_LEN (2^31 - 1), the budget of paperfold.pf_prefix;
+    larger requests raise ResourceError.
     """
     if L < 0:
         raise DomainError("prefix length must be non-negative")
@@ -233,15 +234,30 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     while cur.size < L:
         nxt = _image(s, _covering_prefix(s, cur, L))
         # images are never empty, so nxt is at least as long as cur
-        if not np.array_equal(nxt[: cur.size], cur):
+        if not same_symbols(nxt[: cur.size], cur):
             raise DomainError("iteration is not prefix-stable; no fixed point")
         cur = nxt
     return Word.from_array(cur[:L], s.alphabet)
 
 
+_PAIR_CHUNK = 1 << 16  # pairs per step of _pair_codes; its buffer takes 128 KiB
+
+
 def _pair_codes(arr: np.ndarray) -> np.ndarray:
-    """2*arr[2i] + arr[2i+1] for every pair of an even-length 0/1 array."""
-    return 2 * arr[0::2] + arr[1::2]
+    """2*arr[2i] + arr[2i+1] for every pair of an even-length contiguous
+    0/1 array.  Read as a little-endian uint16, the pair is
+    v = arr[2i] + 256*arr[2i+1], and the high byte of 513*v mod 2^16 is
+    2*arr[2i] + arr[2i+1]: one contiguous multiply and shift in place of
+    two strided passes.  The products go through one small buffer, so the
+    only array of the input's size that is made is the result."""
+    v = arr.view("<u2")
+    out = np.empty(v.size, dtype=np.uint8)
+    buf = np.empty(min(v.size, _PAIR_CHUNK), dtype=np.uint16)
+    for a in range(0, v.size, _PAIR_CHUNK):
+        b = buf[: min(_PAIR_CHUNK, v.size - a)]
+        np.multiply(v[a : a + b.size], 513, out=b)
+        np.right_shift(b, 8, out=out[a : a + b.size], casting="unsafe")
+    return out
 
 
 def block_code(x: Word, offset: int = 0) -> Word:
@@ -296,9 +312,13 @@ def verify_recoding_induction() -> CheckReport:
     (2 + hi(a), lo(a)), and the fixed point starts with 3.  The rules are
     checked before the fixed point is built, so a table that is not
     left-proper or primitive fails on its rule.  The premise, the
-    interleaving identity at p = 0, is the one paperfold.self-similarity
-    checks, as the bridge lemma of paperfold.language_generation names its
-    premises.  verify_recoding is the oracle."""
+    interleaving identity at p = 0, is the rule paperfold._prefix_array
+    fills the word by, so paperfold.self-similarity at p = 0 re-reads it;
+    the fill is pinned against the defining recursion t(n+1) =
+    t(n) 1 anti(t(n)) by paperfold.generation-fidelity up to generation 5
+    and by the test suite further, as the bridge lemma of
+    paperfold.language_generation names its premises.  verify_recoding is
+    the oracle."""
     chk = Check("subst.recoding", {"pairs": ["00", "01", "10", "11"], "letters": [0, 1, 2, 3]},
                 "two-block recoding of the binary word is the substitution fixed point at every "
                 "length: pair codes 2x + y, rules a -> (2 + hi(a), lo(a)) and first letter 3, "
@@ -330,7 +350,7 @@ def verify_intertwining(L: int) -> CheckReport:
     arr = pf_prefix(L).to_array()
     left = _pair_codes(arr[2:])
     right = _pair_codes(arr)[1:]
-    if np.array_equal(left, right):
+    if same_symbols(left, right):
         return chk.passed()
     return chk.failed({"first_mismatch_block": int(np.nonzero(left != right)[0][0])})
 
@@ -339,15 +359,16 @@ def verify_intertwining_pairs() -> CheckReport:
     """The block code intertwines the squared binary shift with the
     quaternary shift on every binary word, from the 16 words of length 4.
 
-    The premise, read off the code, is that _pair_codes is
-    arr[0::2] * 2 + arr[1::2], so block i is a function of the pair
-    (arr[2i], arr[2i+1]) alone that does not depend on i.  Dropping two
-    symbols moves pair i + 1 to block i, so the identity of
-    verify_intertwining says that a pair gets the same letter at block i
-    as at block i + 1, which the premise gives for every i.  The 16 words
-    of length 4 check it where the code can show it, every pair at block 0
-    and at block 1; a map that depends on where a pair sits fails there.
-    verify_intertwining is the oracle."""
+    The premise, read off the code, is that _pair_codes maps each
+    little-endian uint16 pair v = arr[2i] + 256*arr[2i+1] to the high
+    byte of 513*v mod 2^16, the same arithmetic at every i, so block i is
+    a function of the pair (arr[2i], arr[2i+1]) alone that does not
+    depend on i.  Dropping two symbols moves pair i + 1 to block i, so the
+    identity of verify_intertwining says that a pair gets the same letter
+    at block i as at block i + 1, which the premise gives for every i.
+    The 16 words of length 4 check it where the code can show it, every
+    pair at block 0 and at block 1; a map that depends on where a pair
+    sits fails there.  verify_intertwining is the oracle."""
     chk = Check("subst.intertwining", {"word_length": 4, "words": 16},
                 "block code intertwines the squared binary shift with the quaternary shift on "
                 "every binary word: identity on all 16 words of length 4, pair codes read off "

@@ -1,9 +1,11 @@
-"""Immutable bit-packed words over binary/quaternary alphabets.
+"""Immutable words over binary/quaternary alphabets.
 
-Words are stored packed (1 bit per symbol for alphabet size 2, 2 bits for
-size 4, least-significant-bit first within each byte) with a lazily cached
-numpy symbol array for scans.  All values are immutable after construction
-and every operation is pure, so words are safe to share between threads.
+A word holds one read-only numpy uint8 array, one symbol a byte, which
+every scan reads directly.  Words are packed (1 bit per symbol for
+alphabet size 2, 2 bits for size 4, least-significant-bit first within
+each byte) only for the PFW format and for ``word_code``; the PFW decoder
+unpacks once.  All values are immutable after construction and every
+operation is pure, so words are safe to share between threads.
 
 Factor languages have one engine, :class:`FactorIndex`: one chunked,
 sorted pass over a symbol array keeps the distinct codes of its windows of
@@ -103,42 +105,49 @@ def _pack(arr: np.ndarray, bits: int) -> bytes:
 def _unpack(payload: bytes, length: int, bits: int) -> np.ndarray:
     raw = np.frombuffer(payload, dtype=np.uint8)
     if bits == 1:
-        out = np.unpackbits(raw, count=length, bitorder="little")
-    else:
-        out = np.empty(raw.size * 4, dtype=np.uint8)
-        for k in range(4):
-            out[k::4] = (raw >> (2 * k)) & 3
-        out = out[:length]
-    out.setflags(write=False)
-    return out
+        return np.unpackbits(raw, count=length, bitorder="little")
+    out = np.empty(raw.size * 4, dtype=np.uint8)
+    for k in range(4):
+        out[k::4] = (raw >> (2 * k)) & 3
+    return out[:length]
+
+
+_EQ_CHUNK = 1 << 18  # symbols per step of same_symbols; its temporary takes 256 KiB
+
+
+def same_symbols(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two symbol arrays are equal, compared a chunk at a time so
+    that no temporary of their size is made."""
+    return a.size == b.size and all(
+        np.array_equal(a[i : i + _EQ_CHUNK], b[i : i + _EQ_CHUNK])
+        for i in range(0, a.size, _EQ_CHUNK)
+    )
 
 
 class Word:
-    """An immutable finite symbol sequence.
+    """An immutable finite symbol sequence over one read-only uint8 array.
 
     Construct from text (``Word("110")``, ``Word("3121", 4)``), from a
-    numpy uint8 array via :meth:`from_array`, or from packed payload bytes
-    via :meth:`from_packed`.
+    numpy uint8 array via :meth:`from_array` (kept without a copy, and
+    made read-only, when it is already contiguous uint8), or from packed
+    payload bytes via :meth:`from_packed`.
     """
 
-    __slots__ = ("alphabet", "length", "payload", "_arr")
+    __slots__ = ("alphabet", "length", "_arr")
 
     def __init__(self, text: str = "", alphabet=BINARY):
-        alphabet = _as_alphabet(alphabet)
         try:
             arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
         except UnicodeEncodeError:
             raise DomainError(f"word text must be ASCII digits, got {text!r}")
-        if arr.size and int(arr.max()) >= alphabet.size:
-            raise DomainError(
-                f"symbol out of range for alphabet of size {alphabet.size}: {text!r}"
-            )
-        self._init(alphabet, arr.size, _pack(arr, alphabet.bits), None)
+        self._init(_as_alphabet(alphabet), arr, check=True)
 
-    def _init(self, alphabet, length, payload, arr):
+    def _init(self, alphabet, arr, check):
+        if check and arr.size and int(arr.max()) >= alphabet.size:
+            raise DomainError(f"symbol out of range for alphabet of size {alphabet.size}")
+        arr.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "length", arr.size)
         object.__setattr__(self, "_arr", arr)
 
     def __setattr__(self, name, value):
@@ -146,37 +155,31 @@ class Word:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, alphabet=BINARY) -> "Word":
-        alphabet = _as_alphabet(alphabet)
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        if arr.size and int(arr.max()) >= alphabet.size:
-            raise DomainError("symbol out of range for alphabet")
         w = cls.__new__(cls)
-        arr.setflags(write=False)
-        w._init(alphabet, arr.size, _pack(arr, alphabet.bits), arr)
+        w._init(_as_alphabet(alphabet), np.ascontiguousarray(arr, dtype=np.uint8), check=True)
         return w
 
     @classmethod
     def from_packed(cls, payload: bytes, length: int, alphabet=BINARY) -> "Word":
+        """The word of ``length`` symbols packed in ``payload``; padding
+        bits past the last symbol are ignored."""
         alphabet = _as_alphabet(alphabet)
         need = (length * alphabet.bits + 7) // 8
         if len(payload) != need:
             raise DomainError(
                 f"payload has {len(payload)} bytes, expected {need} for length {length}"
             )
-        payload = bytes(payload)
-        # padding bits past the last symbol are canonically zero (hash/eq
-        # rely on it); the symbols are unpacked only when first read
-        used = length * alphabet.bits % 8
-        if used and payload[-1] >> used:
-            payload = payload[:-1] + bytes([payload[-1] & ((1 << used) - 1)])
         w = cls.__new__(cls)
-        w._init(alphabet, length, payload, None)
+        w._init(alphabet, _unpack(payload, length, alphabet.bits), check=False)
         return w
 
+    @property
+    def payload(self) -> bytes:
+        """The packed symbols, with zero padding bits, packed on each read."""
+        return _pack(self._arr, self.alphabet.bits)
+
     def to_array(self) -> np.ndarray:
-        """Read-only uint8 symbol array (cached)."""
-        if self._arr is None:
-            object.__setattr__(self, "_arr", _unpack(self.payload, self.length, self.alphabet.bits))
+        """The read-only uint8 symbol array."""
         return self._arr
 
     def __len__(self) -> int:
@@ -200,12 +203,11 @@ class Word:
         return (
             isinstance(other, Word)
             and self.alphabet == other.alphabet
-            and self.length == other.length
-            and self.payload == other.payload
+            and same_symbols(self._arr, other._arr)
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet.size, self.length, self.payload))
+        return hash((self.alphabet.size, self._arr.tobytes()))
 
 
 def concat(a: Word, b: Word) -> Word:
@@ -473,11 +475,7 @@ def from_pfw_bytes(data: bytes) -> Word:
         raise DomainError(f"bad alphabet-size byte {size}")
     alphabet = Alphabet(size)
     length = int.from_bytes(data[6:_PFW_HEADER_LEN], "little")
-    payload = data[_PFW_HEADER_LEN:]
-    need = (length * alphabet.bits + 7) // 8
-    if len(payload) != need:
-        raise DomainError(f"payload size {len(payload)} != expected {need}")
-    return Word.from_packed(payload, length, alphabet)
+    return Word.from_packed(memoryview(data)[_PFW_HEADER_LEN:], length, alphabet)
 
 
 def write_pfw(w: Word, path) -> None:

@@ -66,6 +66,32 @@ def test_oracle_contains_matches_substring_search(which, n, data):
     assert CONTAINS_ORACLES[which].contains(Word(probe, size)) == (probe in text)
 
 
+def test_oracle_contains_searches_only_queries_with_a_factor_head():
+    # past the coding limit a query searches the text only when its first
+    # MAX_CODE_BITS symbols are a factor
+    oracle = LanguageOracle.from_generation(12, 100)
+    text = str(oracle.source)
+    searches = []
+
+    class Text(bytes):
+        def find(self, needle):
+            searches.append(needle)
+            return super().find(needle)
+
+    oracle.__dict__["_raw"] = Text(oracle.source.to_array().tobytes())
+    factor = text[1000:1080]
+    head = list(factor[:MAX_CODE_BITS])
+    head[30] = str(1 - int(head[30]))  # a 62-symbol word that is not a factor
+    assert "".join(head) not in text
+    not_a_factor = "".join(head) + factor[MAX_CODE_BITS:]
+    assert not oracle.contains(Word(not_a_factor))
+    assert searches == []
+    tail_flipped = factor[:-1] + str(1 - int(factor[-1]))
+    for probe in (factor, tail_flipped):
+        assert oracle.contains(Word(probe)) == (probe in text)
+    assert len(searches) == 2
+
+
 def test_oracle_saturation():
     oracle = LanguageOracle.from_generation(12, 16)
     assert oracle.saturated_to(16)

@@ -109,6 +109,31 @@ def test_prefix_cache_grows_in_place_to_the_closed_form(monkeypatch):
     assert all(np.array_equal(arr, copy) for arr, copy in handed)
 
 
+def _generations_by_recursion(n_max):
+    """t(0) .. t(n_max) by the defining recursion t(n+1) = t(n) 1 anti(t(n)),
+    which the forward fill of the prefix cache does not read."""
+    gens = [np.array([1], dtype=np.uint8)]
+    for _ in range(n_max):
+        t = gens[-1]
+        gens.append(np.concatenate([t, [1], 1 - t[::-1]]).astype(np.uint8))
+    return gens
+
+
+def test_prefix_fill_matches_the_recursion_from_every_cold_generation(monkeypatch):
+    gens = _generations_by_recursion(20)
+    ks = np.arange(1, gens[-1].size + 1, dtype=np.int64)
+    assert np.array_equal(gens[-1], (ks // (ks & -ks) % 4 == 1).astype(np.uint8))
+    for cold in range(20):
+        cache = gens[cold].copy()
+        cache.setflags(write=False)
+        monkeypatch.setattr(paperfold, "_prefix_cache", cache)
+        # one generation past the cache, then all the way to generation 20
+        for n in (cold + 1, 20):
+            arr = paperfold._prefix_array(gens[n].size)
+            assert arr.size == gens[n].size and np.array_equal(arr, gens[n]), (cold, n)
+        assert np.array_equal(paperfold._prefix_cache, gens[20])
+
+
 def test_resource_guards():
     with pytest.raises(ResourceError):
         pf_word(31)

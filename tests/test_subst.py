@@ -202,6 +202,25 @@ def test_block_code():
         block_code(Word("110110"), offset=1)
 
 
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_pair_codes_match_the_strided_formula(offset):
+    # offset 1 reads the pairs as uint16 at an odd address
+    arr = np.random.default_rng(5).integers(0, 2, offset + 2**17 + 4).astype(np.uint8)
+    arr[offset : offset + 8] = [0, 0, 0, 1, 1, 0, 1, 1]
+    # 2^16 + 2 pairs run past the end of the first chunk
+    for n in (0, 2, 8, 4096, 2**17 + 4):
+        x = arr[offset : offset + n]
+        codes = subst._pair_codes(x)
+        assert codes.dtype == np.uint8 and np.array_equal(codes, 2 * x[0::2] + x[1::2])
+    assert subst._pair_codes(arr[offset : offset + 8]).tolist() == [0, 1, 2, 3]
+
+
+def test_pair_codes_make_no_temporary_of_the_input_size(traced_peak):
+    arr = pf_prefix(2**22).to_array()
+    codes, peak = traced_peak(subst._pair_codes, arr)
+    assert codes.size == 2**21 and peak < 2**21 + 2**18
+
+
 def test_block_code_injective_on_samples():
     rng = random.Random(31)
     seen = {}

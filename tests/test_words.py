@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from unittest import mock
@@ -10,6 +11,13 @@ from hypothesis import strategies as st
 from pfkit import words
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_word
+from pfkit.subst import (
+    PAPERFOLD_SUBSTITUTION,
+    block_code,
+    fixed_prefix,
+    verify_intertwining,
+    verify_recoding,
+)
 from pfkit.words import (
     BINARY,
     MAX_CODE_BITS,
@@ -413,3 +421,87 @@ def test_set_padding_bits_decode_to_the_canonical_word(size, text):
                  from_pfw_bytes(_pfw_blob(size, w.length, dirty))):
         assert back == w and hash(back) == hash(w)
         assert back.payload == w.payload and str(back) == text
+
+
+def _all_forms(w):
+    """``w`` built every way a word can be: from text, from an array, from
+    its payload with every padding bit set, and through a PFW round trip."""
+    used = w.length * w.alphabet.bits % 8
+    dirty = w.payload
+    if used:
+        dirty = dirty[:-1] + bytes([dirty[-1] | (0xFF << used) & 0xFF])
+    return (Word(str(w), w.alphabet), Word.from_array(w.to_array().copy(), w.alphabet),
+            Word.from_packed(dirty, w.length, w.alphabet), from_pfw_bytes(to_pfw_bytes(w)))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_equality_and_hash_agree_across_every_form(size):
+    rng = random.Random(size)
+    samples = [rand_word(rng, n, size) for n in (0, 1, 3, 7, 9, 31, 33, 101, 2**18 + 5)]
+    for w in samples:
+        for form in _all_forms(w):
+            assert form == w and w == form and hash(form) == hash(w)
+            assert form.length == w.length and np.array_equal(form.to_array(), w.to_array())
+            assert not form.to_array().flags.writeable
+    # one flipped symbol, in the first or the last chunk of the compare,
+    # or one symbol dropped, makes a different word
+    for w in samples[1:]:
+        for i in (0, w.length - 1):
+            arr = w.to_array().copy()
+            arr[i] = (arr[i] + 1) % size
+            assert Word.from_array(arr, size) != w
+        assert segment(w, 0, w.length - 1) == w
+        if w.length > 1:
+            assert segment(w, 0, w.length - 2) != w
+    assert Word("") != Word("", 4) and Word("1") != Word("1", 4)
+
+
+def test_words_compare_without_a_temporary_of_their_size():
+    a = pf_word(23)  # 2^24 - 1 symbols
+    b = Word.from_array(a.to_array().copy())
+    tracemalloc.start()
+    try:
+        equal = a == b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert equal and peak < 2 * 2**20
+
+
+# sha256 of the PFW bytes of _pinned_words(): the format's bytes are fixed,
+# however a word holds its symbols
+PINNED_PFW_DIGEST = "483e73b8e2298550e89b9ac634f71f4a1dc8ecf09a04b54729e3cfcaf5e308a4"
+
+
+def _pinned_words():
+    rng = np.random.default_rng(2024)
+    ws = [Word(""), Word("1"), Word("1101100"), Word("3", 4), Word("312", 4), Word("0123012", 4),
+          pf_word(12), block_code(pf_word(12), 1)]
+    for n in (1, 7, 9, 63, 1001):
+        for size in (2, 4):
+            ws.append(Word.from_array(rng.integers(0, size, n).astype(np.uint8), size))
+    return ws
+
+
+def test_pfw_bytes_are_pinned():
+    h = hashlib.sha256()
+    for w in _pinned_words():
+        h.update(to_pfw_bytes(w))
+    assert h.hexdigest() == PINNED_PFW_DIGEST
+
+
+def test_scans_pack_no_word(monkeypatch):
+    # only the PFW writer and word_code pack; building, slicing, recoding
+    # and comparing words read the symbol array
+    def no_pack(arr, bits):
+        raise AssertionError(f"packed {arr.size} symbols")
+
+    monkeypatch.setattr(words, "_pack", no_pack)
+    w = pf_word(14)
+    assert segment(w, 3, 1000).length == 998
+    assert block_code(segment(w, 0, 2**14 - 1)) == fixed_prefix(PAPERFOLD_SUBSTITUTION, 2**13)
+    assert fixed_prefix(PAPERFOLD_SUBSTITUTION, 0) == Word("", 4)
+    assert verify_recoding(2**12).status == "pass"
+    assert verify_intertwining(2**12).status == "pass"
+    with pytest.raises(AssertionError, match="packed"):
+        to_pfw_bytes(w)
