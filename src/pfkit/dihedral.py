@@ -70,15 +70,17 @@ class LanguageOracle:
     generation) have identical factor sets of length ell.
 
     Factor sets, saturation and membership all come from one
-    :class:`~pfkit.words.FactorIndex` over the prefix, built by one pass on
-    the first query over its windows of min(max_len, MAX_CODE_BITS // bits)
-    symbols, with each length's set read off it as queries need it:
+    :class:`~pfkit.words.FactorIndex` over the prefix, built on the first
+    query by one uint32 pass over its windows of min(max_len, 32 // bits)
+    symbols, and once more in int64 at min(max_len, MAX_CODE_BITS // bits)
+    only if a query reaches past them, with each length's set read off it
+    as queries need it:
     ``contains`` looks the query's code up in its length's set; a query
     longer than H = MAX_CODE_BITS // bits symbols has no integer code, so
     it scans the prefix, but only when its first H symbols are a factor.
-    ``left_extend`` probes the sets
-    from ``factor_codes`` with codes it builds itself, so its probes make
-    no ``contains`` call and build no Word.
+    ``left_extend`` packs its seed once, for its membership and its first
+    probe, and probes the sets from ``factor_codes`` with codes it builds
+    itself, so its probes make no ``contains`` call and build no Word.
     """
 
     def __init__(self, source: Word, max_len: int, reference_len: Optional[int] = None):
@@ -109,6 +111,12 @@ class LanguageOracle:
 
     def contains(self, v: Word) -> bool:
         """Exact membership of ``v`` in the factor set of the stored prefix."""
+        head = MAX_CODE_BITS // v.alphabet.bits
+        return self._contains(v, word_code(segment(v, 0, head - 1) if v.length > head else v))
+
+    def _contains(self, v: Word, code: int) -> bool:
+        """``contains(v)``, given the code of the first min(|v|, H) symbols
+        of ``v``, H = MAX_CODE_BITS // bits."""
         if v.alphabet != self.source.alphabet:
             raise DomainError("query word over a different alphabet")
         if v.length > self.max_len:
@@ -116,11 +124,9 @@ class LanguageOracle:
         if v.length == 0:
             return True
         head = MAX_CODE_BITS // v.alphabet.bits
-        if v.length <= head:
-            return word_code(v) in self._index.codes(v.length)
         # a prefix of a factor is a factor: search only if the head is one
-        return (word_code(segment(v, 0, head - 1)) in self._index.codes(head)
-                and self._raw.find(v.to_array().tobytes()) >= 0)
+        return code in self._index.codes(min(v.length, head)) and (
+            v.length <= head or self._raw.find(v.to_array().tobytes()) >= 0)
 
     def factor_codes(self, length: int) -> set:
         """Set of integer window codes of the given length."""
@@ -197,15 +203,16 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
         raise ResourceError(f"steps {steps} exceeds the cap of {MAX_EXTEND_STEPS}")
     if steps + seed.length + horizon > oracle.max_len:
         raise DomainError("steps + |seed| + horizon must stay within oracle.max_len")
-    if not oracle.contains(seed):
-        raise DomainError("seed is not a factor of the oracle's language")
     alphabet = oracle.source.alphabet
     bits = alphabet.bits
-    rev = seed.to_array()[::-1].tolist()  # the word, last symbol first
-    mask = (1 << (bits * (horizon - 1))) - 1
-    tail = word_code(seed) & mask  # code of the word's first horizon - 1 symbols
     head_len = MAX_CODE_BITS // bits  # H
     head_mask = (1 << (bits * head_len)) - 1
+    code = word_code(seed)
+    if not oracle._contains(seed, code & head_mask):
+        raise DomainError("seed is not a factor of the oracle's language")
+    rev = seed.to_array()[::-1].tolist()  # the word, last symbol first
+    mask = (1 << (bits * (horizon - 1))) - 1
+    tail = code & mask  # code of the word's first horizon - 1 symbols
     codes, codes_len = None, 0
     for _ in range(steps):
         probe_len = min(horizon, len(rev) + 1)

@@ -116,8 +116,11 @@ def _image(s: Substitution, arr: np.ndarray) -> np.ndarray:
     indexes with the uint8 letters themselves: np.take would first copy
     them to an intp array, eight bytes per letter."""
     if s._uniform:
-        return s._table[arr].view(np.uint8)
-    return np.concatenate([s.rules[a].to_array() for a in arr.tolist()])
+        out = s._table[arr]
+    else:
+        out = np.concatenate([s.rules[a].to_array() for a in arr.tolist()])
+    out.setflags(write=False)  # so that a Word keeps views of it
+    return out.view(np.uint8)
 
 
 def _letter_sets(s: Substitution) -> dict:

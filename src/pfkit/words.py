@@ -9,14 +9,14 @@ operation is pure, so words are safe to share between threads.
 
 Factor languages have one engine, :class:`FactorIndex`: one chunked,
 sorted pass over a symbol array keeps the distinct codes of its windows of
-width W, the longest length its caller can ask for (at most
-MAX_CODE_BITS // bits symbols), and the factor codes of every shorter
-length, and their saturation against a reference prefix, are masks of
-those codes.  The codes are uint32 when they fit in 32 bits and int64
-otherwise.
+width W, and the factor codes of every shorter length, and their
+saturation against a reference prefix, are masks of those codes.  W is
+the widest width whose codes fit in uint32 until a request reaches past
+it; then one int64 pass codes the longest length the caller can ask for
+(at most MAX_CODE_BITS // bits symbols).
 ``window_codes`` codes one length from scratch; it stays as the direct
 formulation for single scans, codes the few windows near the array's end
-that the index's longest windows miss, and is the index's test oracle.
+that the index's width-W windows miss, and is the index's test oracle.
 ``anti_palindrome_codes`` is the one anti-palindrome filter over factor
 codes: the census counts through it and the freeness certificate takes its
 examples from it.
@@ -109,6 +109,7 @@ def _unpack(payload: bytes, length: int, bits: int) -> np.ndarray:
     out = np.empty(raw.size * 4, dtype=np.uint8)
     for k in range(4):
         out[k::4] = (raw >> (2 * k)) & 3
+    out.setflags(write=False)  # so that the Word keeps the view
     return out[:length]
 
 
@@ -124,13 +125,27 @@ def same_symbols(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
+def _writable_base(arr: np.ndarray) -> bool:
+    """Whether ``arr`` views memory that its base can still write.  numpy
+    points a view's base at the array that owns the memory, or at the
+    array that wraps a foreign buffer."""
+    base = arr.base
+    if isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    return base is not None and not memoryview(base).readonly
+
+
 class Word:
     """An immutable finite symbol sequence over one read-only uint8 array.
 
     Construct from text (``Word("110")``, ``Word("3121", 4)``), from a
-    numpy uint8 array via :meth:`from_array` (kept without a copy, and
-    made read-only, when it is already contiguous uint8), or from packed
-    payload bytes via :meth:`from_packed`.
+    numpy uint8 array via :meth:`from_array`, or from packed payload bytes
+    via :meth:`from_packed`.  ``from_array`` keeps a contiguous uint8
+    array without a copy, and makes it read-only, when the array owns its
+    memory or views a read-only base; a view of writable memory is copied,
+    so that no later write to the base can change the word.
     """
 
     __slots__ = ("alphabet", "length", "_arr")
@@ -155,8 +170,11 @@ class Word:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, alphabet=BINARY) -> "Word":
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        if _writable_base(arr):
+            arr = arr.copy()
         w = cls.__new__(cls)
-        w._init(_as_alphabet(alphabet), np.ascontiguousarray(arr, dtype=np.uint8), check=True)
+        w._init(_as_alphabet(alphabet), arr, check=True)
         return w
 
     @classmethod
@@ -313,29 +331,32 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 
 class FactorIndex:
     """The factor codes of every length up to ``max_len`` of one symbol
-    array, from one sorted pass over its longest windows.
+    array, from one sorted pass over its windows of width W, as wide as
+    its requests have reached.
 
     ``codes(n)`` and ``saturated(n)`` accept 1 <= n <= min(max_len,
     MAX_CODE_BITS // bits); with no ``max_len`` that is every codable
-    length.  Every factor of length n <= W = min(max_len,
-    MAX_CODE_BITS // bits, len(arr)) is a prefix of a length-W window, or
-    a window of the last W - 1 symbols.  Since a window's first symbol
-    sits in the low bits (see window_codes), a prefix's code is a mask of
-    the window's code.  So the index keeps only the distinct length-W
-    window codes, sorted: those of every start, and those of the starts
-    whose windows lie inside the first ``ref_len`` symbols (default: all
-    of them).  Length n's codes are the first set masked to n symbols plus
-    the windows of the last W - 1 symbols; ``saturated(n)`` compares them
-    with the same formula over the reference windows and the last W - 1
-    symbols before ``ref_len``.  A length past the array has no factors
-    and is saturated.
+    length.  Every factor of length n <= W <= len(arr) is a prefix of a
+    length-W window, or a window of the last W - 1 symbols.  Since a
+    window's first symbol sits in the low bits (see window_codes), a
+    prefix's code is a mask of the window's code.  So the index keeps only
+    the distinct length-W window codes, sorted: those of every start, and
+    those of the starts whose windows lie inside the first ``ref_len``
+    symbols (default: all of them).  Length n's codes are the first set
+    masked to n symbols plus the windows of the last W - 1 symbols;
+    ``saturated(n)`` compares them with the same formula over the
+    reference windows and the last W - 1 symbols before ``ref_len``.  A
+    length past the array has no factors and is saturated.
 
-    The pass runs on the first request, under a lock.  It codes the
-    length-W windows ``_CHUNK`` starts at a time, doubling the width in
-    place, then sorts each chunk and drops its duplicates; only the
-    distinct codes outlive a chunk, so nothing of the array's size is
-    kept.  The codes are uint32 when bits * W <= 32, where numpy sorts
-    them about twice as fast as int64, and int64 otherwise.  Each
+    The pass runs on the first request, under a lock, at the widest
+    width whose codes fit in uint32, min(max_len, 32 // bits, len(arr)),
+    where numpy sorts them about twice as fast as int64.  A later request
+    past that width runs it once more at the full width, min(max_len,
+    MAX_CODE_BITS // bits, len(arr)), in int64; the lengths already read
+    keep their sets, which do not depend on W.  A pass codes the length-W
+    windows ``_CHUNK`` starts at a time, doubling the width in place, then
+    sorts each chunk and drops its duplicates; only the distinct codes
+    outlive a chunk, so nothing of the array's size is kept.  Each
     length's set and saturation are cached on first request.
     """
 
@@ -346,7 +367,7 @@ class FactorIndex:
         self._ref_len = arr.size if ref_len is None else ref_len
         longest = MAX_CODE_BITS // bits
         self._longest = longest if max_len is None else min(max_len, longest)
-        self._width = min(self._longest, arr.size)  # W
+        self._width = 0  # W, the width built so far
         self._every = self._ref = None  # distinct length-W window codes
         self._codes: dict[int, set] = {}
         self._saturated: dict[int, bool] = {}
@@ -358,7 +379,10 @@ class FactorIndex:
             raise DomainError(f"window length {n} outside 1..{self._longest} for this index")
         with self._lock:
             if n not in self._codes:
-                self._build()
+                if self._every is None or self._width < n <= self._arr.size:
+                    full = min(self._longest, self._arr.size)
+                    narrow = min(full, 32 // self._bits)
+                    self._build(narrow if n <= narrow else full)
                 self._codes[n] = self._masked(self._every, self._arr.size, n)
             return self._codes[n]
 
@@ -380,10 +404,8 @@ class FactorIndex:
         codes.update(window_codes(last, n, self._bits).tolist())
         return codes
 
-    def _build(self) -> None:
-        if self._every is not None:
-            return
-        arr, bits, width = self._arr, self._bits, self._width
+    def _build(self, width: int) -> None:
+        arr, bits = self._arr, self._bits
         m = arr.size - width + 1 if width else 0  # length-W windows
         m_ref = self._ref_len - width + 1  # those inside the reference prefix
         dtype = np.uint32 if bits * width <= 32 else np.int64
@@ -407,7 +429,7 @@ class FactorIndex:
             inside, rest = _distinct(buf[:k]), _distinct(buf[k:count])
             ref = _distinct(np.concatenate((ref, inside)))
             every = _distinct(np.concatenate((every, inside, rest)))
-        self._ref, self._every = ref, every
+        self._ref, self._every, self._width = ref, every, width
 
 
 def anti_reverse_code(code: int, n: int) -> int:

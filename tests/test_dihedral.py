@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import paperfold
+from pfkit import paperfold, words
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
     MAX_EXTEND_STEPS,
@@ -22,7 +22,16 @@ from pfkit.dihedral import (
 from pfkit.errors import DomainError, ExtensionError, ResourceError
 from pfkit.paperfold import MAX_GENERATION, antipalindrome_census, language_generation, pf_prefix, pf_word
 from pfkit.subst import block_code
-from pfkit.words import BINARY, MAX_CODE_BITS, FactorIndex, Word, anti_reverse, code_to_word, window_codes
+from pfkit.words import (
+    BINARY,
+    MAX_CODE_BITS,
+    FactorIndex,
+    Word,
+    anti_reverse,
+    code_to_word,
+    segment,
+    window_codes,
+)
 
 
 def test_oracle_contains_matches_naive_search():
@@ -322,6 +331,59 @@ def test_left_extend_builds_a_constant_number_of_words():
         with mock.patch.object(Word, "from_array", classmethod(counting)):
             out = left_extend(oracle, seed, steps, 40)
         assert built == [out.length]
+
+
+def test_left_extend_packs_its_seed_once(monkeypatch):
+    # one word_code serves the seed's membership and the first probe, for
+    # seeds inside the coding limit and past it, and for seeds that fail
+    oracle = LanguageOracle.from_generation(12, 200)
+    seeds = [pf_word(3), segment(oracle.source, 300, 369)]
+    want = [left_extend(oracle, seed, 20, 30) for seed in seeds]
+    packs = []
+    pack = words._pack
+
+    def counting(arr, bits):
+        packs.append(arr.size)
+        return pack(arr, bits)
+
+    monkeypatch.setattr(words, "_pack", counting)
+    for seed, out in zip(seeds, want):
+        packs.clear()
+        assert left_extend(oracle, seed, 20, 30) == out
+        assert packs == [seed.length]
+    for seed in (Word("11111111"), Word("1" * 70)):
+        packs.clear()
+        with pytest.raises(DomainError, match="not a factor"):
+            left_extend(oracle, seed, 2, 10)
+        assert packs == [seed.length]
+
+
+def test_oracle_index_is_as_wide_as_its_queries(monkeypatch):
+    # closure to 16 and left extension with horizon 24 read one uint32
+    # pass of width 32, though the oracle takes queries of 48 symbols; a
+    # 40-symbol query widens it once, to 48 symbols in int64
+    builds = []
+    build = FactorIndex._build
+
+    def record(self, width):
+        build(self, width)
+        builds.append((self._arr.size, self._width, self._every.dtype))
+
+    monkeypatch.setattr(FactorIndex, "_build", record)
+    oracle = LanguageOracle.from_generation(12, 48)
+    assert check_closure_under_antireversal(oracle, 16).status == "pass"
+    text = str(oracle.source)
+    rng = random.Random(22)
+    for _ in range(20):
+        k, n = rng.randrange(4000), rng.randint(4, 12)
+        out = left_extend(oracle, Word(text[k : k + n]), 8, 24)
+        assert str(out) in text
+    assert builds == [(2**13 - 1, 32, np.uint32)]
+    assert oracle.contains(Word(text[100:140]))
+    assert not oracle.contains(Word("1" * 40))
+    assert builds == [(2**13 - 1, 32, np.uint32), (2**13 - 1, 48, np.int64)]
+    assert oracle.saturated_to(48) and oracle.contains(Word(text[7:12]))
+    assert len(builds) == 2
 
 
 def test_freeness_certificate_on_the_word():

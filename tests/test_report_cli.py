@@ -365,13 +365,13 @@ def test_run_all_reads_small_generations_for_the_language(monkeypatch):
     # each codes windows only as long as its check reads: 8 symbols for
     # the census and freeness, 16 for closure
     builds = []
-    index_init = words.FactorIndex.__init__
+    build = words.FactorIndex._build
 
-    def record(self, *args, **kwargs):
-        index_init(self, *args, **kwargs)
+    def record(self, width):
+        build(self, width)
         builds.append((self._arr.size, self._width))
 
-    monkeypatch.setattr(words.FactorIndex, "__init__", record)
+    monkeypatch.setattr(words.FactorIndex, "_build", record)
     reports = run_all("full", seed=42)
     assert all(r.status == "pass" for r in reports)
     assert sorted(builds) == [(127, 8), (127, 8), (255, 16)]

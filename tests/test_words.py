@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from pfkit import words
 from pfkit.errors import DomainError
-from pfkit.paperfold import pf_word
+from pfkit.paperfold import pf_prefix, pf_word
 from pfkit.subst import (
     PAPERFOLD_SUBSTITUTION,
+    apply,
     block_code,
     fixed_prefix,
     verify_intertwining,
@@ -217,6 +218,42 @@ def test_factor_index_matches_window_codes(case, chunk, data):
             index.codes(bad)
         with pytest.raises(DomainError):
             index.saturated(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_words, st.sampled_from([1, 5, 1 << 16]), st.data())
+def test_factor_index_widens_once_past_uint32(case, chunk, data):
+    # requests on both sides of the widest uint32 width, in drawn order:
+    # the index is as wide as the longest request inside the array needs,
+    # uint32 up to 32 bits and int64 past them, and every length's codes
+    # and saturation match the per-length formulation through the rebuild
+    size, symbols = case
+    arr = np.array(symbols, dtype=np.uint8)
+    bits = Alphabet(size).bits
+    narrow, longest = 32 // bits, MAX_CODE_BITS // bits
+    ref_len = data.draw(st.integers(1, arr.size), label="ref_len")
+    lengths = [data.draw(st.integers(1, narrow), label="short"),
+               data.draw(st.integers(narrow + 1, longest), label="long"),
+               *data.draw(st.lists(st.integers(1, longest), max_size=6), label="more")]
+    order = data.draw(st.permutations(lengths), label="order")
+    index = FactorIndex(arr, bits, ref_len)
+    with mock.patch.object(words, "_CHUNK", chunk):
+        for i, n in enumerate(order):
+            full = _unique_codes(arr, n, bits)
+            if data.draw(st.booleans(), label="saturated first"):
+                assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
+            assert index.codes(n) == full
+            assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
+            wide = order[0] > narrow or any(narrow < m <= arr.size for m in order[: i + 1])
+            assert index._width == min(longest if wide else narrow, arr.size)
+            wide_codes = bits * index._width > 32
+            assert index._every.dtype == index._ref.dtype == (np.int64 if wide_codes else np.uint32)
+        # a repeated or shorter request reads the codes already built
+        every = index._every
+        for n in [*order, *range(1, index._width + 1)]:
+            assert index.codes(n) == _unique_codes(arr, n, bits)
+            assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == index.codes(n))
+        assert index._every is every
 
 
 @pytest.mark.parametrize("bits, max_len, dtype", [
@@ -505,3 +542,54 @@ def test_scans_pack_no_word(monkeypatch):
     assert verify_intertwining(2**12).status == "pass"
     with pytest.raises(AssertionError, match="packed"):
         to_pfw_bytes(w)
+
+
+def test_from_array_copies_views_of_writable_memory():
+    # a view of memory that its base can still write is copied, so the
+    # word keeps its symbols, equality and hash
+    base = np.zeros(8, np.uint8)
+    w = Word.from_array(base[:4])
+    base[1] = 1
+    assert str(w) == "0000" and w == Word("0000") and hash(w) == hash(Word("0000"))
+    view = base[4:]
+    view.setflags(write=False)  # a read-only view of a writable base
+    w = Word.from_array(view)
+    base[5] = 1
+    assert str(w) == "0000"
+    buf = bytearray(4)
+    wrap = np.frombuffer(buf, np.uint8)
+    w = Word.from_array(wrap)
+    wrap.setflags(write=False)  # a read-only array over a writable buffer
+    v = Word.from_array(wrap[1:])
+    buf[2] = 1
+    assert str(w) == "0000" and str(v) == "000"
+    # arrays that own their memory, and views of read-only memory, are kept
+    own = np.zeros(4, np.uint8)
+    assert Word.from_array(own).to_array() is own and not own.flags.writeable
+    frozen = np.zeros(8, np.uint8)
+    frozen.setflags(write=False)
+    for arr in (frozen[2:6], np.frombuffer(b"\x00\x01\x01", np.uint8)):
+        assert Word.from_array(arr).to_array() is arr
+
+
+def test_scan_paths_build_words_without_a_copy():
+    # every word the scan paths build keeps the array it was given:
+    # prefixes, segments, block codes, fixed points, images and decoded
+    # PFW words, and segments of each
+    from_array = Word.__dict__["from_array"].__func__
+    copied = []
+
+    def checking(cls, arr, alphabet=BINARY):
+        w = from_array(cls, arr, alphabet)
+        if not np.may_share_memory(w.to_array(), arr):
+            copied.append(len(arr))
+        return w
+
+    with mock.patch.object(Word, "from_array", classmethod(checking)):
+        made = [pf_word(14), pf_prefix(5000), block_code(pf_prefix(4096)), block_code(pf_prefix(4001), 1),
+                fixed_prefix(PAPERFOLD_SUBSTITUTION, 4096),
+                apply(PAPERFOLD_SUBSTITUTION, Word("3120", 4))]
+        made += [from_pfw_bytes(to_pfw_bytes(w)) for w in made[:4]]
+        for w in made:
+            assert segment(segment(w, 1, w.length - 1), 1, 2) == Word(str(w)[2:4], w.alphabet)
+    assert copied == []
