@@ -233,7 +233,9 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
 
 
 def _reversed_word(rev: list, alphabet) -> Word:
-    return Word.from_array(np.array(rev[::-1], dtype=np.uint8), alphabet)
+    arr = np.array(rev[::-1], dtype=np.uint8)
+    arr.setflags(write=False)  # so that the Word keeps it
+    return Word.from_array(arr, alphabet)
 
 
 @dataclass(frozen=True)

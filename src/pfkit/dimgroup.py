@@ -35,8 +35,13 @@ verify_cone_identity is its oracle.
 So of the suite's dimension-group checks, matrix-closed-form,
 lattice-properties, cone-identity and involution are proofs, the
 discrepancy and coboundary checks scan a fixed prefix, and none draws a
-random number.  The batteries take explicit seeds; since all arithmetic
-is exact, sampling is sound (no tolerances) and reports are reproducible.
+random number.  The batteries take explicit non-negative seeds; since all
+arithmetic is exact, sampling is sound (no tolerances) and reports are
+reproducible.  A battery draws each field (lo, hi) of a sample from one
+32-bit word of random.Random(seed) as lo + ((word * w) >> 32), with
+w = hi - lo + 1.  The draw is biased by less than w / 2^32; a battery
+searches for counterexamples and estimates nothing, so it needs no
+uniformity.
 """
 
 from __future__ import annotations
@@ -599,137 +604,58 @@ def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
 # ---------------------------------------------------------------------------
 # seeded property batteries (exact, no tolerances)
 #
-# Every battery draws from the getrandbits of one random.Random(seed).  In
-# CPython, randint(lo, hi) is lo + r, where r = getrandbits(k) is redrawn
-# while r >= w, with w = hi - lo + 1 and k = w.bit_length().  _below is that
-# loop, drawn one value at a time by the cone and involution batteries; the
-# lattice battery reads the same stream in bulk (_RandintBlocks below).  So
-# the batteries consume the stream exactly as the randint calls they
-# replace, and a seed keeps its reports; the tests pin both against randint
-# itself.
+# Every battery draws through _draws from one random.Random(seed), whose
+# stream does not depend on the numpy version.
 
 
 MAX_SAMPLES = 1_000_000
 
+# records per block of draws
+_BLOCK = 1024
 
-def _check_samples(samples: int) -> None:
+
+def _check_battery(samples: int, seed: int) -> None:
     if samples < 1:
         raise DomainError("samples must be at least 1")
     if samples > MAX_SAMPLES:
         raise ResourceError(f"samples {samples} exceeds the cap of {MAX_SAMPLES}")
+    # random.Random seeds from |seed|, so -1 would draw the values of 1
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
 
 
-def _below(getrandbits, w: int) -> int:
-    """A uniform draw from range(w), w >= 1: randint(lo, lo + w - 1) - lo."""
-    k = w.bit_length()
-    while (r := getrandbits(k)) >= w:
-        pass
-    return r
+def _draws(getrandbits, fields, count):
+    """The next ``count`` records as an int64 array of shape
+    (len(fields), count).  Record j is words j F .. j F + F - 1 of one
+    getrandbits(32 F count) call, F = len(fields), word 0 in its lowest
+    bits, and its field (lo, hi) is lo + ((word * w) >> 32) of its word,
+    with w = hi - lo + 1.
+
+    A field is biased by less than w / 2^32, which a property battery, a
+    search for counterexamples, does not mind.  Every w is at most
+    2^21 + 1, so the product stays below 2^54."""
+    size = len(fields) * count
+    words = np.frombuffer(getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4")
+    lo, hi = np.array(fields, dtype=np.int64).T[:, :, None]
+    return lo + ((words.reshape(count, len(fields)).T * (hi - lo + 1)) >> 32)
 
 
-def _draw_cone_pair(getrandbits):
-    """A random (s, m) of the cone battery: s = DyadicRational(randint(-2^20,
-    2^20), randint(0, 20)) and m = randint(-2^20, 2^20)."""
-    num = _below(getrandbits, 2**21 + 1) - 2**20
-    exp = _below(getrandbits, 21)
-    return DyadicPair(DyadicRational(num, exp), _below(getrandbits, 2**21 + 1) - 2**20)
+def _records(getrandbits, fields, samples):
+    """``samples`` records of _draws, read _BLOCK at a time, one tuple of
+    Python ints per record."""
+    for done in range(0, samples, _BLOCK):
+        yield from zip(*_draws(getrandbits, fields, min(_BLOCK, samples - done)).tolist())
 
 
-def _draw_twist(getrandbits):
-    """A random (twist, p) of the involution battery: the twist value a and
-    the dyadic part of p are DyadicRational(randint(-1024, 1024),
-    randint(0, 10)), and the integer part of p is randint(-1024, 1024)."""
-    a = DyadicRational(_below(getrandbits, 2049) - 1024, _below(getrandbits, 11))
-    s = DyadicRational(_below(getrandbits, 2049) - 1024, _below(getrandbits, 11))
-    return DyadicInvolution(a), DyadicPair(s, _below(getrandbits, 2049) - 1024)
-
-
-# The lattice battery's draw stream.  getrandbits(32 * N) returns the
-# generator's next N 32-bit words with the first one in the lowest bits, and
-# getrandbits(k) for k <= 32 is the next word >> (32 - k).  So one randint
-# field, with its (k, w) as above, reads the first word at or after the
-# current position whose top k bits are below w, and the next field starts
-# one word later.  For each field kind an "after" map sends every position
-# of a window of words to one past that word.  Composing the maps of a
-# record's fields in order gives the map from a record's start to its end,
-# so the record starts are walked with one Python step per record, and every
-# field of the records in the window is then gathered at once.
-
-# samples per predicate block, and words per getrandbits call
-_BLOCK = 1024
-_FETCH_WORDS = 1 << 15
-
-
-def _after(words, lo, hi):
-    """For each position 0..size + 1 of ``words``: one past the first word
-    at or after it that randint(lo, hi) accepts, or size + 1 (none left)."""
-    w = hi - lo + 1
-    accepted = words < (w << (32 - w.bit_length()))  # the top bits are below w
-    dead = words.size + 1
-    ends = np.append(np.flatnonzero(accepted) + 1, dead)
-    # how many accepted words lie before each position
-    before = np.zeros(dead + 1, dtype=np.intp)
-    np.cumsum(accepted, out=before[1:-1])
-    before[-1] = before[-2]
-    return ends[before]
-
-
-class _RandintBlocks:
-    """The randint draws of one random.Random, read in bulk.
-
-    ``take(fields, count)`` returns the next ``count`` records as an int64
-    array of shape (len(fields), count), where a record is one
-    randint(lo, hi) for each (lo, hi) in ``fields``, drawn in that order.
-    Words are fetched _FETCH_WORDS at a time, and those after the last
-    record taken are kept for the next call."""
-
-    def __init__(self, getrandbits):
-        self._getrandbits = getrandbits
-        self._words = np.empty(0, dtype="<u4")
-
-    def take(self, fields, count):
-        parts, size, left = [], 0, count
-        while left:
-            # a draw is accepted with probability at least 1/2, so a record
-            # reads about two words per field; the records a window misses
-            # are read from the next one, and a window that held no whole
-            # record is followed by one twice as large
-            size = max(2 * len(fields) * left, 2 * size)
-            while self._words.size < size:
-                fetched = self._getrandbits(32 * _FETCH_WORDS).to_bytes(4 * _FETCH_WORDS, "little")
-                self._words = np.concatenate((self._words, np.frombuffer(fetched, dtype="<u4")))
-            window = self._words[:size]
-            after = {f: _after(window, *f) for f in set(fields)}
-            ends = np.arange(size + 2)
-            for f in fields:
-                ends = after[f][ends]
-            ends, dead = memoryview(ends), size + 1
-            starts, s = [], 0
-            while len(starts) < left and (t := ends[s]) != dead:
-                starts.append(s)
-                s = t
-            pos = np.array(starts, dtype=np.intp)
-            part = np.empty((len(fields), len(starts)), dtype=np.int64)
-            for row, (lo, hi) in zip(part, fields):
-                pos = after[lo, hi][pos]
-                row[:] = window[pos - 1] >> (32 - (hi - lo + 1).bit_length())
-                row += lo
-            parts.append(part)
-            self._words = self._words[s:]
-            size -= s
-            left -= len(starts)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-# randint(-1024, 1024) and randint(1, 1024): every numerator and denominator
+# the fields of every numerator and denominator
 _NUM, _DEN = (-1024, 1024), (1, 1024)
 # a random rational 4-vector q_i = a_i / b_i, drawn a_0, b_0, a_1, b_1, ...
 _VECTOR_FIELDS = (_NUM, _DEN) * 4
 
 
 def _member_fields(n):
-    """x, k, m, a1, a2, b1, b2 of a random member of G_n; k is
-    randint(0, n - 2), not drawn at n = 2."""
+    """x, k, m, a1, a2, b1, b2 of a random member of G_n; k is in
+    [0, n - 2], not drawn at n = 2."""
     return (_NUM, *([(0, n - 2)] if n > 2 else []), _NUM, _NUM, _DEN, _NUM, _DEN)
 
 
@@ -790,13 +716,16 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
     member of G_n: the canonical preimage (m, 0, s - m, 0) of a random
     target (s, m) = (x / 2^k, m) plus a random element (a, a, b, -2a - b)
     of the stage's kernel, with a = a1 / a2 and b = b1 / b2.  Every
-    numerator is randint(-1024, 1024), every denominator randint(1, 1024),
-    and k is randint(0, n - 2), not drawn at n = 2.  Both are scaled to
-    integers (v, d) with q = v / d.
+    numerator is drawn from [-1024, 1024], every denominator from
+    [1, 1024], and k from [0, n - 2], not drawn at n = 2.  Both are scaled
+    to integers (v, d) with q = v / d.
 
-    The draws are those randint calls of random.Random(seed), in their
-    order, read in bulk by _RandintBlocks, and the predicates run over
-    blocks of at most 1024 samples as numpy arrays.  Every decision reads a
+    The fields of a sample pair are consecutive 32-bit words of
+    random.Random(seed), the field (lo, hi) lo + ((word * w) >> 32) with
+    w = hi - lo + 1 (_draws): biased by less than w / 2^32, which a
+    property battery does not mind.  The samples come in blocks of at most
+    1024, one getrandbits call each, and the predicates run over a block
+    at a time as numpy arrays.  Every decision reads a
     definitional image M^k v, with M^k from mat_pow, at k = n or n + 1,
     through _membership_triple; the (S, D) image of the lemma is checked
     against the image at n, never used in its place, so the battery is the
@@ -812,20 +741,20 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
         raise DomainError("index_max must be at least 2")
     if index_max > MAX_MATRIX_POWER - 1:
         raise ResourceError(f"index_max {index_max} exceeds the cap of {MAX_MATRIX_POWER - 1}")
-    _check_samples(samples)
+    _check_battery(samples, seed)
     if (index_max - 1) * samples > MAX_SAMPLES:
         raise ResourceError(
             f"{index_max - 1} indices x {samples} samples exceeds the cap of {MAX_SAMPLES}")
     chk = Check("dimgroup.lattice-properties", {"index_max": index_max, "samples": samples},
                 "lattice membership, nesting, quotient kernel and cone all agree exactly", seed=seed)
-    draws = _RandintBlocks(random.Random(seed).getrandbits)
+    getrandbits = random.Random(seed).getrandbits
     dtype = np.int64 if index_max <= _INT64_INDEX_MAX else object
 
     for n in range(2, index_max + 1):
         P, P_next, e = _power(n), _power(n + 1), 1 << (n - 2)
         fields = _VECTOR_FIELDS + _member_fields(n)
         for done in range(0, samples, _BLOCK):
-            F = draws.take(fields, min(_BLOCK, samples - done)).astype(dtype, copy=False)
+            F = _draws(getrandbits, fields, min(_BLOCK, samples - done)).astype(dtype, copy=False)
             v, d = _vectors(F[:8])
             got = _membership_triple(_apply(P, v), d)
             cf = _membership_triple(_image(v, n), d)
@@ -896,22 +825,31 @@ def _cone_failure(p: DyadicPair):
     return None
 
 
+def _cone_pairs(getrandbits, samples):
+    """``samples`` random (num / 2^exp, m) of the cone battery, with num
+    and m in [-2^20, 2^20] and exp in [0, 20]."""
+    for num, exp, m in _records(getrandbits, ((-(2**20), 2**20), (0, 20), (-(2**20), 2**20)), samples):
+        yield DyadicPair(DyadicRational(num, exp), m)
+
+
 def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
     """Staged-vs-direct cone membership agreement on the dyadic grid
     |num| <= 2^20, exp <= 20, |m| <= 2^20, with explicit stage witnesses
     checked valid and least, plus the unit normalisation facts: the
-    all-ones vector maps to (4, 0) and rescaling by 4 makes it (1, 0)."""
-    _check_samples(samples)
+    all-ones vector maps to (4, 0) and rescaling by 4 makes it (1, 0).
+
+    The pairs are drawn by the rule of _draws, a block of 1024 at a time,
+    and checked one at a time."""
+    _check_battery(samples, seed)
     chk = Check("dimgroup.cone-identity", {"samples": samples},
                 "staged cone union equals {s > 0} plus the origin; unit maps to (1,0)", seed=seed)
-    getrandbits = random.Random(seed).getrandbits
     specials = [
         DyadicPair(DYADIC_ZERO, 0),
         DyadicPair(DYADIC_ZERO, 5),
         DyadicPair(DyadicRational(1, 3), 1000),
         DyadicPair(DyadicRational(-1, 2), 0),
     ]
-    pairs = itertools.chain(specials, (_draw_cone_pair(getrandbits) for _ in range(samples)))
+    pairs = itertools.chain(specials, _cone_pairs(random.Random(seed).getrandbits, samples))
     for witness in itertools.chain([_unit_failure()], map(_cone_failure, pairs)):
         if witness is not None:
             return chk.failed(witness)
@@ -989,16 +927,28 @@ def _twist_failure(inv: DyadicInvolution, p: DyadicPair):
     return None
 
 
+def _twists(getrandbits, samples):
+    """``samples`` random (twist, p) of the involution battery: the twist
+    value a and the dyadic part of p are num / 2^exp with num in
+    [-1024, 1024] and exp in [0, 10], and the integer part of p is in
+    [-1024, 1024]."""
+    fields = ((-1024, 1024), (0, 10), (-1024, 1024), (0, 10), (-1024, 1024))
+    for a_num, a_exp, num, exp, m in _records(getrandbits, fields, samples):
+        yield DyadicInvolution(DyadicRational(a_num, a_exp)), DyadicPair(DyadicRational(num, exp), m)
+
+
 def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckReport:
     """For random dyadic twist values a: the twist squares to the
     identity and fixes every (q, 0); adding the twisted copy always lands
-    in {(., 0)} and attains every sampled (q, 0) via the halved preimage."""
-    _check_samples(samples)
+    in {(., 0)} and attains every sampled (q, 0) via the halved preimage.
+
+    The samples are drawn by the rule of _draws, a block of 1024 at a
+    time, and checked one at a time."""
+    _check_battery(samples, seed)
     chk = Check("dimgroup.involution", {"samples": samples},
                 "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
-    getrandbits = random.Random(seed).getrandbits
-    for _ in range(samples):
-        witness = _twist_failure(*_draw_twist(getrandbits))
+    for inv, p in _twists(random.Random(seed).getrandbits, samples):
+        witness = _twist_failure(inv, p)
         if witness is not None:
             return chk.failed(witness)
     return chk.passed()

@@ -260,6 +260,7 @@ def _pair_codes(arr: np.ndarray) -> np.ndarray:
         b = buf[: min(_PAIR_CHUNK, v.size - a)]
         np.multiply(v[a : a + b.size], 513, out=b)
         np.right_shift(b, 8, out=out[a : a + b.size], casting="unsafe")
+    out.setflags(write=False)  # so that a Word keeps it
     return out
 
 

@@ -109,11 +109,16 @@ def _unpack(payload: bytes, length: int, bits: int) -> np.ndarray:
     out = np.empty(raw.size * 4, dtype=np.uint8)
     for k in range(4):
         out[k::4] = (raw >> (2 * k)) & 3
-    out.setflags(write=False)  # so that the Word keeps the view
-    return out[:length]
+    return _frozen(out)[:length]
 
 
 _EQ_CHUNK = 1 << 18  # symbols per step of same_symbols; its temporary takes 256 KiB
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array, made read-only so that a Word keeps it."""
+    arr.setflags(write=False)
+    return arr
 
 
 def same_symbols(a: np.ndarray, b: np.ndarray) -> bool:
@@ -125,10 +130,12 @@ def same_symbols(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _writable_base(arr: np.ndarray) -> bool:
-    """Whether ``arr`` views memory that its base can still write.  numpy
-    points a view's base at the array that owns the memory, or at the
-    array that wraps a foreign buffer."""
+def _writable(arr: np.ndarray) -> bool:
+    """Whether the memory of ``arr`` can still be written, through ``arr``
+    or through its base.  numpy points a view's base at the array that
+    owns the memory, or at the array that wraps a foreign buffer."""
+    if arr.flags.writeable:
+        return True
     base = arr.base
     if isinstance(base, np.ndarray):
         if base.flags.writeable:
@@ -143,9 +150,10 @@ class Word:
     Construct from text (``Word("110")``, ``Word("3121", 4)``), from a
     numpy uint8 array via :meth:`from_array`, or from packed payload bytes
     via :meth:`from_packed`.  ``from_array`` keeps a contiguous uint8
-    array without a copy, and makes it read-only, when the array owns its
-    memory or views a read-only base; a view of writable memory is copied,
-    so that no later write to the base can change the word.
+    array without a copy only when the array and its base are read-only.
+    Any other array is copied, since writable views of its memory may
+    exist, so that no later write can change the word; pfkit's own
+    producers mark their fresh arrays read-only before they hand them over.
     """
 
     __slots__ = ("alphabet", "length", "_arr")
@@ -171,7 +179,7 @@ class Word:
     @classmethod
     def from_array(cls, arr: np.ndarray, alphabet=BINARY) -> "Word":
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        if _writable_base(arr):
+        if _writable(arr):
             arr = arr.copy()
         w = cls.__new__(cls)
         w._init(_as_alphabet(alphabet), arr, check=True)
@@ -236,7 +244,7 @@ def concat(a: Word, b: Word) -> Word:
         return b
     if b.length == 0:
         return a
-    return Word.from_array(np.concatenate([a.to_array(), b.to_array()]), a.alphabet)
+    return Word.from_array(_frozen(np.concatenate([a.to_array(), b.to_array()])), a.alphabet)
 
 
 def segment(w: Word, k: int, l: int) -> Word:
@@ -274,7 +282,7 @@ def anti_reverse(v: Word) -> Word:
         raise DomainError("anti-reversal is defined only on the binary alphabet")
     if v.length == 0:
         return v
-    return Word.from_array((1 - v.to_array())[::-1], BINARY)
+    return Word.from_array(_frozen(1 - v.to_array()[::-1]), BINARY)
 
 
 def is_anti_palindrome(v: Word) -> bool:
@@ -448,7 +456,7 @@ def anti_palindrome_codes(codes, n: int) -> list:
 def code_to_word(code: int, n: int, alphabet: Alphabet = BINARY) -> Word:
     bits, mask = alphabet.bits, alphabet.size - 1
     arr = np.array([(code >> (bits * j)) & mask for j in range(n)], dtype=np.uint8)
-    return Word.from_array(arr, alphabet)
+    return Word.from_array(_frozen(arr), alphabet)
 
 
 def factor_set(w: Word, n: int) -> set:

@@ -220,20 +220,15 @@ def test_run_all_full_report_digest():
     assert report_digest([r.to_dict() for r in run_all("full", seed=42)]) == FULL_REPORT_DIGEST
 
 
-@pytest.mark.parametrize("samplers", [
-    ("_RandintBlocks", "verify_lattice_properties", "verify_matrix_closed_form"),
-    ("_draw_twist", "verify_involution_algebra"),
-    ("_draw_cone_pair", "verify_cone_identity"),
-], ids=["lattice", "twist", "cone"])
-def test_run_all_draws_nothing(monkeypatch, samplers):
+def test_run_all_draws_nothing(monkeypatch):
     # the suite proves the lattice facts for every index, the twist
     # identities for every a, s and m, and the cone identity for every
-    # dyadic pair; the seeded batteries and their draws stay outside it
+    # dyadic pair; the seeded batteries, which all draw through _draws,
+    # stay outside it
     def no_sampling(*args):
         raise AssertionError("the suite sampled")
 
-    for name in samplers:
-        monkeypatch.setattr(dimgroup, name, no_sampling)
+    monkeypatch.setattr(dimgroup, "_draws", no_sampling)
     reports = run_all("full", seed=42)
     assert [(r.check, r.status) for r in reports] == [(name, "pass") for name, _ in REGISTRY]
 
@@ -536,10 +531,14 @@ CAPPED_COMMANDS = {
     "subst verify intertwine": (("--len",), _ints(-2, 5000), _ints(MAX_PREFIX_LEN + 1, 2**40)),
     "dimgroup matpow": (("--n",), _ints(-2, 200), _ints(MAX_MATRIX_POWER + 1, 10**5)),
     "dimgroup discrepancy": (("--n-max",), _ints(-2, 16), _ints(25, 60)),
-    # (index-max - 1) * samples is at most MAX_SAMPLES
+    # (index-max - 1) * samples is at most MAX_SAMPLES, and the seed is not negative
     "dimgroup verify": (
-        ("--index-max", "--samples"), st.tuples(st.integers(-2, 4), st.integers(-2, 30)),
-        st.tuples(st.integers(12, MAX_MATRIX_POWER + 10), st.integers(MAX_SAMPLES // 11 + 1, MAX_SAMPLES))),
+        ("--index-max", "--samples", "--seed"),
+        st.tuples(st.integers(-2, 4), st.integers(-2, 30), st.integers(-2, 2**64)),
+        st.one_of(
+            st.tuples(st.integers(12, MAX_MATRIX_POWER + 10), st.integers(MAX_SAMPLES // 11 + 1, MAX_SAMPLES),
+                      st.integers(0, 2**64)),
+            st.tuples(st.integers(2, 4), st.integers(1, 30), st.integers(-(2**64), -1)))),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import words
+from pfkit import subst, words
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_prefix, pf_word
 from pfkit.subst import (
@@ -563,13 +563,33 @@ def test_from_array_copies_views_of_writable_memory():
     v = Word.from_array(wrap[1:])
     buf[2] = 1
     assert str(w) == "0000" and str(v) == "000"
-    # arrays that own their memory, and views of read-only memory, are kept
+    # a writable array that owns its memory is copied and left writable;
+    # read-only arrays that own their memory, and views of them, are kept
     own = np.zeros(4, np.uint8)
-    assert Word.from_array(own).to_array() is own and not own.flags.writeable
+    assert Word.from_array(own).to_array() is not own and own.flags.writeable
+    own.setflags(write=False)
+    assert Word.from_array(own).to_array() is own
     frozen = np.zeros(8, np.uint8)
     frozen.setflags(write=False)
     for arr in (frozen[2:6], np.frombuffer(b"\x00\x01\x01", np.uint8)):
         assert Word.from_array(arr).to_array() is arr
+
+
+def test_from_array_copies_an_array_with_earlier_views():
+    # numpy cannot tell whether views of an array exist, so a writable
+    # array is copied: a view taken before the call cannot write the word
+    a = np.zeros(8, np.uint8)
+    v = a[:4]
+    w = Word.from_array(a)
+    v[1] = 1
+    assert str(w) == "00000000" and w == Word("00000000")
+    # the scan paths hand over read-only arrays, which are kept
+    word = pf_word(14)
+    assert np.shares_memory(segment(word, 3, 1000).to_array(), word.to_array())
+    made, real = [], subst._pair_codes
+    with mock.patch.object(subst, "_pair_codes", lambda arr: made.append(real(arr)) or made[-1]):
+        coded = block_code(word, 1)
+    assert np.shares_memory(coded.to_array(), made[0])
 
 
 def test_scan_paths_build_words_without_a_copy():
