@@ -548,7 +548,7 @@ def verify_unbounded_discrepancy(N: int = 20) -> CheckReport:
 
 
 # the coboundary check runs over chunks of this many symbols
-_COBOUNDARY_CHUNK = 1 << 20
+_COBOUNDARY_CHUNK = 1 << 18
 
 
 def _coboundary_max_abs(arr: np.ndarray, symbol: int):
@@ -556,7 +556,7 @@ def _coboundary_max_abs(arr: np.ndarray, symbol: int):
     f[i+1] - f[i], and whether every partial sum equals its telescoped
     form f[i+1] - f[0].
 
-    The sums run over chunks of 2^20 symbols, the running sum carried from
+    The sums run over chunks of 2^18 symbols, the running sum carried from
     chunk to chunk, and the maximum is taken over all chunks even after a
     mismatch.  Each chunk's differences go straight into one reused int32
     buffer that is summed in place (int8 differences would make
@@ -585,7 +585,7 @@ def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
     """Coboundary control: for both one-slot cylinder indicators the
     partial sums stay bounded by 2 and agree with their telescoped form.
 
-    The sums are formed over chunks of 2^20 symbols in int32, the running
+    The sums are formed over chunks of 2^18 symbols in int32, the running
     sum carried across chunks, so beyond the prefix the check holds a few
     chunk-sized buffers whatever ``prefix_len`` is.  int32 is exact: a
     partial sum has at most prefix_len - 1 terms in {-1, 0, 1}, and

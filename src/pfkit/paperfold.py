@@ -253,8 +253,10 @@ def _generation_hits(text: np.ndarray, p: int):
     the masks of t(k+1) and anti(t(k+1)) are the mask of t(k) AND the
     shifted mask of anti(t(k)), split by the symbol between them.  Each
     level works in place in preallocated buffers, so the search takes p
-    passes over text.size / 8 bytes however long t(p) is.  Bits past the
-    last start are never read at a start, so they are left as they fall."""
+    passes over text.size / 8 bytes however long t(p) is; verify_recurrence
+    hands it one block of the prefix at a time, so those bytes stay in
+    cache.  Bits past the last start are never read at a start, so they
+    are left as they fall."""
     bits = _packed(text)
     hits, anti = bits.copy(), ~bits
     shifted = np.empty_like(bits)
@@ -296,6 +298,11 @@ def _first_uncovered(hits: np.ndarray, n: int, span: int):
     return 64 * i + (~word & (word + 1)).bit_length() - 1  # its lowest zero bit
 
 
+# the recurrence scan takes this many window starts per block: its packed
+# masks then take 128 KiB each, whatever the prefix length
+_RECURRENCE_BLOCK = 1 << 20
+
+
 def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     """Check that every window of length 3 * 2^(p+1) of the test generation
     contains generation p as a factor.
@@ -305,7 +312,10 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     one bit mask, packed 64 starts to a word and built in p in-place
     passes (``_generation_hits``), and a window with none is read from a
     sliding OR over that mask (``_first_uncovered``).  No list or integer
-    array of positions is built.
+    array of positions is built.  The scan runs over blocks of 2^20 window
+    starts in order: the windows that start in [a, b) lie in
+    text[a : b + W - 1], and the first block with an uncovered window
+    gives the first such window of the whole prefix.
     """
     if p < 0:
         raise DomainError("p must be non-negative")
@@ -317,10 +327,13 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     chk = Check("paperfold.recurrence", {"p": p, "test_generation": test_generation, "window": W},
                 "every window of length 3*2^(p+1) contains generation p")
     text = _prefix_array(2 ** (test_generation + 1) - 1)
-    bad = _first_uncovered(*_generation_hits(text, p), W - 2 ** (p + 1) + 2)
-    if bad is None:
-        return chk.passed()
-    return chk.failed({"uncovered_window_start": bad})
+    starts = text.size - W + 1
+    for a in range(0, starts, _RECURRENCE_BLOCK):
+        b = min(a + _RECURRENCE_BLOCK, starts)
+        bad = _first_uncovered(*_generation_hits(text[a : b + W - 1], p), W - 2 ** (p + 1) + 2)
+        if bad is not None:
+            return chk.failed({"uncovered_window_start": a + bad})
+    return chk.passed()
 
 
 # the pass path of the aperiodicity scan compares this many symbols past

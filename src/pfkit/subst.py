@@ -66,8 +66,8 @@ class Substitution:
             raise DomainError("rules must cover every letter of the alphabet")
         self.rules = table
         lengths = {w.length for w in table.values()}
-        # uniform images of q letters make apply one gather: each image is
-        # one q-byte void item, so table[arr] copies whole images
+        # uniform images of q letters make apply a gather: each image is
+        # one q-byte void item, so taking table items copies whole images
         self._uniform = lengths.pop() if len(lengths) == 1 else None
         if self._uniform:
             images = np.stack([table[a].to_array() for a in range(self.alphabet.size)])
@@ -111,12 +111,18 @@ def apply(s: Substitution, w: Word) -> Word:
     return Word.from_array(_image(s, w.to_array()), s.alphabet)
 
 
+_GATHER_CHUNK = 1 << 16  # letters per np.take of the uniform gather
+
+
 def _image(s: Substitution, arr: np.ndarray) -> np.ndarray:
     """Symbols of the image of a nonempty letter array.  The uniform gather
-    indexes with the uint8 letters themselves: np.take would first copy
-    them to an intp array, eight bytes per letter."""
+    fills one preallocated array 2^16 letters at a time: np.take copies
+    its indices to intp, eight bytes per letter, and a chunk keeps that
+    copy and the images it writes in cache."""
     if s._uniform:
-        out = s._table[arr]
+        out = np.empty(arr.size, dtype=s._table.dtype)
+        for a in range(0, arr.size, _GATHER_CHUNK):
+            np.take(s._table, arr[a : a + _GATHER_CHUNK], out=out[a : a + _GATHER_CHUNK])
     else:
         out = np.concatenate([s.rules[a].to_array() for a in arr.tolist()])
     out.setflags(write=False)  # so that a Word keeps views of it
@@ -213,11 +219,11 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     iterations.  Each application reads only the letters whose images
     cover the first L symbols, so no iterate is longer than L plus one
     image.  The iterates are plain symbol arrays, imaged by the kernel
-    behind ``apply`` (one gather for uniform images) and compared a chunk
-    at a time by ``words.same_symbols``; only the result becomes a Word,
-    which keeps the array as it is.  ``L`` is capped at
-    paperfold.MAX_PREFIX_LEN (2^31 - 1), the budget of paperfold.pf_prefix;
-    larger requests raise ResourceError.
+    behind ``apply`` (a gather 2^16 letters at a time for uniform images)
+    and compared a chunk at a time by ``words.same_symbols``; only the
+    result becomes a Word, which keeps the array as it is.  ``L`` is
+    capped at paperfold.MAX_PREFIX_LEN (2^31 - 1), the budget of
+    paperfold.pf_prefix; larger requests raise ResourceError.
     """
     if L < 0:
         raise DomainError("prefix length must be non-negative")
@@ -346,17 +352,24 @@ def verify_intertwining(L: int) -> CheckReport:
     recoded word on the paper-folding prefix of length L: the block code
     with 2 symbols dropped equals the block code with 1 letter dropped.
     This holds for any binary word; it fails only when the block map
-    depends on where a pair sits."""
+    depends on where a pair sits.
+
+    Blocks i = a .. a + 2^16 - 1 are compared together, from the 2^17 + 2
+    symbols that hold pairs a .. a + 2^16, for a = 0, 2^16, 2^17, ...; so
+    the pair codes are two arrays of 2^16 letters, not of L / 2, and the
+    scan stops at the first block that differs."""
     if L % 2 != 0 or L < 4:
         raise DomainError("L must be even and at least 4")
     chk = Check("subst.intertwining", {"L": L},
                 "block code intertwines the squared binary shift with the quaternary shift")
     arr = pf_prefix(L).to_array()
-    left = _pair_codes(arr[2:])
-    right = _pair_codes(arr)[1:]
-    if same_symbols(left, right):
-        return chk.passed()
-    return chk.failed({"first_mismatch_block": int(np.nonzero(left != right)[0][0])})
+    for a in range(0, L // 2 - 1, _PAIR_CHUNK):
+        block = arr[2 * a : 2 * a + 2 * _PAIR_CHUNK + 2]
+        left = _pair_codes(block[2:])
+        right = _pair_codes(block)[1:]
+        if not np.array_equal(left, right):
+            return chk.failed({"first_mismatch_block": a + int(np.flatnonzero(left != right)[0])})
+    return chk.passed()
 
 
 def verify_intertwining_pairs() -> CheckReport:

@@ -150,10 +150,12 @@ class Word:
     Construct from text (``Word("110")``, ``Word("3121", 4)``), from a
     numpy uint8 array via :meth:`from_array`, or from packed payload bytes
     via :meth:`from_packed`.  ``from_array`` keeps a contiguous uint8
-    array without a copy only when the array and its base are read-only.
-    Any other array is copied, since writable views of its memory may
-    exist, so that no later write can change the word; pfkit's own
-    producers mark their fresh arrays read-only before they hand them over.
+    array without a copy only when the array and its base are read-only,
+    and the fresh array it converts a list, or an array of another dtype
+    or layout, into.  Any other array is copied, since writable views of
+    its memory may exist, so that no later write can change the word;
+    pfkit's own producers mark their fresh arrays read-only before they
+    hand them over.
     """
 
     __slots__ = ("alphabet", "length", "_arr")
@@ -178,8 +180,11 @@ class Word:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, alphabet=BINARY) -> "Word":
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        if _writable(arr):
+        src, arr = arr, np.ascontiguousarray(arr, dtype=np.uint8)
+        # a conversion from an array or a list owns fresh memory that no one
+        # else can reach, so it is kept as it is
+        fresh = arr is not src and arr.base is None and isinstance(src, (np.ndarray, list, tuple))
+        if not fresh and _writable(arr):
             arr = arr.copy()
         w = cls.__new__(cls)
         w._init(_as_alphabet(alphabet), arr, check=True)

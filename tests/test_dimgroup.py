@@ -715,7 +715,12 @@ def test_coboundary_core_matches_int64_sums(seed, n, density, chunk, symbol):
         assert dimgroup._coboundary_max_abs(arr, symbol) == coboundary_oracle(arr, symbol)
 
 
-@pytest.mark.parametrize("n", [2**20 - 1, 2**20, 2**20 + 1, 2**20 + 2, 2**21 + 1])
+CHUNK = dimgroup._COBOUNDARY_CHUNK
+
+
+# four and eight whole chunks, so the running sum is carried over several
+# chunk edges before the last chunk ends short, full or one past full
+@pytest.mark.parametrize("n", [4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 4 * CHUNK + 2, 8 * CHUNK + 1])
 def test_coboundary_at_the_chunk_edges(symbols, n):
     for arr in (pf_prefix(n).to_array(), random_bits(n, n)):
         for symbol in (0, 1):
@@ -728,7 +733,7 @@ def test_coboundary_at_the_chunk_edges(symbols, n):
 
 
 def test_scan_checks_run_in_chunk_sized_memory(traced_peak):
-    # one chunk is 2^20 symbols; the int64 partial sums or profile of the
+    # one chunk is 2^18 symbols; the int64 partial sums or profile of the
     # whole prefix alone would be 32 MiB and 11 MiB here
     rep, peak = traced_peak(verify_coboundary_bound, 2**22)
     assert rep.status == "pass"

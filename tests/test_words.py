@@ -592,6 +592,40 @@ def test_from_array_copies_an_array_with_earlier_views():
     assert np.shares_memory(coded.to_array(), made[0])
 
 
+def test_from_array_converts_without_a_second_copy():
+    # the uint8 array converted from int64 symbols is fresh and shares no
+    # memory with the input, so it is the word's one buffer; a second copy
+    # of it traced 2 MiB here
+    arr = np.zeros(2**20, np.int64)
+    arr[::3] = 1
+    tracemalloc.start()
+    try:
+        w = Word.from_array(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20
+    assert not np.may_share_memory(w.to_array(), arr) and not w.to_array().flags.writeable
+    arr[1] = 1
+    assert w.to_array()[:4].tolist() == [1, 0, 0, 1] and w.length == 2**20
+    # lists and strided uint8 arrays convert to fresh arrays too
+    assert Word.from_array([1, 0, 1]) == Word("101")
+    strided = np.zeros(8, np.uint8)
+    w = Word.from_array(strided[::2])
+    strided[0] = 1
+    assert str(w) == "0000"
+    # an ndarray subclass converts to a view of its own writable memory,
+    # which is copied
+
+    class Symbols(np.ndarray):
+        pass
+
+    sub = np.zeros(4, np.uint8).view(Symbols)
+    w = Word.from_array(sub)
+    sub[0] = 1
+    assert str(w) == "0000"
+
+
 def test_scan_paths_build_words_without_a_copy():
     # every word the scan paths build keeps the array it was given:
     # prefixes, segments, block codes, fixed points, images and decoded
