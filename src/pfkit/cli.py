@@ -26,9 +26,22 @@ The recoding check proves that the two-block recoding of the binary word
 is the substitution's fixed point at every length, by the induction in
 ``subst.verify_recoding_induction``, and the intertwining check proves
 its identity on every binary word from the 16 words of length 4
-(``subst.verify_intertwining_pairs``); neither reads the word.  No suite
-check draws a random number: the seed is echoed in every report, and only
-``pfkit dimgroup verify`` draws from it.
+(``subst.verify_intertwining_pairs``).  Recurrence, aperiodicity, parity
+separation and discrepancy growth are proved for every parameter from the
+interleaving identity t[2j] = 1 - (j mod 2), t[2j+1] = t[j], through its
+positional rule ``paperfold.symbol``.  None of these proofs reads the
+word; only self-similarity, the three language checks, generation
+fidelity and the coboundary check do, at most 2^13 - 1 symbols apart from
+the coboundary check's 2^16.  The quick and full profiles differ only in
+the self-similarity budget.
+
+A check whose lemma rests on facts that other checks establish names
+them in ``PREMISES``; when such a premise ran earlier in the same run and
+did not pass, the check is not run and reports inconclusive, with the
+premise and its status as witness.  The single commands run scans, which
+have no premises, so pass, fail and inconclusive mean the same there as
+in the suite.  No suite check draws a random number: the seed is echoed
+in every report, and only ``pfkit dimgroup verify`` draws from it.
 """
 
 from __future__ import annotations
@@ -45,25 +58,11 @@ from .words import Word, to_pfw_bytes, write_pfw
 
 DEFAULT_SEED = 42
 
+# the profiles differ only in the self-similarity budget: generation 11
+# (2^12 - 1 symbols) against 12 (2^13 - 1)
 PROFILES = {
-    "quick": dict(
-        generation=12,
-        selfsim_budget=10,
-        recurrence_p_max=3,
-        max_period=512,
-        preperiod=512,
-        parity_K=4000,
-        discrepancy_N=10,
-    ),
-    "full": dict(
-        generation=20,
-        selfsim_budget=12,
-        recurrence_p_max=5,
-        max_period=4096,
-        preperiod=4096,
-        parity_K=100_000,
-        discrepancy_N=20,
-    ),
+    "quick": dict(selfsim_budget=10),
+    "full": dict(selfsim_budget=12),
 }
 
 
@@ -96,16 +95,6 @@ def _check_census(generation: int, max_len: int) -> CheckReport:
     present = all(counts[ell] >= 1 for ell in (2, 4, 6) if ell <= max_len)
     absent = all(counts[ell] == 0 for ell in range(8, max_len + 1, 2))
     return chk.report("pass" if present and absent else "fail", census.to_json())
-
-
-def _check_recurrence_battery(p_max: int) -> CheckReport:
-    chk = Check("paperfold.recurrence", {"p_max": p_max},
-                "every window of length 3*2^(p+1) contains generation p, p <= p_max")
-    for p in range(p_max + 1):
-        rep = paperfold.verify_recurrence(p, p + 8)
-        if rep.status != "pass":
-            return dataclasses.replace(rep, elapsed_ms=chk.ms)
-    return chk.passed()
 
 
 def _check_closure(n_max: int) -> CheckReport:
@@ -146,12 +135,11 @@ REGISTRY = (
     ("paperfold.generation-fidelity", lambda p: paperfold.verify_generation_fidelity()),
     ("paperfold.self-similarity", lambda p: _check_self_similarity_battery(p["selfsim_budget"])),
     ("paperfold.antipalindrome-census", lambda p: _check_census(paperfold.language_generation(8), 8)),
-    ("paperfold.recurrence", lambda p: _check_recurrence_battery(p["recurrence_p_max"])),
-    ("paperfold.aperiodicity", lambda p: paperfold.check_aperiodic(
-        p["preperiod"] + 2 * p["max_period"], p["max_period"], p["preperiod"])),
+    ("paperfold.recurrence", lambda p: paperfold.verify_recurrence_blocks()),
+    ("paperfold.aperiodicity", lambda p: paperfold.verify_aperiodicity_witness()),
     ("dihedral.antireversal-closure", lambda p: _check_closure(16)),
     ("dihedral.freeness", lambda p: _check_freeness(paperfold.language_generation(8))),
-    ("dihedral.parity-separation", lambda p: dihedral.parity_class_separation(p["parity_K"], p["generation"])),
+    ("dihedral.parity-separation", lambda p: dihedral.verify_parity_residues()),
     ("subst.structure", lambda p: _check_subst_structure()),
     ("subst.recoding", lambda p: subst.verify_recoding_induction()),
     ("subst.intertwining", lambda p: subst.verify_intertwining_pairs()),
@@ -159,9 +147,26 @@ REGISTRY = (
     ("dimgroup.lattice-properties", lambda p: dimgroup.verify_lattice_image()),
     ("dimgroup.cone-identity", lambda p: dimgroup.verify_cone_stage()),
     ("dimgroup.involution", lambda p: dimgroup.verify_twist_identity()),
-    ("dimgroup.discrepancy-growth", lambda p: dimgroup.verify_unbounded_discrepancy(p["discrepancy_N"])),
+    ("dimgroup.discrepancy-growth", lambda p: dimgroup.verify_discrepancy_recursion()),
     ("dimgroup.coboundary-bound", lambda p: dimgroup.verify_coboundary_bound(2**16)),
 )
+
+# the checks whose lemma rests on facts that earlier entries check: the
+# bridge lemma of paperfold.language_generation, and the interleaving
+# identity and the closed form that the proofs induct from
+_LANGUAGE = ("paperfold.generation-fidelity", "paperfold.self-similarity")
+_WORD = ("paperfold.self-similarity",)
+PREMISES = {
+    "paperfold.antipalindrome-census": _LANGUAGE,
+    "paperfold.recurrence": _WORD,
+    "paperfold.aperiodicity": _WORD,
+    "dihedral.antireversal-closure": _LANGUAGE,
+    "dihedral.freeness": _LANGUAGE,
+    "dihedral.parity-separation": _WORD,
+    "subst.recoding": _WORD,
+    "dimgroup.lattice-properties": ("dimgroup.matrix-closed-form",),
+    "dimgroup.discrepancy-growth": _WORD,
+}
 
 
 def _max_threads() -> int:
@@ -172,17 +177,25 @@ def _max_threads() -> int:
 def run_all(profile: str = "quick", seed: int = DEFAULT_SEED):
     """Run the whole registry with profile-scaled parameters, one check
     after another in registry order; any exception becomes a report with
-    status error.  Every report echoes the suite seed."""
+    status error.  A check with a premise (PREMISES) that ran earlier in
+    the same run and did not pass is not run: it is inconclusive, with
+    the first such premise and its status as witness.  A premise outside
+    the run does not gate.  Every report echoes the suite seed."""
     if profile not in PROFILES:
         raise PfkitError(f"unknown profile {profile!r}")
     params = PROFILES[profile]
-    reports = []
+    reports, status = [], {}
     for name, fn in REGISTRY:
         chk = Check(name, {"profile": profile}, "")
-        try:
-            rep = fn(params)
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            rep = chk.report("error", {"exception": f"{type(exc).__name__}: {exc}"})
+        failed = [p for p in PREMISES.get(name, ()) if status.get(p, "pass") != "pass"]
+        if failed:
+            rep = chk.report("inconclusive", {"premise": failed[0], "status": status[failed[0]]})
+        else:
+            try:
+                rep = fn(params)
+            except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+                rep = chk.report("error", {"exception": f"{type(exc).__name__}: {exc}"})
+        status[name] = rep.status
         reports.append(dataclasses.replace(rep, seed=seed))
     return reports
 

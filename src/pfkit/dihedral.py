@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ExtensionError, ResourceError
-from .paperfold import MAX_GENERATION, CensusResult, pf_prefix, pf_word
+from .paperfold import MAX_GENERATION, CensusResult, pf_prefix, pf_word, symbol
 from .report import Check, CheckReport
 from .words import (
     BINARY,
@@ -54,6 +54,7 @@ __all__ = [
     "MAX_EXTEND_STEPS",
     "freeness_certificate",
     "parity_class_separation",
+    "verify_parity_residues",
     "MAX_PARITY_K",
     "EVEN_WINDOW_PATTERNS",
     "ODD_WINDOW_PATTERNS",
@@ -361,4 +362,50 @@ def parity_class_separation(K: int, generation: int) -> CheckReport:
             i = int(np.argmin(ok))
             window = str(code_to_word(int(vals[i]), 7))
             return chk.failed({"family": name, "offset_index": i, "window": window})
+    return chk.passed()
+
+
+def _residue_windows():
+    """The codes of the 7-windows at even and at odd starts that the
+    start mod 8 allows: the symbols at i != 3 mod 4 read off symbol at the
+    residue, the others filled both ways."""
+    windows = (set(), set())
+    for r in range(8):
+        fixed = sum(symbol(r + o) << o for o in range(7) if (r + o) % 4 != 3)
+        free = [o for o in range(7) if (r + o) % 4 == 3]
+        for fill in range(2 ** len(free)):
+            windows[r % 2].add(fixed | sum((fill >> j & 1) << o for j, o in enumerate(free)))
+    return windows
+
+
+def verify_parity_residues() -> CheckReport:
+    """The windows of parity_class_separation separate for every K: even-
+    and odd-offset 7-windows never coincide and match their pattern
+    families, from the 8 residues of a window's start mod 8.
+
+    Premise: paperfold.self-similarity.
+
+    By the interleaving identity t[2j] = 1 - (j mod 2), t[2j+1] = t[j],
+    symbol i is fixed by i mod 8 unless i = 3 mod 4: an even i reads
+    1 - (i/2 mod 2), and i = 1 mod 4 reads t[(i - 1)/2], an even index
+    fixed by i mod 8.  So a 7-window's start mod 8 fixes the window up to
+    its one or two slots at i = 3 mod 4.  The check reads the fixed
+    symbols off the positional rule (symbol) at the residue, fills the
+    free slots both ways, 12 windows at even starts and 16 at odd starts,
+    and checks what the scan checks of them: no window is in both sets,
+    and each matches its family in EVEN_WINDOW_PATTERNS or
+    ODD_WINDOW_PATTERNS.  Every window of the word is one of them."""
+    chk = Check("dihedral.parity-separation", {"residues_mod": 8, "window": 7},
+                "even and odd 7-windows are disjoint and match their pattern families at every "
+                "offset: the start mod 8 fixes every slot but those at 3 mod 4, both fillings checked")
+    windows = _residue_windows()
+    clash = windows[0] & windows[1]
+    if clash:
+        return chk.failed({"window": str(code_to_word(min(clash), 7))})
+    for name, found, patterns in (("even", windows[0], EVEN_WINDOW_PATTERNS),
+                                  ("odd", windows[1], ODD_WINDOW_PATTERNS)):
+        pairs = [_compile_pattern(p) for p in patterns]
+        for c in sorted(found):
+            if not any(c & mask == value for mask, value in pairs):
+                return chk.failed({"family": name, "window": str(code_to_word(c, 7))})
     return chk.passed()

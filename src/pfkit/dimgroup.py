@@ -32,16 +32,18 @@ rescaling by a power of 2 keeps.  verify_cone_stage checks the bracket at
 its edges and one point of each sign class; the seeded battery
 verify_cone_identity is its oracle.
 
-So of the suite's dimension-group checks, matrix-closed-form,
-lattice-properties, cone-identity and involution are proofs, the
-discrepancy and coboundary checks scan a fixed prefix, and none draws a
-random number.  The batteries take explicit non-negative seeds; since all
-arithmetic is exact, sampling is sound (no tolerances) and reports are
-reproducible.  A battery draws each field (lo, hi) of a sample from one
-32-bit word of random.Random(seed) as lo + ((word * w) >> 32), with
-w = hi - lo + 1.  The draw is biased by less than w / 2^32; a battery
-searches for counterexamples and estimates nothing, so it needs no
-uniformity.
+The discrepancy at checkpoint m(n) is n + 1 for every n by two
+recursion steps of the word, which verify_discrepancy_recursion evaluates;
+verify_unbounded_discrepancy is its oracle.
+
+So of the suite's dimension-group checks, all but the coboundary check,
+which scans a fixed prefix, are proofs, and none draws a random number.
+The batteries take explicit non-negative seeds; since all arithmetic is
+exact, sampling is sound (no tolerances) and reports are reproducible.
+A battery draws each field (lo, hi) of a sample from one 32-bit word of
+random.Random(seed) as lo + ((word * w) >> 32), with w = hi - lo + 1.
+The draw is biased by less than w / 2^32; a battery searches for
+counterexamples and estimates nothing, so it needs no uniformity.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .paperfold import pf_prefix
+from .paperfold import pf_prefix, symbol
 from .report import Check, CheckReport
 from .words import Word
 
@@ -87,6 +89,7 @@ __all__ = [
     "coboundary_partial_sums",
     "m_sequence",
     "verify_unbounded_discrepancy",
+    "verify_discrepancy_recursion",
     "verify_coboundary_bound",
     "verify_lattice_properties",
     "verify_cone_identity",
@@ -280,7 +283,9 @@ def alpha_preimage(s, m: int):
 def verify_lattice_image() -> CheckReport:
     """C(n) v = _image(v, n) for every v and every n >= 2, from the four
     unit vectors at n = 2 and 3: both sides are linear in v and affine in
-    e = 2^(n-2).  With verify_closed_form_induction, the module's lemma."""
+    e = 2^(n-2).  With verify_closed_form_induction, the module's lemma.
+
+    Premise: dimgroup.matrix-closed-form."""
     chk = Check("dimgroup.lattice-properties", {"units_at_n": [2, 3]},
                 "M^n v = (eS + D, eS, eS, eS - D) for every n >= 2 and v: G_n, H_n, (G_n)+, "
                 "nesting, quotient kernel and cone read off (eS, D)")
@@ -544,6 +549,40 @@ def verify_unbounded_discrepancy(N: int = 20) -> CheckReport:
     for n, (mn, observed) in enumerate(zip(checkpoints, _discrepancies_at(arr, checkpoints))):
         if observed != n + 1:
             return chk.failed({"n": n, "m_n": mn, "observed": observed})
+    return chk.passed()
+
+
+def verify_discrepancy_recursion() -> CheckReport:
+    """The discrepancy at checkpoint m(n) equals n + 1 for every n: the
+    lemma behind verify_unbounded_discrepancy.
+
+    Premise: paperfold.self-similarity.
+
+    Let D(k) be the count of 1s minus the count of 0s over slots 0 .. k.
+    By t[2j] = 1 - (j mod 2) and t[2j+1] = t[j], the even slots 0 .. 2m
+    add 1 - 1 + 1 - ... = [m even] and the odd slots 1 .. 2m+1 add D(m),
+    so D(2m+1) = D(m) + [m even], and D(2m+2) = D(2m+1) + 2 t[2m+2] - 1 =
+    D(2m+1) + (1 if m is odd, else -1).  m(n) has the parity of n, and
+    m(n+1) = 2 m(n) + 1 for even n, 2 m(n) + 2 for odd n, so each step adds
+    [m even] = 1 or 0 + 1 = 1, and D(m(0)) = D(0) = 1 gives D(m(n)) = n + 1.
+    The gains depend on m only through its parity, so the check evaluates
+    the base and one step of each parity, at n = 0 and 1: m_sequence's
+    steps, and the gains from the positional rule (paperfold.symbol)."""
+    chk = Check("dimgroup.discrepancy-growth", {"n": [0, 1]},
+                "discrepancy at checkpoint m(n) equals n+1 for every n (unbounded growth): "
+                "D(2m+1) = D(m) + [m even] and D(2m+2) = D(2m+1) + (1 if m odd else -1), "
+                "one step of each parity")
+    if m_sequence(0) != 0 or 2 * symbol(0) - 1 != 1:
+        return chk.failed({"reason": "base"})
+    for n in (0, 1):
+        m, nxt = m_sequence(n), m_sequence(n + 1)
+        if nxt != 2 * m + 1 + n % 2:
+            return chk.failed({"reason": "checkpoint", "n": n, "m_n": m, "m_next": nxt})
+        gain = sum(2 * symbol(2 * j) - 1 for j in range(m + 1))  # D(2m+1) - D(m)
+        if nxt == 2 * m + 2:
+            gain += 2 * symbol(2 * m + 2) - 1
+        if gain != 1:
+            return chk.failed({"reason": "step", "n": n, "m_n": m, "gain": gain})
     return chk.passed()
 
 

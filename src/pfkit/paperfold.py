@@ -29,8 +29,11 @@ __all__ = [
     "CensusResult",
     "antipalindrome_census",
     "language_generation",
+    "symbol",
     "verify_recurrence",
+    "verify_recurrence_blocks",
     "check_aperiodic",
+    "verify_aperiodicity_witness",
 ]
 
 # the first six generations, used by the generation-fidelity check
@@ -78,6 +81,19 @@ def _prefix_array(length: int) -> np.ndarray:
         out.setflags(write=False)
         _prefix_cache = out
     return _prefix_cache[:length]
+
+
+def symbol(i: int) -> int:
+    """Symbol i of the infinite word by the positional rule: t[i] = 1 iff
+    the odd part of i + 1 is 1 mod 4.  It is the interleaving identity
+    t[2j] = 1 - (j mod 2), t[2j+1] = t[j], by which _prefix_array fills
+    the word, unrolled: the odd steps drop the trailing ones of i, and the
+    even step reads the bit above them.  The suite's proofs about the
+    word evaluate it; it reads no array."""
+    if i < 0:
+        raise DomainError("index must be non-negative")
+    k = i + 1
+    return int(k // (k & -k) % 4 == 1)
 
 
 def pf_word(n: int) -> Word:
@@ -213,7 +229,9 @@ def language_generation(n: int) -> int:
     Generations p+3 and p+4 therefore both have the infinite word's
     factors at every length <= 2^(p+1).  The lemma's premises are the
     interleaving identity at (p, 2), which paperfold.self-similarity
-    checks, and t(2), which paperfold.generation-fidelity checks."""
+    checks, and t(2), which paperfold.generation-fidelity checks.
+
+    Premises: paperfold.generation-fidelity, paperfold.self-similarity."""
     if n < 1:
         raise DomainError("factor length must be positive")
     return max(1, (n - 1).bit_length()) + 3
@@ -336,6 +354,34 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     return chk.passed()
 
 
+def verify_recurrence_blocks() -> CheckReport:
+    """Every window of 3 * 2^(p+1) symbols of the infinite word contains
+    generation p, for every p: the lemma behind verify_recurrence.
+
+    Premise: paperfold.self-similarity.
+
+    Let e = 2^(p+1).  By the interleaving identity the word is the blocks
+    t(p) and anti(t(p)) alternating, each followed by one letter, so t(p),
+    of e - 1 symbols, starts at every multiple of 2e.  By the positional
+    rule (symbol) too: t[2ej + r] = t[r] for r < e - 1, since the largest
+    power 2^v dividing r + 1 < e leaves 2ej / 2^v a multiple of 4.  A
+    window that starts at s holds the block at the least multiple k >= s
+    of 2e: k - s <= 2e - 1, so the block ends before s + 3e - 2, 2 symbols
+    short of the window's end at every e.  The check reads the block
+    positions off symbol at p = 0 and 1: the blocks at j = 1, 2 and 3 are
+    t(p)."""
+    chk = Check("paperfold.recurrence", {"p": [0, 1], "blocks": [1, 2, 3]},
+                "every window of length 3*2^(p+1) contains generation p, for every p: t(p) starts "
+                "at every multiple of 2^(p+2), block positions checked at p = 0 and 1")
+    for p in (0, 1):
+        e = 2 ** (p + 1)
+        block = [symbol(r) for r in range(e - 1)]
+        for j in (1, 2, 3):
+            if [symbol(2 * e * j + r) for r in range(e - 1)] != block:
+                return chk.failed({"p": p, "block_start": 2 * e * j})
+    return chk.passed()
+
+
 # the pass path of the aperiodicity scan compares this many symbols past
 # the preperiod for every period at once, this many periods per gather
 _APERIODIC_BLOCK = 256
@@ -392,3 +438,44 @@ def check_aperiodic(prefix_len: int, max_period: int, preperiod: int) -> CheckRe
         return chk.passed()
     rho, cut = found
     return chk.failed({"period": rho, "cut": cut})
+
+
+# the exponents a of the periods 2^a b at which the suite evaluates the
+# witness formula: its edges 0 and 1, and one past the 32- and 64-bit widths
+_PERIOD_EXPONENTS = (0, 1, 33, 65)
+
+
+def _period_break(rho: int, cut: int) -> int:
+    """The least i >= cut with i + 1 = 2^a u, u odd, where 2^a is the
+    largest power of 2 dividing the period rho."""
+    a = (rho & -rho).bit_length() - 1
+    return cut + (2**a - 1 - cut) % 2 ** (a + 1)
+
+
+def verify_aperiodicity_witness() -> CheckReport:
+    """No period holds after any cut, for every period rho >= 1 and every
+    cut c >= 0: the lemma behind check_aperiodic.
+
+    Premise: paperfold.self-similarity.
+
+    Write rho = 2^a b with b odd.  If i + 1 = 2^a u with u odd, then
+    i + 1 + 2 rho = 2^a (u + 2b), whose odd part is u + 2 mod 4, so by the
+    positional rule (symbol) t[i] != t[i + 2 rho], and one of the steps
+    i -> i + rho -> i + 2 rho breaks period rho.  _period_break gives the
+    least such i >= c.  The check evaluates the formula at the edges of a,
+    with b = 1 and 3 and cuts at the edges of the residue class of i mod
+    2^(a+1): the witness lies in [c, c + 2^(a+1)), 2^a is the largest
+    power of 2 dividing i + 1, and symbol differs at i and i + 2 rho."""
+    chk = Check("paperfold.aperiodicity", {"a": list(_PERIOD_EXPONENTS), "b": [1, 3]},
+                "no period rho >= 1 holds after any cut: for rho = 2^a b, b odd, t[i] != "
+                "t[i + 2 rho] at the least i >= cut with i + 1 = 2^a times an odd number, "
+                "witness formula checked at the edges of a")
+    for a in _PERIOD_EXPONENTS:
+        for b in (1, 3):
+            rho = 2**a * b
+            for cut in sorted({0, 1, 2**a - 1, 2**a, 2 ** (a + 1) - 1, 2 ** (a + 1), 3 * 2**a}):
+                i = _period_break(rho, cut)
+                if not (cut <= i < cut + 2 ** (a + 1) and (i + 1) & -(i + 1) == 2**a
+                        and symbol(i) != symbol(i + 2 * rho)):
+                    return chk.failed({"period": rho, "cut": cut, "index": i})
+    return chk.passed()

@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+# pads the rows of a non-uniform rule table; letters are below 4
+_PAD = 255
+# the widest row of a non-uniform table: a longer image takes several rows,
+# so a gather writes at most this many bytes per letter beyond its image
+_ROW = 8
+
+
 class Substitution:
     """A letter -> word rule table over the quaternary alphabet."""
 
@@ -65,13 +72,21 @@ class Substitution:
         if set(table) != set(range(self.alphabet.size)):
             raise DomainError("rules must cover every letter of the alphabet")
         self.rules = table
-        lengths = {w.length for w in table.values()}
-        # uniform images of q letters make apply a gather: each image is
-        # one q-byte void item, so taking table items copies whole images
-        self._uniform = lengths.pop() if len(lengths) == 1 else None
-        if self._uniform:
-            images = np.stack([table[a].to_array() for a in range(self.alphabet.size)])
-            self._table = images.view(np.dtype((np.void, self._uniform))).ravel()
+        # apply is a gather of w-byte void items, rows of the table: each
+        # image fills _rows[a] rows from row _first[a], the last padded
+        # with _PAD.  Uniform images of q letters are one row of w = q
+        # each, without padding; other tables pad to the longest image up
+        # to _ROW symbols, and split a longer image over several rows
+        self._lengths = np.array([table[a].length for a in range(self.alphabet.size)])
+        q = int(self._lengths.max())
+        self._uniform = q if int(self._lengths.min()) == q else None
+        w = self._uniform or min(q, _ROW)
+        self._rows = -(-self._lengths // w)
+        self._first = np.cumsum(self._rows) - self._rows
+        images = np.full(int(self._rows.sum()) * w, _PAD, dtype=np.uint8)
+        for a, image in table.items():
+            images[self._first[a] * w : self._first[a] * w + image.length] = image.to_array()
+        self._table = images.view(np.dtype((np.void, w)))
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Substitution":
@@ -118,13 +133,32 @@ def _image(s: Substitution, arr: np.ndarray) -> np.ndarray:
     """Symbols of the image of a nonempty letter array.  The uniform gather
     fills one preallocated array 2^16 letters at a time: np.take copies
     its indices to intp, eight bytes per letter, and a chunk keeps that
-    copy and the images it writes in cache."""
+    copy and the images it writes in cache.  A non-uniform table gathers
+    each chunk's rows, one run of rows per letter, and drops the padding by
+    a mask into the result, sized beforehand from the letter counts; the
+    rows take less than the chunk's images plus _ROW bytes per letter."""
     if s._uniform:
         out = np.empty(arr.size, dtype=s._table.dtype)
         for a in range(0, arr.size, _GATHER_CHUNK):
             np.take(s._table, arr[a : a + _GATHER_CHUNK], out=out[a : a + _GATHER_CHUNK])
     else:
-        out = np.concatenate([s.rules[a].to_array() for a in arr.tolist()])
+        out = np.empty(int(np.bincount(arr, minlength=s._lengths.size) @ s._lengths), np.uint8)
+        end = 0
+        for a in range(0, arr.size, _GATHER_CHUNK):
+            chunk = arr[a : a + _GATHER_CHUNK]
+            rows = s._rows[chunk]
+            # row j of the chunk's run for a letter whose run starts at j0
+            # is table row _first[letter] + j - j0
+            offsets = s._first[chunk]
+            offsets += rows
+            offsets -= np.cumsum(rows)
+            index = np.repeat(offsets, rows)
+            index += np.arange(index.size)
+            images = np.take(s._table, index).view(np.uint8)
+            kept = images != _PAD
+            n = int(np.count_nonzero(kept))
+            np.compress(kept, images, out=out[end : end + n])
+            end += n
     out.setflags(write=False)  # so that a Word keeps views of it
     return out.view(np.uint8)
 
@@ -206,8 +240,15 @@ def _covering_prefix(s: Substitution, arr: np.ndarray, L: int) -> np.ndarray:
     if s._uniform:
         k = -(-L // s._uniform)
     else:
-        lengths = np.array([s.rules[a].length for a in range(s.alphabet.size)])
-        k = int(np.searchsorted(np.cumsum(lengths[arr]), L)) + 1
+        # the image length of whole chunks from the letter counts, then
+        # the running lengths of the one chunk where it reaches L
+        k, covered = 0, 0
+        while k < arr.size:
+            chunk = arr[k : k + _GATHER_CHUNK]
+            size = int(np.bincount(chunk, minlength=s._lengths.size) @ s._lengths)
+            if covered + size >= L:
+                return arr[: k + int(np.searchsorted(np.cumsum(s._lengths[chunk]), L - covered)) + 1]
+            k, covered = k + chunk.size, covered + size
     return arr[:k]
 
 
@@ -219,7 +260,7 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     iterations.  Each application reads only the letters whose images
     cover the first L symbols, so no iterate is longer than L plus one
     image.  The iterates are plain symbol arrays, imaged by the kernel
-    behind ``apply`` (a gather 2^16 letters at a time for uniform images)
+    behind ``apply`` (a gather 2^16 letters at a time)
     and compared a chunk at a time by ``words.same_symbols``; only the
     result becomes a Word, which keeps the array as it is.  ``L`` is
     capped at paperfold.MAX_PREFIX_LEN (2^31 - 1), the budget of
@@ -306,6 +347,8 @@ def verify_recoding(L: int) -> CheckReport:
 def verify_recoding_induction() -> CheckReport:
     """Two-block recoding of the paper-folding word is the substitution's
     fixed point at every length, by induction on the index.
+
+    Premise: paperfold.self-similarity.
 
     Let r[j] = 2 t[2j] + t[2j+1] be the block code of the paper-folding
     word t and u the fixed point, and write hi(a) = a >> 1, lo(a) = a & 1.

@@ -1,16 +1,19 @@
 """Every suite check fails under a negative control.
 
 A control either replaces the paper-folding symbol source (the
-``symbols`` fixture) or mutates the code or data the check certifies.
-The test runs one registry entry at a time through ``cli.run_all`` at the
-quick profile, so each control reaches the check the way the suite does."""
+``symbols`` fixture) or mutates the code or data the check certifies;
+for a proof that reads no symbol, that is the code it evaluates, such as
+the positional rule ``paperfold.symbol`` or a pattern family.  The test
+runs one registry entry at a time through ``cli.run_all`` at the quick
+profile, so each control reaches the check the way the suite does, and
+no premise of the check is in the run to gate it."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from pfkit import cli, dimgroup, paperfold, subst
+from pfkit import cli, dihedral, dimgroup, paperfold, subst
 from pfkit.dimgroup import DyadicPair, DyadicRational
 from pfkit.paperfold import T_REFERENCE, pf_prefix
 from pfkit.subst import Substitution
@@ -47,6 +50,14 @@ def twist_without_sign_flip(inv, p):
     return DyadicPair(p.s + inv.a * DyadicRational(p.m, 0), p.m)
 
 
+def symbol_flipped_at(index, real=paperfold.symbol):
+    return lambda i: real(i) ^ (i == index)
+
+
+def period_break_one_past(rho, cut, real=paperfold._period_break):
+    return real(rho, cut) + 1
+
+
 def pair_codes_by_position(arr, real=subst._pair_codes):
     codes = real(arr)
     return codes ^ (np.arange(codes.size) & 1).astype(codes.dtype)
@@ -60,11 +71,15 @@ CONTROLS = {
     "paperfold.self-similarity": lambda symbols: symbols(mutated_prefix(2**11 - 1, 1000)),
     # every even-length factor of (10)^k is an anti-palindrome
     "paperfold.antipalindrome-census": lambda symbols: symbols(np.resize([1, 0], 2**13 - 1)),
-    "paperfold.recurrence": lambda symbols: symbols(mutated_prefix(2**12 - 1, 1000, 1030, 0)),
-    "paperfold.aperiodicity": lambda symbols: symbols(np.ones(1536)),
+    # t[8] starts a block t(0) = 1 and a block t(1) = 110
+    "paperfold.recurrence": lambda symbols: mock.patch.object(paperfold, "symbol", symbol_flipped_at(8)),
+    "paperfold.aperiodicity": lambda symbols: mock.patch.object(
+        paperfold, "_period_break", period_break_one_past),
     "dihedral.antireversal-closure": lambda symbols: symbols(np.ones(2**13 - 1)),
     "dihedral.freeness": lambda symbols: symbols(np.ones(2**13 - 1)),
-    "dihedral.parity-separation": lambda symbols: symbols(mutated_prefix(8008, 1000)),
+    # the window 1101100 at a start 0 mod 8 no longer matches its family
+    "dihedral.parity-separation": lambda symbols: mock.patch.object(
+        dihedral, "EVEN_WINDOW_PATTERNS", ("110x101", *dihedral.EVEN_WINDOW_PATTERNS[1:])),
     # the rules of 3 and 2 swapped: still primitive and left-proper
     "subst.structure": lambda symbols: mock.patch.object(
         subst, "PAPERFOLD_SUBSTITUTION", Substitution({3: "30", 2: "31", 1: "21", 0: "20"})),
@@ -80,7 +95,9 @@ CONTROLS = {
         dimgroup, "staged_cone_witness", stage_too_early),
     "dimgroup.involution": lambda symbols: mock.patch.object(
         dimgroup, "involution_apply", twist_without_sign_flip),
-    "dimgroup.discrepancy-growth": lambda symbols: symbols(mutated_prefix(2**12, 5)),
+    # every step 2m + 1: m(2) = 3 where the odd step gives 4
+    "dimgroup.discrepancy-growth": lambda symbols: mock.patch.object(
+        dimgroup, "m_sequence", lambda n: 2**n - 1),
 }
 
 
@@ -103,3 +120,28 @@ def test_structure_control_fails_the_recoding_proof(monkeypatch, symbols):
     with CONTROLS["subst.structure"](symbols):
         rep = _run_one(monkeypatch, "subst.recoding")
     assert (rep.status, rep.witness) == ("fail", {"reason": "rule", "letter": 2, "image": "31"})
+
+
+def test_a_failed_premise_makes_every_dependent_inconclusive(symbols):
+    # t[40], an odd slot, breaks the interleaving identity and generation
+    # 5; every check resting on either is then not run, closure and
+    # freeness included, which read the flipped symbol and would fail
+    with symbols(mutated_prefix(2**16, 40)):
+        reports = cli.run_all("quick")
+    status = {r.check: r.status for r in reports}
+    assert status["paperfold.generation-fidelity"] == status["paperfold.self-similarity"] == "fail"
+    for r in reports:
+        premises = cli.PREMISES.get(r.check, ())
+        if any(status[p] != "pass" for p in premises):
+            assert r.status == "inconclusive", r.check
+            assert r.witness["premise"] in premises
+            assert r.witness == {"premise": r.witness["premise"], "status": status[r.witness["premise"]]}
+        elif r.check not in ("paperfold.generation-fidelity", "paperfold.self-similarity"):
+            assert r.status == "pass", r.check
+    assert {name for name, s in status.items() if s == "inconclusive"} == {
+        name for name, premises in cli.PREMISES.items() if "paperfold.self-similarity" in premises}
+    # without the gate, the flip fails closure and freeness
+    for name in ("dihedral.antireversal-closure", "dihedral.freeness"):
+        with symbols(mutated_prefix(2**16, 40)):
+            rep = dict(cli.REGISTRY)[name](cli.PROFILES["quick"])
+        assert rep.status == "fail", name

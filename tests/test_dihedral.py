@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import paperfold, words
+from pfkit import dihedral, paperfold, words
 from pfkit.dihedral import (
     EVEN_WINDOW_PATTERNS,
     MAX_EXTEND_STEPS,
@@ -18,6 +18,7 @@ from pfkit.dihedral import (
     freeness_certificate,
     left_extend,
     parity_class_separation,
+    verify_parity_residues,
 )
 from pfkit.errors import DomainError, ExtensionError, ResourceError
 from pfkit.paperfold import MAX_GENERATION, antipalindrome_census, language_generation, pf_prefix, pf_word
@@ -550,3 +551,32 @@ def test_pattern_families_cover_and_exclude():
     assert all(any(matches(w, p) for p in EVEN_WINDOW_PATTERNS) for w in even)
     assert all(any(matches(w, p) for p in ODD_WINDOW_PATTERNS) for w in odd)
     assert not (even & odd)
+
+
+# ---------------------------------------------------------------------------
+# the parity proof against its scan
+
+
+def test_residue_windows_are_the_words_windows():
+    # every window the residues allow occurs, at its parity
+    codes = window_codes(pf_prefix(2**20).to_array(), 7)
+    even, odd = dihedral._residue_windows()
+    assert (len(even), len(odd)) == (12, 16)
+    assert (even, odd) == (set(codes[0::2].tolist()), set(codes[1::2].tolist()))
+    assert verify_parity_residues().status == parity_class_separation(100_000, 20).status == "pass"
+
+
+@pytest.mark.parametrize("family", ["EVEN_WINDOW_PATTERNS", "ODD_WINDOW_PATTERNS"])
+@pytest.mark.parametrize("k", range(4))
+def test_parity_proof_and_scan_need_every_pattern(monkeypatch, family, k):
+    patterns = getattr(dihedral, family)
+    monkeypatch.setattr(dihedral, family, patterns[:k] + patterns[k + 1 :])
+    assert verify_parity_residues().status == "fail"
+    assert parity_class_separation(4000, 12).status == "fail"
+
+
+def test_parity_proof_reads_the_positional_rule(monkeypatch):
+    # the complement word has the same free slots, and its windows match
+    # no family
+    monkeypatch.setattr(dihedral, "symbol", lambda i, real=dihedral.symbol: 1 - real(i))
+    assert verify_parity_residues().status == "fail"

@@ -905,3 +905,28 @@ def test_twist_proof_and_battery_under_mutation(name):
     assert (proof.status, battery.status) == (verdict, verdict), (proof.witness, battery.witness)
     assert mismatch == (name != "none")
     assert proof.params == {"s": ["0/2^0", "3/2^5"], "m": [0, 7], "a": ["0/2^0", "-5/2^3"]}
+
+
+# ---------------------------------------------------------------------------
+# the discrepancy proof against its scan
+
+
+def test_discrepancy_steps_hold_on_the_prefix():
+    m = np.arange(10**5)
+    profile = discrepancy_profile(pf_prefix(2 * m.size + 1))
+    assert np.array_equal(profile[2 * m + 1] - profile[m], (m % 2 == 0).astype(np.int64))
+    assert np.array_equal(profile[2 * m + 2] - profile[2 * m + 1], np.where(m % 2 == 1, 1, -1))
+    assert dimgroup.verify_discrepancy_recursion().status == verify_unbounded_discrepancy(20).status == "pass"
+
+
+@pytest.mark.parametrize("checkpoints", [lambda n: 2**n - 1, lambda n: 2 ** (n + 1) - 2])
+def test_discrepancy_proof_and_scan_fail_together(monkeypatch, checkpoints):
+    monkeypatch.setattr(dimgroup, "m_sequence", checkpoints)
+    assert dimgroup.verify_discrepancy_recursion().status == "fail"
+    assert verify_unbounded_discrepancy(10).status == "fail"
+
+
+def test_discrepancy_proof_reads_the_positional_rule(monkeypatch):
+    # t[2] = 0 read as 1: the even slots 0 .. 2 add 2, not [1 even] = 0
+    monkeypatch.setattr(dimgroup, "symbol", lambda i, real=dimgroup.symbol: real(i) ^ (i == 2))
+    assert dimgroup.verify_discrepancy_recursion().witness == {"reason": "step", "n": 1, "m_n": 1, "gain": 3}

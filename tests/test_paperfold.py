@@ -15,8 +15,10 @@ from pfkit.paperfold import (
     check_aperiodic,
     pf_prefix,
     pf_word,
+    verify_aperiodicity_witness,
     verify_generation_fidelity,
     verify_recurrence,
+    verify_recurrence_blocks,
     verify_self_similarity,
 )
 from pfkit.words import Word, anti_reverse, anti_reverse_code, concat, count, window_codes
@@ -203,16 +205,23 @@ def test_census_against_naive_scan():
     assert census.counts == {ell: naive(ell) for ell in (2, 4, 6)}
 
 
+def distinct(codes):
+    """Sorted distinct values by a sort and an adjacent-difference mask,
+    independent of the factor index's chunked width doubling and merge."""
+    codes = np.sort(codes)
+    return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
+
+
 def test_census_matches_per_length_formulation():
-    # the per-length window_codes + np.unique census the factor index replaced
+    # the per-length window_codes + distinct-codes census the factor index replaced
     for g in range(4, 15):
         arr = pf_prefix(2 ** (g + 1) - 1).to_array()
         longest = min(62, arr.size // 3) // 2 * 2
         counts, same = {}, {}
         for ell in range(2, longest + 1, 2):
-            full = np.unique(window_codes(arr, ell))
+            full = distinct(window_codes(arr, ell))
             counts[ell] = sum(1 for c in full.tolist() if c == anti_reverse_code(c, ell))
-            same[ell] = np.array_equal(full, np.unique(window_codes(arr[: 2**g - 1], ell)))
+            same[ell] = np.array_equal(full, distinct(window_codes(arr[: 2**g - 1], ell)))
         for max_len in sorted({2, 4, 6, 8, 10, 16, 30, longest} & set(counts)):
             census = antipalindrome_census(g, max_len)
             assert census.counts == {ell: counts[ell] for ell in range(2, max_len + 1, 2)}
@@ -504,3 +513,72 @@ def test_aperiodicity_gather_memory_is_bounded(traced_peak):
     rep, peak = traced_peak(check_aperiodic, 3 * 2**16, 2**16, 2**16)
     assert rep.status == "pass"
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# the proofs against their scans
+
+
+def test_symbol_is_the_positional_rule_of_the_prefix():
+    arr = pf_prefix(2**16).to_array()
+    assert [paperfold.symbol(i) for i in range(arr.size)] == arr.tolist()
+    with pytest.raises(DomainError):
+        paperfold.symbol(-1)
+
+
+def test_recurrence_proof_agrees_with_the_scan():
+    # the lemma on a prefix: t(p) sits at every multiple of 2^(p+2); the
+    # scan, its oracle, passes wherever the proof speaks
+    assert verify_recurrence_blocks().status == "pass"
+    arr = pf_prefix(2**20).to_array()
+    for p in range(8):
+        e = 2 ** (p + 1)
+        blocks = arr[: arr.size // (2 * e) * 2 * e].reshape(-1, 2 * e)[:, : e - 1]
+        assert (blocks == arr[: e - 1]).all(), p
+        assert verify_recurrence(p, p + 8).status == "pass"
+
+
+@pytest.mark.parametrize("index", [0, 4, 8, 9, 10, 12, 16, 17, 24, 26])
+def test_recurrence_proof_reads_every_block_position(monkeypatch, index):
+    # a flip in the first block, at a later block start, or inside a later
+    # block of t(1) = 110 at 8, 16 or 24
+    real = paperfold.symbol
+    monkeypatch.setattr(paperfold, "symbol", lambda i: real(i) ^ (i == index))
+    assert verify_recurrence_blocks().status == "fail"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=st.integers(1, 5000), cut=st.integers(0, 5000))
+def test_period_break_is_a_mismatch_of_the_word(rho, cut):
+    arr = pf_prefix(2**15).to_array()
+    i = paperfold._period_break(rho, cut)
+    assert cut <= i < cut + 2 * (rho & -rho)
+    assert arr[i] != arr[i + 2 * rho]
+    assert not all(arr[i + k * rho] == arr[i + (k + 1) * rho] for k in (0, 1))
+
+
+def test_aperiodicity_proof_agrees_with_the_scan():
+    assert verify_aperiodicity_witness().status == check_aperiodic(3 * 4096, 4096, 4096).status == "pass"
+
+
+def _break_from_leading_bit(rho, cut):
+    a = rho.bit_length() - 1
+    return cut + (2**a - 1 - cut) % 2 ** (a + 1)
+
+
+def _break_mod_2a(rho, cut):
+    a = (rho & -rho).bit_length() - 1
+    return cut + (2**a - 1 - cut) % 2**a
+
+
+def _break_in_int64(rho, cut):
+    # a 64-bit formula wraps past the 64-bit edge of a
+    a = (rho & -rho).bit_length() - 1
+    return cut + (2 ** (a % 64) - 1 - cut) % 2 ** (a % 64 + 1)
+
+
+@pytest.mark.parametrize("formula", [_break_from_leading_bit, _break_mod_2a, _break_in_int64,
+                                     lambda rho, cut, real=paperfold._period_break: real(rho, cut) + 1])
+def test_aperiodicity_proof_catches_a_wrong_formula(monkeypatch, formula):
+    monkeypatch.setattr(paperfold, "_period_break", formula)
+    assert verify_aperiodicity_witness().status == "fail"

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shlex
 import threading
 import time
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import dimgroup, paperfold, words
-from pfkit.cli import PROFILES, REGISTRY, exit_code, main, run_all
+from pfkit import cli, dihedral, dimgroup, paperfold, subst, words
+from pfkit.cli import PREMISES, PROFILES, REGISTRY, exit_code, main, run_all
 from pfkit.dihedral import MAX_EXTEND_STEPS, MAX_PARITY_K, LanguageOracle
 from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
 from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, pf_word
@@ -23,9 +24,9 @@ from pfkit.words import Word, read_pfw
 
 # SHA-256 of the quick-profile report at seed 42 with elapsed_ms removed;
 # any change to a report's bytes changes it
-QUICK_REPORT_DIGEST = "9516504ee21e718e15fef8da4b260fe9698a89e198192ef1eabb648e687b07da"
+QUICK_REPORT_DIGEST = "49964921d3d050b4fa52f8335ff44a19a377eda22550cf60e2b3ab527d33875f"
 # the same for the full-profile report at seed 42
-FULL_REPORT_DIGEST = "ca9a399bf632c71c566e6d038905e3988d50ead6dbe4a1f8a98315567c366635"
+FULL_REPORT_DIGEST = "1f7638f3b33be9f6e7b0ad7aa70dea2647df170467d9f4d5345b46e5e5d1d5da"
 
 
 def report_digest(reports):
@@ -98,13 +99,9 @@ def test_registry_shape():
     names = [name for name, _ in REGISTRY]
     assert len(names) == len(set(names))
     assert len(names) >= 12
-    assert set(PROFILES) == {"quick", "full"}
-    # profile scaling pinned: the full run separates parities on
-    # generation 20 and follows the discrepancy checkpoints to N = 20
-    assert PROFILES["quick"]["generation"] == 12
-    assert PROFILES["quick"]["discrepancy_N"] == 10
-    assert PROFILES["full"]["generation"] == 20
-    assert PROFILES["full"]["discrepancy_N"] == 20
+    # the profiles differ only in the self-similarity budget; every other
+    # check is a proof or reads a generation of its own
+    assert PROFILES == {"quick": {"selfsim_budget": 10}, "full": {"selfsim_budget": 12}}
 
 
 def test_exit_codes():
@@ -234,18 +231,75 @@ def test_run_all_draws_nothing(monkeypatch):
 
 
 PROOFS = {
+    "paperfold.recurrence", "paperfold.aperiodicity", "dihedral.parity-separation",
     "subst.structure", "subst.recoding", "subst.intertwining", "dimgroup.matrix-closed-form",
     "dimgroup.lattice-properties", "dimgroup.cone-identity", "dimgroup.involution",
+    "dimgroup.discrepancy-growth",
 }
 
 
-def test_proofs_read_no_symbols(symbols):
+def test_proofs_read_no_symbols(monkeypatch, symbols):
     # with an empty symbol source every check that reads the word errors
-    # out, and the proofs pass
+    # out, or is gated on a premise that did; the proofs run alone, so no
+    # premise of theirs is in the run to gate them, and they pass
+    assert PROOFS < set(dict(REGISTRY))
     with symbols(np.empty(0, np.uint8)):
         reports = run_all("full", seed=42)
-    assert {r.check: r.status for r in reports} == {
-        name: "pass" if name in PROOFS else "error" for name, _ in REGISTRY}
+        assert {r.check: r.status for r in reports if r.check not in PROOFS} == {
+            name: "inconclusive" if name in PREMISES else "error"
+            for name, _ in REGISTRY if name not in PROOFS}
+        monkeypatch.setattr(cli, "REGISTRY", tuple(e for e in REGISTRY if e[0] in PROOFS))
+        reports = run_all("full", seed=42)
+    assert [(r.check, r.status) for r in reports] == [(name, "pass") for name, _ in cli.REGISTRY]
+
+
+def test_premises_are_earlier_registry_entries():
+    order = [name for name, _ in REGISTRY]
+    for name, premises in PREMISES.items():
+        assert premises and name in order
+        assert all(p in order[: order.index(name)] for p in premises), name
+
+
+# the function whose docstring states each gated check's lemma
+LEMMAS = {
+    "paperfold.antipalindrome-census": paperfold.language_generation,
+    "dihedral.antireversal-closure": paperfold.language_generation,
+    "dihedral.freeness": paperfold.language_generation,
+    "paperfold.recurrence": paperfold.verify_recurrence_blocks,
+    "paperfold.aperiodicity": paperfold.verify_aperiodicity_witness,
+    "dihedral.parity-separation": dihedral.verify_parity_residues,
+    "subst.recoding": subst.verify_recoding_induction,
+    "dimgroup.lattice-properties": dimgroup.verify_lattice_image,
+    "dimgroup.discrepancy-growth": dimgroup.verify_discrepancy_recursion,
+}
+
+
+def test_each_lemma_names_its_premises():
+    assert set(LEMMAS) == set(PREMISES)
+    for name, fn in LEMMAS.items():
+        line = re.search(r"Premises?: (.*?)\.(\s|$)", fn.__doc__, re.S)
+        assert line, name
+        assert set(re.findall(r"[a-z]+\.[a-z-]+", line.group(1))) == set(PREMISES[name]), name
+
+
+def test_suite_reads_few_symbols(monkeypatch):
+    # every check reads at most 2^13 - 1 symbols, the self-similarity
+    # battery at budget 12, but the coboundary check, which cannot fail
+    # and reads 2^16
+    read = []
+    prefix = paperfold._prefix_array
+
+    def record(length):
+        read.append(length)
+        return prefix(length)
+
+    monkeypatch.setattr(paperfold, "_prefix_array", record)
+    for entry in REGISTRY:
+        monkeypatch.setattr(cli, "REGISTRY", (entry,))
+        read.clear()
+        (rep,) = run_all("full", seed=42)
+        assert rep.status == "pass", entry[0]
+        assert max(read, default=0) <= (2**16 if entry[0] == "dimgroup.coboundary-bound" else 2**13 - 1), entry[0]
 
 
 class _ReadRecorder(dict):
@@ -267,7 +321,7 @@ def test_run_all_reads_every_profile_key(monkeypatch, profile):
     params = _ReadRecorder(PROFILES[profile])
     monkeypatch.setitem(PROFILES, profile, params)
     run_all(profile, seed=42)
-    assert params.read == set(params)
+    assert params.read == set(params) == {"selfsim_budget"}
 
 
 def test_run_all_error_isolation(monkeypatch):

@@ -121,6 +121,36 @@ def test_apply_gathers_without_an_index_copy(traced_peak):
     assert peak < 3 * 2**21
 
 
+def test_non_uniform_fixed_prefix_gathers_in_chunks(traced_peak):
+    # a Python list of one image per letter and its concatenation traced
+    # 18.8 MiB for this 1 MiB prefix; the padded gather holds the last two
+    # iterates and the rows of 2^16 letters with their int64 row indices
+    s = Substitution({3: "312", 2: "30", 1: "21", 0: "20"})
+    prefix, peak = traced_peak(fixed_prefix, s, 2**20)
+    assert prefix.length == 2**20 and str(prefix)[:12] == "312213030213"
+    assert peak < 6 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(rules=st.lists(st.text("0123", min_size=1, max_size=30), min_size=4, max_size=4),
+       text=st.text("0123", max_size=60), chunk=GATHER_CHUNKS)
+@example(rules=["0" * 17, "1", "2" * 8, "3" * 9], text="3021", chunk=1)
+def test_images_past_a_row_match_concatenation(rules, text, chunk):
+    # an image longer than subst._ROW symbols spans several table rows
+    rules = dict(enumerate(rules))
+    with mock.patch.object(subst, "_GATHER_CHUNK", chunk):
+        assert str(apply(Substitution(rules), Word(text, 4))) == concat_image(rules, text)
+
+
+def test_a_long_image_costs_its_length_not_every_letter(traced_peak):
+    # padding every image to the longest, 4002 symbols, would gather
+    # 2^16 * 4002 bytes for this 135,074-symbol image
+    s = Substitution({3: "31" + "0" * 4000, 2: "30", 1: "21", 0: "20"})
+    out, peak = traced_peak(apply, s, Word("0" * 2**16 + "3", QUATERNARY))
+    assert str(out) == "20" * 2**16 + "31" + "0" * 4000
+    assert peak < 8 * 2**20
+
+
 def test_second_iterates():
     want = {0: "3020", 1: "3021", 2: "3120", 3: "3121"}
     for a, image in want.items():

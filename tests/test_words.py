@@ -187,7 +187,14 @@ def test_window_codes_fit_uint8_up_to_eight_bits(bits):
 
 
 def _unique_codes(arr, n, bits):
-    return set(np.unique(window_codes(arr, n, bits)).tolist())
+    """The distinct length-n window codes, from one whole-array sort and an
+    adjacent-difference mask (np.unique takes a slower hash path).  The
+    oracle stays independent of FactorIndex: it codes every length on its
+    own with window_codes and sorts numpy's way, where the index codes the
+    longest windows chunk by chunk by width doubling, derives the shorter
+    lengths by masks and merges the chunks' distinct codes."""
+    codes = np.sort(window_codes(arr, n, bits))
+    return set(codes[:1].tolist()) | set(codes[1:][codes[1:] != codes[:-1]].tolist())
 
 
 @settings(max_examples=150, deadline=None)
