@@ -30,10 +30,9 @@ its identity on every binary word from the 16 words of length 4
 separation and discrepancy growth are proved for every parameter from the
 interleaving identity t[2j] = 1 - (j mod 2), t[2j+1] = t[j], through its
 positional rule ``paperfold.symbol``.  None of these proofs reads the
-word; only self-similarity, the three language checks, generation
-fidelity and the coboundary check do, at most 2^13 - 1 symbols apart from
-the coboundary check's 2^16.  The quick and full profiles differ only in
-the self-similarity budget.
+word; only generation fidelity, self-similarity and the three language
+checks (census, closure and freeness) do, at most 2^13 - 1 symbols each.
+The quick and full profiles differ only in the self-similarity budget.
 
 A check whose lemma rests on facts that other checks establish names
 them in ``PREMISES``; when such a premise ran earlier in the same run and
@@ -148,7 +147,6 @@ REGISTRY = (
     ("dimgroup.cone-identity", lambda p: dimgroup.verify_cone_stage()),
     ("dimgroup.involution", lambda p: dimgroup.verify_twist_identity()),
     ("dimgroup.discrepancy-growth", lambda p: dimgroup.verify_discrepancy_recursion()),
-    ("dimgroup.coboundary-bound", lambda p: dimgroup.verify_coboundary_bound(2**16)),
 )
 
 # the checks whose lemma rests on facts that earlier entries check: the

@@ -18,11 +18,12 @@ with kernel H_{n+2} and cone |m| <= 2^n s.  The seeded batteries
 verify_matrix_closed_form and verify_lattice_properties are its oracles.
 
 The twist sigma_a(s, m) = (s + a m, -m) is multilinear in s, m and a, and
-so is each side of its four identities (it squares to the identity, fixes
-every (q, 0), and 1 + sigma_a maps onto {(q, 0)} with preimage (q/2, 0)).
-verify_twist_identity checks them on a 2x2x2 grid, which proves them for
-every dyadic a and s and every integer m; the seeded battery
-verify_involution_algebra is its oracle.
+so is each side of its five identities (it squares to the identity, fixes
+every (q, 0), 1 + sigma_a maps onto {(q, 0)} with preimage (q/2, 0), and
+sigma_a(0, 1) = (a, -1) pins the twist value).  verify_twist_identity
+checks them on a 2x2x2 grid, which proves them for every dyadic a and s
+and every integer m; the seeded battery verify_involution_algebra is its
+oracle.
 
 The least stage of a point (s, m) of the cone, s = num / 2^exp > 0, is
 exp + (c - 1).bit_length() with c = max(1, ceil(|m| / num)).  It is valid
@@ -36,8 +37,8 @@ The discrepancy at checkpoint m(n) is n + 1 for every n by two
 recursion steps of the word, which verify_discrepancy_recursion evaluates;
 verify_unbounded_discrepancy is its oracle.
 
-So of the suite's dimension-group checks, all but the coboundary check,
-which scans a fixed prefix, are proofs, and none draws a random number.
+So every one of the suite's dimension-group checks is a proof, and none
+draws a random number.
 The batteries take explicit non-negative seeds; since all arithmetic is
 exact, sampling is sound (no tolerances) and reports are reproducible.
 A battery draws each field (lo, hi) of a sample from one 32-bit word of
@@ -624,6 +625,11 @@ def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
     """Coboundary control: for both one-slot cylinder indicators the
     partial sums stay bounded by 2 and agree with their telescoped form.
 
+    This cannot fail: for a 0/1 indicator f the partial sums of
+    f[i+1] - f[i] telescope to f[i] - f[0] on every word, so the suite does
+    not run it.  Only the benchmark's ``scan`` workload and its own tests
+    keep it.
+
     The sums are formed over chunks of 2^18 symbols in int32, the running
     sum carried across chunks, so beyond the prefix the check holds a few
     chunk-sized buffers whatever ``prefix_len`` is.  int32 is exact: a
@@ -952,8 +958,10 @@ def verify_cone_stage() -> CheckReport:
 def _twist_failure(inv: DyadicInvolution, p: DyadicPair):
     """The failure witness of the first twist identity that fails at
     (a, p), or None: the twist squares to the identity, fixes (q, 0) for
-    q the dyadic part of p, 1 + twist sends p to integer part 0, and sends
-    the halved preimage of (q, 0) back to (q, 0)."""
+    q the dyadic part of p, 1 + twist sends p to integer part 0, sends
+    the halved preimage of (q, 0) back to (q, 0), and sends (0, 1) to
+    (a, -1).  The first four hold for every twist value; the fifth tells
+    sigma_a from sigma_0 and sigma_2a."""
     if involution_apply(inv, involution_apply(inv, p)) != p:
         return {"reason": "not-an-involution", "a": str(inv.a), "p": str(p)}
     fixed = DyadicPair(p.s, 0)
@@ -963,6 +971,9 @@ def _twist_failure(inv: DyadicInvolution, p: DyadicPair):
         return {"reason": "image-not-integer-free", "a": str(inv.a), "p": str(p)}
     if one_plus_sigma_image(inv, one_plus_sigma_preimage(inv, fixed)) != fixed:
         return {"reason": "preimage-wrong", "a": str(inv.a), "target": str(fixed)}
+    unit = DyadicPair(DYADIC_ZERO, 1)
+    if involution_apply(inv, unit) != DyadicPair(inv.a, -1):
+        return {"reason": "twist-value-wrong", "a": str(inv.a), "p": str(unit)}
     return None
 
 
@@ -979,7 +990,8 @@ def _twists(getrandbits, samples):
 def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckReport:
     """For random dyadic twist values a: the twist squares to the
     identity and fixes every (q, 0); adding the twisted copy always lands
-    in {(., 0)} and attains every sampled (q, 0) via the halved preimage.
+    in {(., 0)} and attains every sampled (q, 0) via the halved preimage;
+    and the twist sends (0, 1) to (a, -1).
 
     The samples are drawn by the rule of _draws, a block of 1024 at a
     time, and checked one at a time."""
@@ -1008,18 +1020,18 @@ def verify_twist_identity() -> CheckReport:
 
     involution_apply is (s + a m, -m), so each side of each identity, the
     twist applied twice, the twist of (q, 0), the integer part of
-    p + twist(p) and the image (q/2 + q/2 + a 0, 0) of the halved
-    preimage, has degree at most 1 in each of s, m and a.  Such a
-    polynomial is fixed by its values on any grid of two values per
-    variable, so the identities hold everywhere once they hold on the
-    grid, as the affine step of verify_closed_form_induction does for its
-    lemma."""
+    p + twist(p), the image (q/2 + q/2 + a 0, 0) of the halved preimage
+    and the twist (0 + a 1, -1) of (0, 1) against (a, -1), has degree at
+    most 1 in each of s, m and a.  Such a polynomial is fixed by its
+    values on any grid of two values per variable, so the identities hold
+    everywhere once they hold on the grid, as the affine step of
+    verify_closed_form_induction does for its lemma."""
     chk = Check("dimgroup.involution",
                 {name: [v if isinstance(v, int) else str(v) for v in values]
                  for name, values in _TWIST_GRID.items()},
                 "for every dyadic a, s and integer m the twist (s + a m, -m) is an involution "
-                "fixing (q, 0), and 1 + twist maps onto {(q, 0)} via (q/2, 0): multilinear "
-                "identities checked on a 2x2x2 grid")
+                "fixing (q, 0), 1 + twist maps onto {(q, 0)} via (q/2, 0), and (0, 1) maps to "
+                "(a, -1): multilinear identities checked on a 2x2x2 grid")
     for s, m, a in itertools.product(*_TWIST_GRID.values()):
         witness = _twist_failure(DyadicInvolution(a), DyadicPair(s, m))
         if witness is not None:

@@ -18,12 +18,6 @@ from pfkit.dimgroup import DyadicPair, DyadicRational
 from pfkit.paperfold import T_REFERENCE, pf_prefix
 from pfkit.subst import Substitution
 
-# For a 0/1 indicator f the partial sums of f[i+1] - f[i] telescope to
-# f[i] - f[0], so no word and no mutation of the data makes this check
-# fail; it is kept until a change that may alter the report deletes it.
-WITHOUT_CONTROL = {"dimgroup.coboundary-bound"}
-
-
 def mutated_prefix(length, start, stop=None, value=None):
     """The paper-folding prefix of ``length`` symbols with symbol ``start``
     flipped, or with symbols start .. stop - 1 set to ``value``."""
@@ -107,9 +101,13 @@ def _run_one(monkeypatch, name):
     return rep
 
 
-@pytest.mark.parametrize("name", [name for name, _ in cli.REGISTRY if name not in WITHOUT_CONTROL])
+def test_controls_match_the_registry():
+    # a check without a control, or a control left for a deleted check
+    assert set(CONTROLS) == {name for name, _ in cli.REGISTRY}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in cli.REGISTRY])
 def test_every_check_fails_under_its_control(monkeypatch, symbols, name):
-    assert name in CONTROLS, f"{name} has no negative control"
     with CONTROLS[name](symbols):
         rep = _run_one(monkeypatch, name)
     assert rep.status == "fail", rep.witness

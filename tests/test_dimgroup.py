@@ -852,7 +852,7 @@ def test_twist_maps_match_their_fraction_formulas(a, s, m, q):
 
 
 def reference_involution_battery(samples, seed):
-    """The involution battery with its four identities written inline;
+    """The involution battery with its five identities written inline;
     the battery must give the same report, failure payloads included."""
     chk = Check("dimgroup.involution", {"samples": samples},
                 "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
@@ -870,6 +870,9 @@ def reference_involution_battery(samples, seed):
         pre = dimgroup.one_plus_sigma_preimage(inv, fixed)
         if dimgroup.one_plus_sigma_image(inv, pre) != fixed:
             return chk.failed({"reason": "preimage-wrong", "a": str(inv.a), "target": str(fixed)})
+        unit = DyadicPair(DYADIC_ZERO, 1)
+        if apply(inv, unit) != DyadicPair(inv.a, -1):
+            return chk.failed({"reason": "twist-value-wrong", "a": str(inv.a), "p": str(unit)})
     return chk.passed()
 
 
@@ -880,14 +883,14 @@ def _twist(shift, sign=-1, power=1):
 
 # name -> (patched function, replacement, verdict of the identity checks).
 # "a dropped" and "a m doubled" are the twists sigma_0 and sigma_2a, which
-# satisfy every identity for every a: no check of the identities, proof or
-# battery, can fail under them, and only the premise test tells them from
-# sigma_a.  The other mutations break an identity.
+# satisfy the first four identities for every a; the fifth,
+# sigma_a(0, 1) = (a, -1), fails them at every a != 0.  Every mutation
+# but "none" breaks an identity.
 TWIST_MUTATIONS = {
     "none": (None, None, "pass"),
     "sign kept": ("involution_apply", _twist(lambda a: a, sign=1), "fail"),
-    "a dropped": ("involution_apply", _twist(lambda a: DYADIC_ZERO), "pass"),
-    "a m doubled": ("involution_apply", _twist(lambda a: 2 * a), "pass"),
+    "a dropped": ("involution_apply", _twist(lambda a: DYADIC_ZERO), "fail"),
+    "a m doubled": ("involution_apply", _twist(lambda a: 2 * a), "fail"),
     "a m squared": ("involution_apply", _twist(lambda a: a, power=2), "fail"),
     "image drops p": ("one_plus_sigma_image", lambda inv, p: dimgroup.involution_apply(inv, p), "fail"),
     "preimage not halved": ("one_plus_sigma_preimage", lambda inv, target: target, "fail"),

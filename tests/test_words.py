@@ -186,15 +186,22 @@ def test_window_codes_fit_uint8_up_to_eight_bits(bits):
     assert window_codes(arr[:3], 4, bits).dtype == np.uint8
 
 
+def _sorted_distinct(codes):
+    """The distinct values of ``codes`` in order, from one sort and an
+    adjacent-difference mask (np.unique takes a slower hash path)."""
+    codes = np.sort(codes)
+    keep = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 def _unique_codes(arr, n, bits):
-    """The distinct length-n window codes, from one whole-array sort and an
-    adjacent-difference mask (np.unique takes a slower hash path).  The
-    oracle stays independent of FactorIndex: it codes every length on its
-    own with window_codes and sorts numpy's way, where the index codes the
-    longest windows chunk by chunk by width doubling, derives the shorter
-    lengths by masks and merges the chunks' distinct codes."""
-    codes = np.sort(window_codes(arr, n, bits))
-    return set(codes[:1].tolist()) | set(codes[1:][codes[1:] != codes[:-1]].tolist())
+    """The distinct length-n window codes.  The oracle stays independent
+    of FactorIndex: it codes every length on its own with window_codes and
+    sorts numpy's way, where the index codes the longest windows chunk by
+    chunk by width doubling, derives the shorter lengths by masks and
+    merges the chunks' distinct codes."""
+    return set(_sorted_distinct(window_codes(arr, n, bits)).tolist())
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,9 +300,13 @@ def test_factor_index_across_full_size_chunks():
         assert arr.size > 2 * words._CHUNK and ref_len > words._CHUNK
         index = FactorIndex(arr, bits, ref_len)
         for n in range(1, MAX_CODE_BITS // bits + 1):
-            full = _unique_codes(arr, n, bits)
-            assert index.codes(n) == full
-            assert index.saturated(n) == (_unique_codes(arr[:ref_len], n, bits) == full)
+            # the oracle of _unique_codes, coding each length once: the
+            # reference's windows are the first ref_len - n + 1, a subset of
+            # the whole array's, so it is saturated iff it has as many codes
+            codes = window_codes(arr, n, bits)
+            full = _sorted_distinct(codes)
+            assert index.codes(n) == set(full.tolist())
+            assert index.saturated(n) == (_sorted_distinct(codes[: ref_len - n + 1]).size == full.size)
 
 
 def test_factor_index_edges():
