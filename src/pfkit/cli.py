@@ -33,6 +33,13 @@ positional rule ``paperfold.symbol``.  None of these proofs reads the
 word; only generation fidelity, self-similarity and the three language
 checks (census, closure and freeness) do, at most 2^13 - 1 symbols each.
 The quick and full profiles differ only in the self-similarity budget.
+The self-similarity battery covers every (p, n) with p + n + 1 within
+its budget by one comparison per p, at the largest n: the (p, n)
+comparison is the first 2^(p+n+2) - 1 symbols of that one, since the
+letters t(n) are a prefix of the larger n's and both sides come from one
+symbol source.  So the first failing (p, n) is the first failing p with
+the least n whose comparison reaches its first mismatch, and the battery
+runs that comparison again for its report.
 
 A check whose lemma rests on facts that other checks establish names
 them in ``PREMISES``; when such a premise ran earlier in the same run and
@@ -70,13 +77,23 @@ PROFILES = {
 
 
 def _check_self_similarity_battery(budget: int) -> CheckReport:
+    """Every (p, n) with p + n + 1 within budget, one comparison per p.
+
+    The symbol source must supply the 2^(budget + 1) - 1 symbols of the
+    first comparison: a shorter one errors there, not at the pair that
+    first reads past its end, and then the two sides of a comparison
+    never differ in size, so a failure always names its first
+    mismatch."""
     chk = Check("paperfold.self-similarity", {"budget": budget},
                 "block interleaving identity for all p+n+1 within budget")
     for p in range(budget):
-        for n in range(budget - p):
-            rep = paperfold.verify_self_similarity(p, n)
-            if rep.status != "pass":
-                return dataclasses.replace(rep, elapsed_ms=chk.ms)
+        # on a failure, the first failing n is the least whose comparison,
+        # 2^(p+n+2) - 1 symbols, reaches the first mismatch
+        rep = paperfold.verify_self_similarity(p, budget - 1 - p)
+        if rep.status != "pass":
+            n = (rep.witness["first_mismatch"] + 1).bit_length() - p - 2
+            rep = paperfold.verify_self_similarity(p, max(n, 0))
+            return dataclasses.replace(rep, elapsed_ms=chk.ms)
     return chk.passed()
 
 

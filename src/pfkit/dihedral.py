@@ -39,7 +39,7 @@ from .words import (
     FactorIndex,
     Word,
     anti_palindrome_codes,
-    anti_reverse_code,
+    anti_reverse_codes,
     code_to_word,
     segment,
     window_codes,
@@ -165,8 +165,9 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
         if not oracle.is_saturated(ell):
             return chk.report("inconclusive", {"unsaturated_length": ell})
         codes = oracle.factor_codes(ell)
-        for c in sorted(codes):
-            if anti_reverse_code(c, ell) not in codes:
+        found = sorted(codes)
+        for c, image in zip(found, anti_reverse_codes(found, ell).tolist()):
+            if image not in codes:
                 return chk.failed({"factor": str(code_to_word(c, ell))})
     return chk.passed()
 

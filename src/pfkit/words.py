@@ -14,12 +14,16 @@ saturation against a reference prefix, are masks of those codes.  W is
 the widest width whose codes fit in uint32 until a request reaches past
 it; then one int64 pass codes the longest length the caller can ask for
 (at most MAX_CODE_BITS // bits symbols).
-``window_codes`` codes one length from scratch; it stays as the direct
-formulation for single scans, codes the few windows near the array's end
-that the index's width-W windows miss, and is the index's test oracle.
-``anti_palindrome_codes`` is the one anti-palindrome filter over factor
-codes: the census counts through it and the freeness certificate takes its
-examples from it.
+The few windows near the array's end that the width-W windows miss are
+coded once per pass, zero-padded to width W, so every length is read off
+codes made in the pass.  ``window_codes`` codes one length from scratch;
+it stays as the direct formulation for single scans and is the index's
+test oracle.  ``anti_reverse_codes`` anti-reverses an array of binary
+codes at once, through a table of reversed bytes; the closure check
+looks its output up in the factor codes, and ``anti_palindrome_codes``,
+the one anti-palindrome filter over factor codes, keeps the codes it
+fixes: the census counts through it and the freeness certificate takes
+its examples from it.
 
 Indexing convention: all public APIs 0-index, segments are inclusive on
 both ends.
@@ -49,7 +53,7 @@ __all__ = [
     "window_codes",
     "word_code",
     "FactorIndex",
-    "anti_reverse_code",
+    "anti_reverse_codes",
     "anti_palindrome_codes",
     "to_pfw_bytes",
     "from_pfw_bytes",
@@ -358,8 +362,10 @@ class FactorIndex:
     symbols (default: all of them).  Length n's codes are the first set
     masked to n symbols plus the windows of the last W - 1 symbols;
     ``saturated(n)`` compares them with the same formula over the
-    reference windows and the last W - 1 symbols before ``ref_len``.  A
-    length past the array has no factors and is saturated.
+    reference windows and the last W - 1 symbols before ``ref_len``.
+    The windows of those last symbols are coded in the pass (see _tail),
+    so a length codes no window again.  A length past the array has no
+    factors and is saturated.
 
     The pass runs on the first request, under a lock, at the widest
     width whose codes fit in uint32, min(max_len, 32 // bits, len(arr)),
@@ -382,6 +388,7 @@ class FactorIndex:
         self._longest = longest if max_len is None else min(max_len, longest)
         self._width = 0  # W, the width built so far
         self._every = self._ref = None  # distinct length-W window codes
+        self._every_tail = self._ref_tail = None  # see _tail
         self._codes: dict[int, set] = {}
         self._saturated: dict[int, bool] = {}
         self._lock = threading.Lock()
@@ -396,7 +403,7 @@ class FactorIndex:
                     full = min(self._longest, self._arr.size)
                     narrow = min(full, 32 // self._bits)
                     self._build(narrow if n <= narrow else full)
-                self._codes[n] = self._masked(self._every, self._arr.size, n)
+                self._codes[n] = self._masked(self._every, self._every_tail, n)
             return self._codes[n]
 
     def saturated(self, n: int) -> bool:
@@ -404,18 +411,33 @@ class FactorIndex:
         full = self.codes(n)
         with self._lock:
             if n not in self._saturated:
-                self._saturated[n] = self._masked(self._ref, self._ref_len, n) == full
+                self._saturated[n] = self._masked(self._ref, self._ref_tail, n) == full
             return self._saturated[n]
 
-    def _masked(self, windows: np.ndarray, end: int, n: int) -> set:
-        """Codes of the length-n windows inside arr[:end], given the
-        distinct codes of the length-W windows there."""
+    def _masked(self, windows: np.ndarray, tail: np.ndarray, n: int) -> set:
+        """Codes of the length-n windows of a prefix arr[:end], given the
+        distinct codes of its length-W windows and the codes of the
+        windows that start in its last W - 1 symbols (see _tail)."""
         if n > self._width:
             return set()
-        codes = set((windows & ((1 << (self._bits * n)) - 1)).tolist())
-        last = self._arr[max(end - self._width + 1, 0) : end]
-        codes.update(window_codes(last, n, self._bits).tolist())
+        mask = (1 << (self._bits * n)) - 1
+        codes = set((windows & mask).tolist())
+        codes.update((tail[: max(tail.size - n + 1, 0)] & mask).tolist())
         return codes
+
+    def _tail(self, end: int, dtype) -> np.ndarray:
+        """The codes of the windows that start in the last W - 1 symbols
+        before ``end``, zero-padded to width W: start k of L holds the
+        L - k symbols up to ``end``, so the first L - n + 1 of them are
+        the length-n windows there."""
+        width = self._width
+        size = min(max(width - 1, 0), end)
+        if not size:
+            return np.empty(0, dtype=dtype)
+        buf = np.zeros(size + width - 1, dtype=dtype)
+        buf[:size] = self._arr[end - size : end]
+        _widen(buf, buf.size, width, self._bits, np.empty_like(buf))
+        return buf[:size]
 
     def _build(self, width: int) -> None:
         arr, bits = self._arr, self._bits
@@ -429,33 +451,58 @@ class FactorIndex:
             count = min(_CHUNK, m - a)
             span = count + width - 1
             buf[:span] = arr[a : a + span]
-            # width w -> w + s: the window at i + s holds the s symbols that
-            # follow the window at i, and the w - s it shares with it agree
-            w = 1
-            while w < width:
-                s = min(w, width - w)
-                valid = span - w - s + 1
-                np.left_shift(buf[s : s + valid], bits * s, out=shifted[:valid])
-                np.bitwise_or(buf[:valid], shifted[:valid], out=buf[:valid])
-                w += s
+            _widen(buf, span, width, bits, shifted)
             k = min(max(m_ref - a, 0), count)
             inside, rest = _distinct(buf[:k]), _distinct(buf[k:count])
             ref = _distinct(np.concatenate((ref, inside)))
             every = _distinct(np.concatenate((every, inside, rest)))
         self._ref, self._every, self._width = ref, every, width
+        self._every_tail = self._tail(arr.size, dtype)
+        self._ref_tail = self._tail(self._ref_len, dtype)
 
 
-def anti_reverse_code(code: int, n: int) -> int:
-    """Anti-reversal on a length-n binary window code (see window_codes)."""
-    r = 0
-    for j in range(n):
-        r |= ((code >> j) & 1) << (n - 1 - j)
-    return r ^ ((1 << n) - 1)
+def _widen(buf: np.ndarray, span: int, width: int, bits: int, shifted: np.ndarray) -> None:
+    """Turn the ``span`` symbols at the head of ``buf`` into the codes of
+    their length-``width`` windows in place, by doubling the width: the
+    first span - width + 1 entries end up holding the codes."""
+    # width w -> w + s: the window at i + s holds the s symbols that follow
+    # the window at i, and the w - s it shares with it agree
+    w = 1
+    while w < width:
+        s = min(w, width - w)
+        valid = span - w - s + 1
+        np.left_shift(buf[s : s + valid], bits * s, out=shifted[:valid])
+        np.bitwise_or(buf[:valid], shifted[:valid], out=buf[:valid])
+        w += s
+
+
+# the bit reversal of every byte, for anti_reverse_codes
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint64)
+
+
+def anti_reverse_codes(codes, n: int) -> np.ndarray:
+    """Anti-reversal of length-n binary window codes (see window_codes),
+    1 <= n <= MAX_CODE_BITS, as an int64 array: the code's n bits reversed
+    a byte at a time through a table, then complemented.  The reversal
+    runs in uint64, since an int64 right shift would carry the sign."""
+    if not 1 <= n <= MAX_CODE_BITS:
+        raise DomainError(f"window length {n} outside 1..{MAX_CODE_BITS}")
+    codes = np.asarray(codes).astype(np.uint64)
+    width = -(-n // 8)  # bytes holding the n bits
+    # Horner's rule over the bytes, lowest first: its reversal ends highest
+    out = _REVERSED_BYTES[codes & 0xFF]
+    for k in range(1, width):
+        out <<= 8
+        out |= _REVERSED_BYTES[(codes >> 8 * k) & 0xFF]
+    out >>= 8 * width - n
+    out ^= (1 << n) - 1
+    return out.view(np.int64)
 
 
 def anti_palindrome_codes(codes, n: int) -> list:
     """The anti-palindromes among length-n binary window codes, ascending."""
-    return sorted(c for c in codes if c == anti_reverse_code(c, n))
+    codes = np.fromiter(codes, dtype=np.int64, count=len(codes))
+    return sorted(codes[codes == anti_reverse_codes(codes, n)].tolist())
 
 
 def code_to_word(code: int, n: int, alphabet: Alphabet = BINARY) -> Word:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfkit import dihedral, paperfold, words
@@ -32,6 +32,7 @@ from pfkit.words import (
     code_to_word,
     segment,
     window_codes,
+    word_code,
 )
 
 
@@ -174,6 +175,41 @@ def test_closure_witness_is_least_failing_factor():
     assert len(failing) >= 2
     assert rep.status == "fail"
     assert rep.witness == {"factor": min(failing, key=lambda f: int(f[::-1], 2))}
+
+
+def closure_by_codes(oracle, n_max):
+    """The closure check a code at a time, each anti-reversal made by
+    building the word and coding anti_reverse of it: the oracle of
+    check_closure_under_antireversal's array lookup."""
+    for ell in range(1, n_max + 1):
+        if not oracle.is_saturated(ell):
+            return "inconclusive", {"unsaturated_length": ell}
+        codes = oracle.factor_codes(ell)
+        for c in sorted(codes):
+            if word_code(anti_reverse(code_to_word(c, ell))) not in codes:
+                return "fail", {"factor": str(code_to_word(c, ell))}
+    return "pass", None
+
+
+def mutated_generation(flips):
+    arr = pf_word(12).to_array().copy()
+    arr[list(flips)] ^= 1
+    return arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(flips=st.lists(st.integers(0, 2**13 - 2), min_size=1, max_size=2))
+@example(flips=[5])
+@example(flips=[40, 1000])
+@example(flips=[3000])
+def test_closure_matches_the_per_code_loop(flips):
+    # a flip in the reference half makes new factors that closure may
+    # miss; one past it leaves a length unsaturated
+    for arr in (np.ones(4096, dtype=np.uint8), np.tile(np.array([1, 0], dtype=np.uint8), 2048),
+                mutated_generation(flips)):
+        oracle = LanguageOracle(Word.from_array(arr), 16, reference_len=2**12 - 1)
+        rep = check_closure_under_antireversal(oracle, 16)
+        assert (rep.status, rep.witness) == closure_by_codes(oracle, 16)
 
 
 def test_left_extend_zero_steps():

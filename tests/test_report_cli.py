@@ -1,9 +1,14 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -11,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfkit import cli, dihedral, dimgroup, paperfold, subst, words
@@ -299,6 +304,69 @@ def test_suite_reads_few_symbols(monkeypatch):
         (rep,) = run_all("full", seed=42)
         assert rep.status == "pass", entry[0]
         assert max(read, default=0) <= 2**13 - 1, entry[0]
+
+
+def battery_by_pairs(budget):
+    """The self-similarity battery as one comparison per (p, n) pair, the
+    oracle of the one comparison per p that the suite makes."""
+    chk = Check("paperfold.self-similarity", {"budget": budget},
+                "block interleaving identity for all p+n+1 within budget")
+    for p in range(budget):
+        for n in range(budget - p):
+            rep = paperfold.verify_self_similarity(p, n)
+            if rep.status != "pass":
+                return dataclasses.replace(rep, elapsed_ms=chk.ms)
+    return chk.passed()
+
+
+@settings(max_examples=60, deadline=None)
+@given(flips=st.lists(st.integers(0, 2**13 - 2), min_size=1, max_size=2))
+@example(flips=[0])
+@example(flips=[2**11 - 2])
+@example(flips=[2**11 - 1, 2**12 + 5])
+def test_self_similarity_battery_matches_the_pair_loop(symbols, flips):
+    # one or two flipped symbols of the 2^13 - 1 the battery reads at
+    # budget 12; at budget 10, which reads 2^11 - 1, a flip may lie past
+    # its reach
+    arr = pf_word(12).to_array().copy()
+    arr[flips] ^= 1
+    with symbols(arr):
+        for budget in (10, 12):
+            got, want = cli._check_self_similarity_battery(budget), battery_by_pairs(budget)
+            assert dataclasses.replace(got, elapsed_ms=0) == dataclasses.replace(want, elapsed_ms=0)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 12])
+def test_self_similarity_battery_compares_once_per_block_size(monkeypatch, budget):
+    calls = []
+    compare = paperfold.verify_self_similarity
+    monkeypatch.setattr(paperfold, "verify_self_similarity",
+                        lambda p, n: calls.append((p, n)) or compare(p, n))
+    assert cli._check_self_similarity_battery(budget).status == "pass"
+    assert calls == [(p, budget - 1 - p) for p in range(budget)]
+
+
+def test_suite_imports_no_numpy_module_lazily():
+    # a numpy submodule that a check imports on its first call is paid by
+    # every run: np.unique imports numpy.ma, some 26 ms, several times
+    # the rest of the suite
+    code = textwrap.dedent("""
+        import json, sys
+        import pfkit.cli
+        from pfkit.report import emit_report
+
+        def loaded():
+            return {m for m in sys.modules if m.split(".")[0] == "numpy"}
+
+        before = loaded()
+        emit_report(pfkit.cli.run_all("full", 42), "json")
+        print(json.dumps(sorted(loaded() - before)))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 class _ReadRecorder(dict):

@@ -26,7 +26,9 @@ from pfkit.words import (
     Alphabet,
     FactorIndex,
     Word,
+    anti_palindrome_codes,
     anti_reverse,
+    anti_reverse_codes,
     concat,
     count,
     factor_set,
@@ -141,6 +143,54 @@ def test_is_anti_palindrome():
         is_anti_palindrome(Word("12", 4))
 
 
+def anti_reverse_code(code, n):
+    """Anti-reversal of one length-n binary window code, a bit at a time:
+    the oracle of anti_reverse_codes."""
+    r = 0
+    for j in range(n):
+        r |= ((code >> j) & 1) << (n - 1 - j)
+    return r ^ ((1 << n) - 1)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_CODE_BITS + 1))
+def test_anti_reverse_codes_match_the_per_bit_loop(n):
+    # 0, all ones, and codes with the top bit n - 1 set, where a signed
+    # shift of the reversed bits would carry the sign in
+    rng = random.Random(n)
+    top = 1 << (n - 1)
+    codes = [0, (1 << n) - 1, top, top | 1, *(top | rng.getrandbits(n - 1) for _ in range(40)),
+             *(rng.getrandbits(n) for _ in range(40))]
+    got = anti_reverse_codes(np.array(codes, dtype=np.int64), n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [anti_reverse_code(c, n) for c in codes]
+    assert anti_reverse_codes(got, n).tolist() == codes
+    # the narrow codes window_codes makes are read the same way
+    arr = np.random.default_rng(n).integers(0, 2, 200).astype(np.uint8)
+    narrow = window_codes(arr, n)
+    assert anti_reverse_codes(narrow, n).tolist() == [anti_reverse_code(c, n) for c in narrow.tolist()]
+
+
+def test_anti_reverse_codes_agree_with_anti_reverse():
+    rng = random.Random(13)
+    for _ in range(200):
+        v = rand_word(rng, rng.randrange(1, MAX_CODE_BITS + 1))
+        assert anti_reverse_codes([word_code(v)], v.length).tolist() == [word_code(anti_reverse(v))]
+    assert anti_reverse_codes(np.empty(0, dtype=np.int64), 5).size == 0
+    for bad in (0, MAX_CODE_BITS + 1):
+        with pytest.raises(DomainError):
+            anti_reverse_codes([0], bad)
+
+
+def test_anti_palindrome_codes():
+    for n in (1, 2, 6, 8, 9, 16):
+        codes = set(range(1 << min(n, 12)))
+        want = sorted(c for c in codes if c == anti_reverse_code(c, n))
+        assert anti_palindrome_codes(codes, n) == want
+    assert anti_palindrome_codes({word_code(Word("1100")), word_code(Word("1110"))}, 4) == [
+        word_code(Word("1100"))]
+    assert anti_palindrome_codes(set(), 4) == []
+
+
 def test_factor_set_exhaustive_oracle():
     rng = random.Random(11)
     for size in (2, 4):
@@ -210,13 +260,19 @@ def test_factor_index_matches_window_codes(case, chunk, data):
     # the engine against the per-length formulation it replaces: every
     # length up to the index's max_len (by default every codable one),
     # also past the word's end, on the full array and on the reference
-    # prefix; small chunks put chunk edges inside the word
+    # prefix; small chunks put chunk edges inside the word.  The word may
+    # be cut shorter than the index width, down to the empty array, and
+    # the reference may end within a width of either end of the word, so
+    # the tail windows of both ends start anywhere from the first symbol
     size, symbols = case
-    arr = np.array(symbols, dtype=np.uint8)
+    kept = data.draw(st.one_of(st.just(len(symbols)), st.integers(0, len(symbols))), label="kept")
+    arr = np.array(symbols[:kept], dtype=np.uint8)
     bits = Alphabet(size).bits
-    ref_len = data.draw(st.integers(1, arr.size), label="ref_len")
     max_len = data.draw(st.one_of(st.none(), st.integers(1, MAX_CODE_BITS // bits)), label="max_len")
     longest = MAX_CODE_BITS // bits if max_len is None else max_len
+    width = min(longest, arr.size)
+    ref_len = data.draw(st.one_of(st.integers(0, arr.size), st.integers(0, width),
+                                  st.integers(arr.size - width, arr.size)), label="ref_len")
     index = FactorIndex(arr, bits, ref_len, max_len)
     with mock.patch.object(words, "_CHUNK", chunk):
         index.codes(longest)
@@ -232,6 +288,25 @@ def test_factor_index_matches_window_codes(case, chunk, data):
             index.codes(bad)
         with pytest.raises(DomainError):
             index.saturated(bad)
+
+
+@pytest.mark.parametrize("size, ref_len", [(2, 2**11 - 1), (2, 40), (4, 3000), (4, 10)])
+def test_factor_index_reads_lengths_without_window_codes(size, ref_len):
+    # once built, the index reads every length off its width-W codes and
+    # the tail windows it coded with them, at the array's end and at the
+    # reference's: no length codes windows again
+    arr = (pf_word(12).to_array() if size == 2 else
+           np.random.default_rng(3).integers(0, 4, 4000).astype(np.uint8))
+    bits = Alphabet(size).bits
+    longest = MAX_CODE_BITS // bits
+    want = [(_unique_codes(arr, n, bits), _unique_codes(arr[:ref_len], n, bits)) for n in range(1, longest + 1)]
+    index = FactorIndex(arr, bits, ref_len)
+    index.codes(longest)
+    with mock.patch.object(words, "window_codes", wraps=words.window_codes) as coded:
+        for n, (full, ref) in enumerate(want, 1):
+            assert index.codes(n) == full
+            assert index.saturated(n) == (ref == full)
+    assert coded.call_count == 0
 
 
 @settings(max_examples=150, deadline=None)
