@@ -17,7 +17,10 @@ written).
 The suite runs its checks one after another on the calling thread, in
 registry order, and reports them in that order.  The census, closure and
 freeness checks each read the least generation that holds the infinite
-word's factors at their lengths (``paperfold.language_generation``).  The
+word's factors at their lengths (``paperfold.language_generation``),
+generation 6 for the census and freeness and 7 for closure, through that
+generation's one factor index (``paperfold.generation_index``): the
+census and freeness share generation 6's.  The
 two lattice checks prove their facts for every index by the lemma in
 ``pfkit.dimgroup``, the involution check proves the twist identities
 for every dyadic twist value from a 2x2x2 grid, and the cone check proves
@@ -195,9 +198,12 @@ def run_all(profile: str = "quick", seed: int = DEFAULT_SEED):
     status error.  A check with a premise (PREMISES) that ran earlier in
     the same run and did not pass is not run: it is inconclusive, with
     the first such premise and its status as witness.  A premise outside
-    the run does not gate.  Every report echoes the suite seed."""
+    the run does not gate.  Every report echoes the suite seed, which must
+    be non-negative, as for ``pfkit dimgroup verify``."""
     if profile not in PROFILES:
         raise PfkitError(f"unknown profile {profile!r}")
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
     params = PROFILES[profile]
     reports, status = [], {}
     for name, fn in REGISTRY:

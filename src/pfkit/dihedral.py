@@ -16,6 +16,9 @@ between the reference prefix and the full one, checks answer
 off generation ``paperfold.language_generation(n)`` for factor lengths up
 to n: that generation has exactly the infinite word's factors of those
 lengths and is saturated there, so its verdicts speak for the subshift.
+Oracles of one generation and its census read one factor index
+(``paperfold.generation_index``), so each generation's windows are coded
+and sorted once per symbol source, whatever lengths its readers ask for.
 
 Minimality of the subshift is not finitely certifiable; its finite
 proxies are uniform recurrence (paperfold.verify_recurrence) and the
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ExtensionError, ResourceError
-from .paperfold import MAX_GENERATION, CensusResult, pf_prefix, pf_word, symbol
+from .paperfold import MAX_GENERATION, CensusResult, generation_index, pf_prefix, pf_word, symbol
 from .report import Check, CheckReport
 from .words import (
     BINARY,
@@ -75,7 +78,10 @@ class LanguageOracle:
     query by one uint32 pass over its windows of min(max_len, 32 // bits)
     symbols, and once more in int64 at min(max_len, MAX_CODE_BITS // bits)
     only if a query reaches past them, with each length's set read off it
-    as queries need it:
+    as queries need it.  An oracle from ``from_generation`` reads the
+    generation's shared index instead (paperfold.generation_index), which
+    has no max_len: 32 symbols in its uint32 pass and every codable length
+    in int64, while the oracle still refuses queries past its own max_len.
     ``contains`` looks the query's code up in its length's set; a query
     longer than H = MAX_CODE_BITS // bits symbols has no integer code, so
     it scans the prefix, but only when its first H symbols are a factor.
@@ -101,10 +107,15 @@ class LanguageOracle:
     @classmethod
     def from_generation(cls, generation: int, max_len: int) -> "LanguageOracle":
         """Oracle over paper-folding generation ``generation`` with the
-        previous generation as saturation reference."""
+        previous generation as saturation reference.  It reads the
+        generation's shared factor index (paperfold.generation_index), so
+        oracles of any max_len over one generation, and its census, make
+        one pass over its windows."""
         if generation < 1:
             raise DomainError("need generation >= 1")
-        return cls(pf_word(generation), max_len, reference_len=2**generation - 1)
+        oracle = cls(pf_word(generation), max_len, reference_len=2**generation - 1)
+        oracle._index = generation_index(generation)
+        return oracle
 
     @cached_property
     def _raw(self) -> bytes:
@@ -129,7 +140,7 @@ class LanguageOracle:
         return code in self._index.codes(min(v.length, head)) and (
             v.length <= head or self._raw.find(v.to_array().tobytes()) >= 0)
 
-    def factor_codes(self, length: int) -> set:
+    def factor_codes(self, length: int) -> frozenset:
         """Set of integer window codes of the given length."""
         if not 1 <= length <= self.max_len:
             raise DomainError("length outside the oracle's range")

@@ -4,11 +4,14 @@ The generations are t(0) = "1", t(n+1) = t(n) + "1" + anti_reverse(t(n)),
 so |t(n)| = 2^(n+1) - 1 and each generation is a prefix of the next.  The
 module keeps one growing prefix array as a cache, filled forward by the
 interleaving identity t[2j] = 1 - (j mod 2), t[2j+1] = t[j]; words handed
-out are read-only views into it.
+out are read-only views into it.  With the cache it keeps the factor index
+of each generation read so far (generation_index), over the cache's
+symbols, and drops them when the cache grows.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ __all__ = [
     "CensusResult",
     "antipalindrome_census",
     "language_generation",
+    "generation_index",
     "symbol",
     "verify_recurrence",
     "verify_recurrence_blocks",
@@ -51,6 +55,10 @@ MAX_PREFIX_LEN = 2 ** (MAX_GENERATION + 1) - 1
 
 _prefix_cache = np.array([1], dtype=np.uint8)
 _prefix_cache.setflags(write=False)
+_prefix_lock = threading.Lock()
+# generation -> (its symbols, its FactorIndex), over _prefix_cache only;
+# replaced by an empty dict whenever the cache grows (see generation_index)
+_generation_indexes: dict = {}
 
 
 def _prefix_array(length: int) -> np.ndarray:
@@ -63,24 +71,32 @@ def _prefix_array(length: int) -> np.ndarray:
     filled forward by the interleaving identity t[2j] = 1 - (j mod 2),
     t[2j+1] = t[j] (Allouche & Shallit, Automatic Sequences, 2003): its
     odd slots are one strided copy of t[(m - 1) / 2 .. m - 1], and its
-    even slots alternate between two constants."""
-    global _prefix_cache
-    m = _prefix_cache.size
-    if m < length:
-        size = m
-        while size < length:
-            size = 2 * size + 1
-        out = np.empty(size, dtype=np.uint8)
-        out[:m] = _prefix_cache
-        while m < size:
-            out[m : 2 * m + 1 : 2] = out[(m - 1) // 2 : m]
-            first = 1 - (m + 1) // 2 % 2  # t[m + 1], at j = (m + 1) / 2
-            out[m + 1 : 2 * m + 1 : 4] = first
-            out[m + 3 : 2 * m + 1 : 4] = 1 - first
-            m = 2 * m + 1
-        out.setflags(write=False)
-        _prefix_cache = out
-    return _prefix_cache[:length]
+    even slots alternate between two constants.  Growth runs under a
+    lock, so two threads never fill from, or replace, each other's
+    array, and it drops the generation indexes over the old array after
+    the new one is in place."""
+    global _prefix_cache, _generation_indexes
+    cache = _prefix_cache
+    if cache.size < length:
+        with _prefix_lock:
+            cache = _prefix_cache  # another thread may have grown it
+            m = cache.size
+            if m < length:
+                size = m
+                while size < length:
+                    size = 2 * size + 1
+                out = np.empty(size, dtype=np.uint8)
+                out[:m] = cache
+                while m < size:
+                    out[m : 2 * m + 1 : 2] = out[(m - 1) // 2 : m]
+                    first = 1 - (m + 1) // 2 % 2  # t[m + 1], at j = (m + 1) / 2
+                    out[m + 1 : 2 * m + 1 : 4] = first
+                    out[m + 3 : 2 * m + 1 : 4] = 1 - first
+                    m = 2 * m + 1
+                out.setflags(write=False)
+                _prefix_cache = cache = out
+                _generation_indexes = {}
+    return cache[:length]
 
 
 def symbol(i: int) -> int:
@@ -196,9 +212,9 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
     """Census the anti-palindromic factors of generation ``generation`` for
     every even length up to ``max_len``.
 
-    Counts and saturation (against generation - 1) come from one factor
-    index over the generation, built in one pass over its windows of
-    length ``max_len``."""
+    Counts and saturation (against generation - 1) come from the
+    generation's factor index (generation_index), which closure and
+    freeness over the same generation read too."""
     if max_len % 2 != 0 or max_len < 2:
         raise DomainError("max_len must be even and at least 2")
     if max_len > MAX_CODE_BITS:
@@ -209,9 +225,37 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
         raise DomainError(
             f"generation {generation} too small to census lengths up to {max_len}"
         )
-    index = FactorIndex(_prefix_array(2 ** (generation + 1) - 1), 1, ref_len=2**generation - 1,
-                        max_len=max_len)
+    index = generation_index(generation)
     return CensusResult.of(index.codes, index.saturated, max_len)
+
+
+def generation_index(generation: int) -> FactorIndex:
+    """The factor index of generation ``generation`` with generation - 1
+    as its saturation reference, for every codable length: its first
+    pass codes windows of 32 symbols in uint32, so it serves every
+    caller's lengths up to 32 at once.  The census, closure and freeness
+    over one generation read one index; each caller bounds the lengths
+    it asks for itself.
+
+    The index is built at most once per array of symbols: it is kept with
+    the array that _prefix_array returns, and served only while
+    _prefix_array returns that array.  When the cache grows, the indexes
+    over the old array go with it (see _prefix_array); an array from
+    another source (a patched _prefix_array) gets an index of its own,
+    which is not kept.  Two threads may build one generation's index
+    twice; neither is served for another array."""
+    if generation < 1:
+        raise DomainError("need generation >= 1")
+    if generation > MAX_GENERATION:
+        raise ResourceError(f"generation {generation} exceeds the cap of {MAX_GENERATION}")
+    memo = _generation_indexes  # read before the cache: growth replaces both, cache first
+    arr = _prefix_array(2 ** (generation + 1) - 1)
+    kept, index = memo.get(generation, (None, None))
+    if kept is None or kept.base is not arr.base:
+        index = FactorIndex(arr, 1, ref_len=2**generation - 1)
+        if arr.base is _prefix_cache:
+            memo[generation] = (arr, index)
+    return index
 
 
 def language_generation(n: int) -> int:

@@ -389,12 +389,13 @@ class FactorIndex:
         self._width = 0  # W, the width built so far
         self._every = self._ref = None  # distinct length-W window codes
         self._every_tail = self._ref_tail = None  # see _tail
-        self._codes: dict[int, set] = {}
+        self._codes: dict[int, frozenset] = {}
         self._saturated: dict[int, bool] = {}
         self._lock = threading.Lock()
 
-    def codes(self, n: int) -> set:
-        """The set of codes of the length-n factors."""
+    def codes(self, n: int) -> frozenset:
+        """The set of codes of the length-n factors, frozen, since every
+        reader of the index gets the same set."""
         if not 1 <= n <= self._longest:
             raise DomainError(f"window length {n} outside 1..{self._longest} for this index")
         with self._lock:
@@ -414,16 +415,15 @@ class FactorIndex:
                 self._saturated[n] = self._masked(self._ref, self._ref_tail, n) == full
             return self._saturated[n]
 
-    def _masked(self, windows: np.ndarray, tail: np.ndarray, n: int) -> set:
+    def _masked(self, windows: np.ndarray, tail: np.ndarray, n: int) -> frozenset:
         """Codes of the length-n windows of a prefix arr[:end], given the
         distinct codes of its length-W windows and the codes of the
         windows that start in its last W - 1 symbols (see _tail)."""
         if n > self._width:
-            return set()
+            return frozenset()
         mask = (1 << (self._bits * n)) - 1
-        codes = set((windows & mask).tolist())
-        codes.update((tail[: max(tail.size - n + 1, 0)] & mask).tolist())
-        return codes
+        tail = tail[: max(tail.size - n + 1, 0)]
+        return frozenset((windows & mask).tolist() + (tail & mask).tolist())
 
     def _tail(self, end: int, dtype) -> np.ndarray:
         """The codes of the windows that start in the last W - 1 symbols

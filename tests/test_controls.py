@@ -58,11 +58,11 @@ def pair_codes_by_position(arr, real=subst._pair_codes):
 
 
 # each control, given the symbols fixture, returns a context manager; the
-# prefix lengths are what the quick profile reads
+# prefix lengths are what the full profile reads
 CONTROLS = {
     "paperfold.generation-fidelity": lambda symbols: mock.patch.object(
         paperfold, "T_REFERENCE", (*T_REFERENCE[:4], "0" + T_REFERENCE[4][1:], T_REFERENCE[5])),
-    "paperfold.self-similarity": lambda symbols: symbols(mutated_prefix(2**11 - 1, 1000)),
+    "paperfold.self-similarity": lambda symbols: symbols(mutated_prefix(2**13 - 1, 1000)),
     # every even-length factor of (10)^k is an anti-palindrome
     "paperfold.antipalindrome-census": lambda symbols: symbols(np.resize([1, 0], 2**13 - 1)),
     # t[8] starts a block t(0) = 1 and a block t(1) = 110
@@ -95,9 +95,12 @@ CONTROLS = {
 }
 
 
-def _run_one(monkeypatch, name):
-    monkeypatch.setattr(cli, "REGISTRY", tuple(entry for entry in cli.REGISTRY if entry[0] == name))
-    (rep,) = cli.run_all("quick")
+_ENTRIES = dict(cli.REGISTRY)
+
+
+def _run_one(monkeypatch, name, profile="quick"):
+    monkeypatch.setattr(cli, "REGISTRY", ((name, _ENTRIES[name]),))
+    (rep,) = cli.run_all(profile)
     return rep
 
 
@@ -108,9 +111,49 @@ def test_controls_match_the_registry():
 
 @pytest.mark.parametrize("name", [name for name, _ in cli.REGISTRY])
 def test_every_check_fails_under_its_control(monkeypatch, symbols, name):
-    with CONTROLS[name](symbols):
-        rep = _run_one(monkeypatch, name)
-    assert rep.status == "fail", rep.witness
+    for profile in cli.PROFILES:
+        with CONTROLS[name](symbols):
+            rep = _run_one(monkeypatch, name, profile)
+        assert rep.status == "fail", (profile, rep.witness)
+
+
+def test_self_similarity_control_fails_at_the_flip(monkeypatch, symbols):
+    # one source serves both budgets, and each names symbol 1000
+    for profile in cli.PROFILES:
+        with CONTROLS["paperfold.self-similarity"](symbols):
+            rep = _run_one(monkeypatch, "paperfold.self-similarity", profile)
+        assert (rep.status, rep.witness) == ("fail", {"first_mismatch": 1000}), profile
+
+
+# the witnesses the language controls give, with or without indexes of the
+# real word kept from earlier checks
+LANGUAGE_WITNESSES = {
+    "paperfold.antipalindrome-census": {
+        "max_length_checked": 8, "counts": {"2": 2, "4": 2, "6": 2, "8": 2}, "saturated": True},
+    "dihedral.antireversal-closure": {"factor": "1"},
+    "dihedral.freeness": {
+        "closure_checked_to": 8, "antipalindrome_sup": 0, "verdict": "fail",
+        "witnesses": {"closure": "fail", "closure_witness": {"factor": "1"},
+                      "antipalindrome_counts": {2: 0, 4: 0, 6: 0, 8: 0}, "length_8_examples": []}},
+}
+
+
+def test_language_controls_fail_after_the_real_checks(monkeypatch, symbols):
+    # the real census, closure and freeness keep the indexes of generations
+    # 6 and 7; a control's symbols are another array, so they get indexes
+    # of their own, and the kept ones stay over the real word
+    monkeypatch.setattr(paperfold, "_generation_indexes", {})
+    for name in LANGUAGE_WITNESSES:
+        assert _run_one(monkeypatch, name).status == "pass"
+    kept = dict(paperfold._generation_indexes)
+    assert set(kept) == {6, 7}
+    for name, witness in LANGUAGE_WITNESSES.items():
+        with CONTROLS[name](symbols):
+            rep = _run_one(monkeypatch, name)
+        assert (rep.status, rep.witness) == ("fail", witness), name
+    assert paperfold._generation_indexes == kept
+    for name in LANGUAGE_WITNESSES:
+        assert _run_one(monkeypatch, name).status == "pass"
 
 
 def test_structure_control_fails_the_recoding_proof(monkeypatch, symbols):

@@ -21,7 +21,14 @@ from pfkit.dihedral import (
     verify_parity_residues,
 )
 from pfkit.errors import DomainError, ExtensionError, ResourceError
-from pfkit.paperfold import MAX_GENERATION, antipalindrome_census, language_generation, pf_prefix, pf_word
+from pfkit.paperfold import (
+    MAX_GENERATION,
+    CensusResult,
+    antipalindrome_census,
+    language_generation,
+    pf_prefix,
+    pf_word,
+)
 from pfkit.subst import block_code
 from pfkit.words import (
     BINARY,
@@ -398,7 +405,8 @@ def test_left_extend_packs_its_seed_once(monkeypatch):
 def test_oracle_index_is_as_wide_as_its_queries(monkeypatch):
     # closure to 16 and left extension with horizon 24 read one uint32
     # pass of width 32, though the oracle takes queries of 48 symbols; a
-    # 40-symbol query widens it once, to 48 symbols in int64
+    # 40-symbol query widens the generation's shared index once, to every
+    # codable length, min(62, 8191) = 62 symbols in int64
     builds = []
     build = FactorIndex._build
 
@@ -407,6 +415,7 @@ def test_oracle_index_is_as_wide_as_its_queries(monkeypatch):
         builds.append((self._arr.size, self._width, self._every.dtype))
 
     monkeypatch.setattr(FactorIndex, "_build", record)
+    monkeypatch.setattr(paperfold, "_generation_indexes", {})
     oracle = LanguageOracle.from_generation(12, 48)
     assert check_closure_under_antireversal(oracle, 16).status == "pass"
     text = str(oracle.source)
@@ -418,7 +427,7 @@ def test_oracle_index_is_as_wide_as_its_queries(monkeypatch):
     assert builds == [(2**13 - 1, 32, np.uint32)]
     assert oracle.contains(Word(text[100:140]))
     assert not oracle.contains(Word("1" * 40))
-    assert builds == [(2**13 - 1, 32, np.uint32), (2**13 - 1, 48, np.int64)]
+    assert builds == [(2**13 - 1, 32, np.uint32), (2**13 - 1, 62, np.int64)]
     assert oracle.saturated_to(48) and oracle.contains(Word(text[7:12]))
     assert len(builds) == 2
 
@@ -616,3 +625,27 @@ def test_parity_proof_reads_the_positional_rule(monkeypatch):
     # no family
     monkeypatch.setattr(dihedral, "symbol", lambda i, real=dihedral.symbol: 1 - real(i))
     assert verify_parity_residues().status == "fail"
+
+
+def test_shared_index_answers_as_a_fresh_one(monkeypatch):
+    # the census, closure and freeness read the same verdicts and
+    # witnesses off the generation's shared index as off an index of
+    # their own, built for their max_len
+    monkeypatch.setattr(paperfold, "_generation_indexes", {})
+    paperfold._prefix_array(2**15 - 1)  # no growth drops an index below
+    for g in range(6, 15):
+        arr = paperfold._prefix_array(2 ** (g + 1) - 1)
+        for max_len in (8, 16, 48):
+            own = FactorIndex(arr, 1, ref_len=2**g - 1, max_len=max_len)
+            if arr.size >= 3 * max_len:
+                expected = CensusResult.of(own.codes, own.saturated, max_len)
+                assert antipalindrome_census(g, max_len) == expected, (g, max_len)
+            shared = LanguageOracle.from_generation(g, max_len)
+            fresh = LanguageOracle(pf_word(g), max_len, reference_len=2**g - 1)
+            assert fresh._index is not shared._index is paperfold.generation_index(g)
+            for n_max in sorted({8, max_len}):
+                got, want = (check_closure_under_antireversal(o, n_max).to_dict()
+                             for o in (shared, fresh))
+                assert {**got, "elapsed_ms": 0} == {**want, "elapsed_ms": 0}, (g, max_len, n_max)
+            assert freeness_certificate(shared) == freeness_certificate(fresh), (g, max_len)
+    assert sorted(paperfold._generation_indexes) == list(range(6, 15))

@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from pfkit import paperfold
 from pfkit.errors import DomainError, ResourceError
 from pfkit.paperfold import (
+    MAX_GENERATION,
     T_REFERENCE,
     CensusResult,
     antipalindrome_census,
@@ -589,3 +593,85 @@ def _break_in_int64(rho, cut):
 def test_aperiodicity_proof_catches_a_wrong_formula(monkeypatch, formula):
     monkeypatch.setattr(paperfold, "_period_break", formula)
     assert verify_aperiodicity_witness().status == "fail"
+
+
+def _kept_over(arr):
+    return [g for g, (kept, _) in paperfold._generation_indexes.items() if np.shares_memory(kept, arr)]
+
+
+def test_generation_index_goes_with_the_cache_it_was_built_over(monkeypatch):
+    # a small cache stands in for a cold one; each generation's index is
+    # built once over it, and growth drops them all, so nothing keeps the
+    # old array alive
+    small = paperfold._prefix_array(2**8 - 1).copy()
+    small.setflags(write=False)
+    monkeypatch.setattr(paperfold, "_prefix_cache", small)
+    monkeypatch.setattr(paperfold, "_generation_indexes", {})
+    index = paperfold.generation_index(6)
+    assert antipalindrome_census(6, 8).counts == {2: 2, 4: 2, 6: 1, 8: 0}
+    assert paperfold.generation_index(6) is index and len(_kept_over(small)) == 1
+    freed = weakref.ref(small)
+    del small, index
+    grown = paperfold._prefix_array(2**10 - 1)
+    assert freed() is None and paperfold._generation_indexes == {}
+    index = paperfold.generation_index(6)
+    assert index._arr.base is grown.base and _kept_over(grown) == [6]
+
+
+def test_generation_index_serves_only_the_current_symbols(monkeypatch, symbols):
+    # another symbol source gets an index of its own, which is not kept,
+    # and the kept one is served again once the source is back
+    monkeypatch.setattr(paperfold, "_generation_indexes", {})
+    index = paperfold.generation_index(7)
+    with symbols(np.ones(2**8 - 1)):
+        other = paperfold.generation_index(7)
+        assert other is not index and other.codes(3) == {7}
+        assert paperfold.generation_index(7) is not other
+    assert paperfold.generation_index(7) is index and index.codes(3) != {7}
+    assert list(paperfold._generation_indexes) == [7]
+
+
+def test_generation_index_under_racing_growth(monkeypatch):
+    # threads ask for generations while others grow the cache, from a cold
+    # cache each round: an index may be built twice, but each one served
+    # is over the word's symbols, and every entry left is over the final
+    # cache; growth itself never fills from another thread's array
+    ks = np.arange(1, 2**13, dtype=np.int64)
+    truth = (ks // (ks & -ks) % 4 == 1).astype(np.uint8)
+    errors = []
+
+    def work(first):
+        try:
+            for g in range(first, 13):
+                index = paperfold.generation_index(g)
+                if not np.array_equal(index._arr, truth[: 2 ** (g + 1) - 1]):
+                    errors.append(g)
+                index.codes(g % 8 + 1)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            cold = np.array([1], dtype=np.uint8)
+            cold.setflags(write=False)
+            monkeypatch.setattr(paperfold, "_prefix_cache", cold)
+            monkeypatch.setattr(paperfold, "_generation_indexes", {})
+            threads = [threading.Thread(target=work, args=(first,)) for first in range(1, 7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            kept = paperfold._generation_indexes.values()
+            assert all(arr.base is paperfold._prefix_cache for arr, _ in kept)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_generation_index_guards():
+    with pytest.raises(DomainError):
+        paperfold.generation_index(0)
+    with pytest.raises(ResourceError):
+        paperfold.generation_index(MAX_GENERATION + 1)

@@ -23,6 +23,7 @@ from pfkit import cli, dihedral, dimgroup, paperfold, subst, words
 from pfkit.cli import PREMISES, PROFILES, REGISTRY, exit_code, main, run_all
 from pfkit.dihedral import MAX_EXTEND_STEPS, MAX_PARITY_K, LanguageOracle
 from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
+from pfkit.errors import DomainError
 from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, pf_word
 from pfkit.report import Check, CheckReport, emit_report
 from pfkit.words import Word, read_pfw
@@ -477,9 +478,9 @@ def test_census_negative_control(symbols):
 
 def test_run_all_reads_small_generations_for_the_language(monkeypatch):
     # the census and freeness read generation 6 and closure generation 7,
-    # so no factor index of the full run codes more than 255 symbols, and
-    # each codes windows only as long as its check reads: 8 symbols for
-    # the census and freeness, 16 for closure
+    # so no factor index of the full run codes more than 255 symbols; each
+    # generation's index is built once, in one uint32 pass of width 32,
+    # and the census and freeness share generation 6's
     builds = []
     build = words.FactorIndex._build
 
@@ -488,9 +489,10 @@ def test_run_all_reads_small_generations_for_the_language(monkeypatch):
         builds.append((self._arr.size, self._width))
 
     monkeypatch.setattr(words.FactorIndex, "_build", record)
+    monkeypatch.setattr(paperfold, "_generation_indexes", {})
     reports = run_all("full", seed=42)
     assert all(r.status == "pass" for r in reports)
-    assert sorted(builds) == [(127, 8), (127, 8), (255, 16)]
+    assert sorted(builds) == [(127, 32), (255, 32)]
 
 
 def test_oracle_build_failure_errors_only_its_readers(monkeypatch):
@@ -545,6 +547,20 @@ def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+
+
+def test_negative_seeds_are_refused_alike(capsys):
+    # the suite echoes its seed and dimgroup verify draws from it; both
+    # refuse a negative one before any check runs
+    for argv in (["report", "--seed", "-5"], ["report", "--profile", "full", "--seed", "-1"],
+                 ["dimgroup", "verify", "--seed", "-1"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        (line,) = err.strip().splitlines()
+        assert out == "" and json.loads(line) == {"error": "DomainError: seed must be non-negative"}
+    with pytest.raises(DomainError):
+        run_all("quick", seed=-1)
+    assert [r.seed for r in run_all("quick", seed=0)] == [0] * len(REGISTRY)
 
 
 @pytest.mark.parametrize(
