@@ -6,51 +6,25 @@ Report schema (one object per check, fixed key order):
      "params": {...}, "witness": ..., "elapsed_ms": int,
      "seed": int | null, "certifies": str}
 
-Single commands print one report object; ``pfkit report`` prints the whole
-suite as a JSON array (or a markdown table with --format markdown).  Two
-runs with identical flags and seed produce identical output except for
-the elapsed_ms fields.  Exit code: 0 when everything passes, 1 when some
-check fails or is inconclusive, 2 when a check errors out or the input is
-rejected (a bad argument, a resource cap, or a file that cannot be read or
-written).
+Single commands print one report object, ``pfkit dimgroup verify`` its
+three batteries' reports as a JSON array; ``pfkit report`` prints the
+whole suite as a JSON array (or a markdown table with --format markdown).
+Two runs with identical flags and seed produce identical output except
+for the elapsed_ms fields.  Exit code: 0 when everything passes, 1 when
+some check fails or is inconclusive, 2 when a check errors out or the
+input is rejected (a bad argument, a resource cap, or a file that cannot
+be read or written).  A rejected input, argparse's rejections included,
+prints one JSON ``error`` line on stderr and nothing on stdout.
 
 The suite runs its checks one after another on the calling thread, in
-registry order, and reports them in that order.  The census, closure and
-freeness checks each read the least generation that holds the infinite
-word's factors at their lengths (``paperfold.language_generation``),
-generation 6 for the census and freeness and 7 for closure, through that
-generation's one factor index (``paperfold.generation_index``): the
-census and freeness share generation 6's.  The
-two lattice checks prove their facts for every index by the lemma in
-``pfkit.dimgroup``, the involution check proves the twist identities
-for every dyadic twist value from a 2x2x2 grid, and the cone check proves
-the least-stage cone identity for every dyadic pair from its closed form.
-The recoding check proves that the two-block recoding of the binary word
-is the substitution's fixed point at every length, by the induction in
-``subst.verify_recoding_induction``, and the intertwining check proves
-its identity on every binary word from the 16 words of length 4
-(``subst.verify_intertwining_pairs``).  Recurrence, aperiodicity, parity
-separation and discrepancy growth are proved for every parameter from the
-interleaving identity t[2j] = 1 - (j mod 2), t[2j+1] = t[j], through its
-positional rule ``paperfold.symbol``.  None of these proofs reads the
-word; only generation fidelity, self-similarity and the three language
-checks (census, closure and freeness) do, at most 2^13 - 1 symbols each.
-The quick and full profiles differ only in the self-similarity budget.
-The self-similarity battery covers every (p, n) with p + n + 1 within
-its budget by one comparison per p, at the largest n: the (p, n)
-comparison is the first 2^(p+n+2) - 1 symbols of that one, since the
-letters t(n) are a prefix of the larger n's and both sides come from one
-symbol source.  So the first failing (p, n) is the first failing p with
-the least n whose comparison reaches its first mismatch, and the battery
-runs that comparison again for its report.
-
-A check whose lemma rests on facts that other checks establish names
-them in ``PREMISES``; when such a premise ran earlier in the same run and
-did not pass, the check is not run and reports inconclusive, with the
-premise and its status as witness.  The single commands run scans, which
-have no premises, so pass, fail and inconclusive mean the same there as
-in the suite.  No suite check draws a random number: the seed is echoed
-in every report, and only ``pfkit dimgroup verify`` draws from it.
+registry order, and reports them in that order.  A check whose lemma
+rests on facts that other checks establish names them in ``PREMISES``;
+when such a premise ran earlier in the same run and did not pass, the
+check is not run and reports inconclusive, with the premise and its
+status as witness.  The single commands run scans, which have no
+premises, so pass, fail and inconclusive mean the same there as in the
+suite.  No suite check draws a random number: the seed is echoed in
+every report, and only ``pfkit dimgroup verify`` draws from it.
 """
 
 from __future__ import annotations
@@ -232,21 +206,38 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_DESCRIPTION = (
+    "Certify facts about the paper-folding subshift. Each command prints its check "
+    "report as JSON; 'dimgroup verify' and 'report' print a JSON array of reports, "
+    "and 'report --format markdown' a table. 'paperfold gen' and 'subst "
+    "fixed-prefix' print symbols. --out writes to a file instead of stdout. Exit "
+    "code: 0 when every check passes, 1 when some check fails or is inconclusive, "
+    "2 when a check errors or the input is rejected; a rejected input prints one "
+    "JSON \"error\" line on stderr and nothing on stdout."
+)
 
-def _emit(reports, args) -> None:
-    if isinstance(reports, CheckReport):
-        text = json.dumps(reports.to_dict(), indent=2)
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects an argument by raising, so that it leaves through main's one
+    error path; subparsers are built by the same class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
+def _emit(result, args) -> None:
+    if isinstance(result, CheckReport):
+        text = json.dumps(result.to_dict(), indent=2)
     else:
-        text = emit_report(reports, getattr(args, "format", "json"))
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+        text = emit_report(result, getattr(args, "format", "json"))
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     word = paperfold.pf_word(args.n)
     if args.format == "pfw":
         if not args.out:
@@ -259,41 +250,9 @@ def _cmd_gen(args) -> int:
                 fh.write(str(word) + "\n")
         else:
             print(word)
-    return 0
 
 
-def _single(report, args) -> int:
-    _emit(report, args)
-    return exit_code([report])
-
-
-def _cmd_census(args) -> int:
-    return _single(_check_census(args.generation, args.max_len), args)
-
-
-def _cmd_selfsim(args) -> int:
-    return _single(paperfold.verify_self_similarity(args.p, args.n), args)
-
-
-def _cmd_recurrence(args) -> int:
-    return _single(paperfold.verify_recurrence(args.p, args.generation), args)
-
-
-def _cmd_aperiodic(args) -> int:
-    return _single(
-        paperfold.check_aperiodic(args.prefix_len, args.max_period, args.preperiod), args
-    )
-
-
-def _cmd_freeness(args) -> int:
-    return _single(_check_freeness(args.generation), args)
-
-
-def _cmd_parity(args) -> int:
-    return _single(dihedral.parity_class_separation(args.k, args.generation), args)
-
-
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> CheckReport:
     # refused before the oracle builds its generation
     if args.steps < 0 or args.horizon < 1:
         raise DomainError("need steps >= 0 and horizon >= 1")
@@ -310,7 +269,7 @@ def _cmd_extend(args) -> int:
         report = chk.passed({"word": str(extended)})
     except ExtensionError as exc:
         report = chk.report("error", {"stuck_prefix": str(exc.stuck_prefix), "horizon": exc.horizon})
-    return _single(report, args)
+    return report
 
 
 def _load_substitution(path):
@@ -320,7 +279,7 @@ def _load_substitution(path):
         return subst.Substitution.from_json(fh.read())
 
 
-def _cmd_subst_info(args) -> int:
+def _cmd_subst_info(args) -> CheckReport:
     chk = Check("subst.info", {"rules": args.rules or "builtin"},
                 "structural facts of the substitution")
     s = _load_substitution(args.rules)
@@ -330,107 +289,82 @@ def _cmd_subst_info(args) -> int:
         "left_proper_index": subst.is_left_proper(s, 8),
         "matrix": subst.abelianization(s).to_json(),
     }
-    return _single(chk.passed(info), args)
+    return chk.passed(info)
 
 
-def _cmd_subst_fixed_prefix(args) -> int:
+def _cmd_subst_fixed_prefix(args) -> None:
     print(subst.fixed_prefix(_load_substitution(args.rules), args.len))
-    return 0
 
 
-def _cmd_subst_recode(args) -> int:
-    return _single(subst.verify_recoding(args.len), args)
-
-
-def _cmd_subst_intertwine(args) -> int:
-    return _single(subst.verify_intertwining(args.len), args)
-
-
-def _cmd_dim_verify(args) -> int:
-    reports = [
+def _cmd_dim_verify(args) -> list:
+    return [
         dimgroup.verify_lattice_properties(args.index_max, args.samples, args.seed),
         dimgroup.verify_cone_identity(args.samples, args.seed),
         dimgroup.verify_involution_algebra(min(args.samples, 1000), args.seed),
     ]
-    _emit(reports, args)
-    return exit_code(reports)
 
 
-def _cmd_dim_matpow(args) -> int:
+def _cmd_dim_matpow(args) -> CheckReport:
     chk = Check("dimgroup.matpow", {"n": args.n}, "exact matrix power")
     power = dimgroup.mat_pow(dimgroup.PAPERFOLD_MATRIX, args.n)
-    return _single(chk.passed({"matrix": [list(row) for row in power]}), args)
-
-
-def _cmd_dim_discrepancy(args) -> int:
-    return _single(dimgroup.verify_unbounded_discrepancy(args.n_max), args)
-
-
-def _cmd_report(args) -> int:
-    reports = run_all(args.profile, args.seed)
-    _emit(reports, args)
-    return exit_code(reports)
+    return chk.passed({"matrix": [list(row) for row in power]})
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pfkit", description=__doc__)
+    """The pfkit parser.  Each leaf's ``func`` returns its report or list
+    of reports, or None when it wrote its own output (raw symbols)."""
+    parser = _Parser(prog="pfkit", description=_DESCRIPTION)
+    out = _Parser(add_help=False)
+    out.add_argument("--out", help="write the output to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pf = sub.add_parser("paperfold", help="generation and word-level checks")
     pf_sub = pf.add_subparsers(dest="subcommand", required=True)
-    gen = pf_sub.add_parser("gen", help="emit a generation")
+    gen = pf_sub.add_parser("gen", parents=[out], help="emit a generation")
     gen.add_argument("--n", type=int, default=20)
     gen.add_argument("--format", choices=("text", "pfw"), default="text")
-    gen.add_argument("--out")
     gen.set_defaults(func=_cmd_gen)
-    census = pf_sub.add_parser("census", help="anti-palindrome census")
+    census = pf_sub.add_parser("census", parents=[out], help="anti-palindrome census")
     census.add_argument("--generation", type=int, required=True)
     census.add_argument("--max-len", dest="max_len", type=int, required=True)
-    census.add_argument("--out")
-    census.set_defaults(func=_cmd_census)
+    census.set_defaults(func=lambda a: _check_census(a.generation, a.max_len))
     pf_verify = pf_sub.add_parser("verify", help="word-level verifications")
     pfv_sub = pf_verify.add_subparsers(dest="verification", required=True)
-    ss = pfv_sub.add_parser("self-similarity")
+    ss = pfv_sub.add_parser("self-similarity", parents=[out])
     ss.add_argument("--p", type=int, required=True)
     ss.add_argument("--n", type=int, required=True)
-    ss.add_argument("--out")
-    ss.set_defaults(func=_cmd_selfsim)
-    rec = pfv_sub.add_parser("recurrence")
+    ss.set_defaults(func=lambda a: paperfold.verify_self_similarity(a.p, a.n))
+    rec = pfv_sub.add_parser("recurrence", parents=[out])
     rec.add_argument("--p", type=int, required=True)
     rec.add_argument("--generation", type=int, required=True)
-    rec.add_argument("--out")
-    rec.set_defaults(func=_cmd_recurrence)
-    ape = pfv_sub.add_parser("aperiodic")
+    rec.set_defaults(func=lambda a: paperfold.verify_recurrence(a.p, a.generation))
+    ape = pfv_sub.add_parser("aperiodic", parents=[out])
     ape.add_argument("--max-period", dest="max_period", type=int, required=True)
     ape.add_argument("--preperiod", type=int, required=True)
     ape.add_argument("--prefix-len", dest="prefix_len", type=int, required=True)
-    ape.add_argument("--out")
-    ape.set_defaults(func=_cmd_aperiodic)
+    ape.set_defaults(
+        func=lambda a: paperfold.check_aperiodic(a.prefix_len, a.max_period, a.preperiod))
 
     di = sub.add_parser("dihedral", help="dihedral-action certificates")
     di_sub = di.add_subparsers(dest="subcommand", required=True)
-    fr = di_sub.add_parser("freeness")
+    fr = di_sub.add_parser("freeness", parents=[out])
     fr.add_argument("--generation", type=int, required=True)
-    fr.add_argument("--out")
-    fr.set_defaults(func=_cmd_freeness)
-    pa = di_sub.add_parser("parity")
+    fr.set_defaults(func=lambda a: _check_freeness(a.generation))
+    pa = di_sub.add_parser("parity", parents=[out])
     pa.add_argument("--k", type=int, required=True)
     pa.add_argument("--generation", type=int, required=True)
-    pa.add_argument("--out")
-    pa.set_defaults(func=_cmd_parity)
-    ex = di_sub.add_parser("extend")
+    pa.set_defaults(func=lambda a: dihedral.parity_class_separation(a.k, a.generation))
+    ex = di_sub.add_parser("extend", parents=[out])
     ex.add_argument("--seed", required=True, help="seed word (binary text)")
     ex.add_argument("--steps", type=int, required=True)
     ex.add_argument("--horizon", type=int, required=True)
     ex.add_argument("--generation", type=int, default=16)
-    ex.add_argument("--out")
     ex.set_defaults(func=_cmd_extend)
 
     su = sub.add_parser("subst", help="substitution facts and recoding")
     su_sub = su.add_subparsers(dest="subcommand", required=True)
-    info = su_sub.add_parser("info")
+    info = su_sub.add_parser("info", parents=[out])
     info.add_argument("--rules", help="substitution JSON file")
-    info.add_argument("--out")
     info.set_defaults(func=_cmd_subst_info)
     fp = su_sub.add_parser("fixed-prefix")
     fp.add_argument("--len", type=int, required=True)
@@ -438,46 +372,44 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=_cmd_subst_fixed_prefix)
     su_verify = su_sub.add_parser("verify")
     suv_sub = su_verify.add_subparsers(dest="verification", required=True)
-    rc = suv_sub.add_parser("recode")
+    rc = suv_sub.add_parser("recode", parents=[out])
     rc.add_argument("--len", type=int, required=True)
-    rc.add_argument("--out")
-    rc.set_defaults(func=_cmd_subst_recode)
-    it = suv_sub.add_parser("intertwine")
+    rc.set_defaults(func=lambda a: subst.verify_recoding(a.len))
+    it = suv_sub.add_parser("intertwine", parents=[out])
     it.add_argument("--len", type=int, required=True)
-    it.add_argument("--out")
-    it.set_defaults(func=_cmd_subst_intertwine)
+    it.set_defaults(func=lambda a: subst.verify_intertwining(a.len))
 
     dg = sub.add_parser("dimgroup", help="exact dimension-group arithmetic")
     dg_sub = dg.add_subparsers(dest="subcommand", required=True)
-    dv = dg_sub.add_parser("verify")
+    dv = dg_sub.add_parser("verify", parents=[out])
     dv.add_argument("--index-max", dest="index_max", type=int, default=12)
     dv.add_argument("--samples", type=int, default=10_000)
     dv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    dv.add_argument("--out")
     dv.set_defaults(func=_cmd_dim_verify)
-    mp = dg_sub.add_parser("matpow")
+    mp = dg_sub.add_parser("matpow", parents=[out])
     mp.add_argument("--n", type=int, required=True)
-    mp.add_argument("--out")
     mp.set_defaults(func=_cmd_dim_matpow)
-    dd = dg_sub.add_parser("discrepancy")
+    dd = dg_sub.add_parser("discrepancy", parents=[out])
     dd.add_argument("--n-max", dest="n_max", type=int, default=20)
-    dd.add_argument("--out")
-    dd.set_defaults(func=_cmd_dim_discrepancy)
+    dd.set_defaults(func=lambda a: dimgroup.verify_unbounded_discrepancy(a.n_max))
 
-    rp = sub.add_parser("report", help="run the whole verification suite")
+    rp = sub.add_parser("report", parents=[out], help="run the whole verification suite")
     rp.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     rp.add_argument("--format", choices=("json", "markdown"), default="json")
-    rp.add_argument("--out")
     rp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    rp.set_defaults(func=_cmd_report)
+    rp.set_defaults(func=lambda a: run_all(a.profile, a.seed))
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        result = args.func(args)
+        if result is None:  # raw symbols, written by the command itself
+            return 0
+        _emit(result, args)
+        return exit_code([result] if isinstance(result, CheckReport) else result)
     except (PfkitError, OSError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2

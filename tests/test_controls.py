@@ -18,6 +18,9 @@ from pfkit.dimgroup import DyadicPair, DyadicRational
 from pfkit.paperfold import T_REFERENCE, pf_prefix
 from pfkit.subst import Substitution
 
+from oracles import pair_codes_by_position
+
+
 def mutated_prefix(length, start, stop=None, value=None):
     """The paper-folding prefix of ``length`` symbols with symbol ``start``
     flipped, or with symbols start .. stop - 1 set to ``value``."""
@@ -50,11 +53,6 @@ def symbol_flipped_at(index, real=paperfold.symbol):
 
 def period_break_one_past(rho, cut, real=paperfold._period_break):
     return real(rho, cut) + 1
-
-
-def pair_codes_by_position(arr, real=subst._pair_codes):
-    codes = real(arr)
-    return codes ^ (np.arange(codes.size) & 1).astype(codes.dtype)
 
 
 # each control, given the symbols fixture, returns a context manager; the

@@ -42,6 +42,8 @@ from pfkit.words import (
     word_code,
 )
 
+from oracles import naive_anti
+
 
 def test_oracle_contains_matches_naive_search():
     oracle = LanguageOracle.from_generation(10, 12)
@@ -171,12 +173,9 @@ def test_closure_witness_is_least_failing_factor():
     text = "101101011111101101100100100000010100101" * 100
     rep = check_closure_under_antireversal(LanguageOracle(Word(text), 16), 16)
 
-    def anti(s):
-        return "".join("1" if c == "0" else "0" for c in reversed(s))
-
     for ell in range(1, 17):
         factors = {text[i : i + ell] for i in range(len(text) - ell + 1)}
-        failing = [f for f in factors if anti(f) not in factors]
+        failing = [f for f in factors if naive_anti(f) not in factors]
         if failing:
             break
     assert len(failing) >= 2

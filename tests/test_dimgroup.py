@@ -49,6 +49,8 @@ from pfkit.paperfold import pf_prefix
 from pfkit.report import Check
 from pfkit.words import Word
 
+from oracles import random_bits
+
 
 def test_mat_pow_basics():
     ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
@@ -662,10 +664,6 @@ def coboundary_oracle(arr, symbol):
     f = (arr == symbol).astype(np.int64)
     sums = np.cumsum(f[1:] - f[:-1])
     return int(np.abs(sums).max()), bool(np.array_equal(sums, f[1:] - f[0]))
-
-
-def random_bits(seed, n, density=0.5):
-    return (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
 
 
 @settings(max_examples=200, deadline=None)

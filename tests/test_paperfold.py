@@ -27,6 +27,8 @@ from pfkit.paperfold import (
 )
 from pfkit.words import Word, anti_reverse, concat, count, window_codes
 
+from oracles import naive_anti, random_bits
+
 
 def test_listed_generations():
     for n, ref in enumerate(T_REFERENCE):
@@ -200,10 +202,7 @@ def test_census_against_naive_scan():
     t = str(pf_word(10))
 
     def naive(ell):
-        def anti(s):
-            return "".join("1" if c == "0" else "0" for c in reversed(s))
-
-        return len({t[i : i + ell] for i in range(len(t) - ell + 1) if t[i : i + ell] == anti(t[i : i + ell])})
+        return len({t[i : i + ell] for i in range(len(t) - ell + 1) if t[i : i + ell] == naive_anti(t[i : i + ell])})
 
     census = antipalindrome_census(10, 6)
     assert census.counts == {ell: naive(ell) for ell in (2, 4, 6)}
@@ -325,10 +324,6 @@ def aperiodicity_oracle(arr, max_period, preperiod):
         if last_mismatch < preperiod:
             return rho, last_mismatch + 1
     return None
-
-
-def random_bits(seed, n, density=0.5):
-    return (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
 
 
 def t_gen(p):

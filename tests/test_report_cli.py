@@ -511,9 +511,9 @@ def test_oracle_build_failure_errors_only_its_readers(monkeypatch):
 _prefix_array = paperfold._prefix_array
 
 
-def _capped_prefix(length):
+def _capped_prefix(length, cap=MAX_PREFIX_LEN):
     # a missing cap fails here instead of allocating gigabytes
-    assert length <= MAX_PREFIX_LEN, f"prefix of {length} symbols requested"
+    assert length <= cap, f"prefix of {length} symbols requested"
     return _prefix_array(length)
 
 
@@ -592,11 +592,14 @@ def test_bad_files_exit_2_without_traceback(tmp_path, capsys, rules, out):
 
 
 def _run_cli(argv):
-    """Exit code, stdout and stderr of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
+    """Exit code, stdout and stderr of one in-process CLI call; stdout has
+    the binary buffer that ``paperfold gen --format pfw`` writes to, and
+    its bytes are read as latin-1."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("latin-1"), err.getvalue()
 
 
 def _assert_one_json_result(code, out, err):
@@ -692,6 +695,119 @@ def test_cli_capped_command_arguments(command, data):
     _assert_one_json_result(code, out, err)
     if over_cap:
         assert code == 2 and not prefix.called  # refused before any prefix is built
+
+
+NON_INTEGERS = st.sampled_from(["abc", "1.5", "", "0x10", "1e3"])
+
+
+def _int_values(lo, hi, cap=None):
+    """Small values lo..hi, and other values: negatives, non-integers and
+    the two values just past ``cap``; both as argument strings."""
+    past = [st.integers(cap + 1, cap + 2)] if cap is not None else []
+    return st.integers(lo, hi).map(str), st.one_of(st.integers(-3, -1), *past).map(str) | NON_INTEGERS
+
+
+def _choices(valid, other):
+    return st.sampled_from(valid), st.just(other)
+
+
+TESTS = Path(__file__).resolve().parent
+# a --rules path that is missing or a directory; the small value is none,
+# which leaves the flag out and reads the built-in rules
+BAD_RULES = (None, st.sampled_from([str(TESTS / "no-such-rules.json"), str(TESTS)]))
+
+# command -> [(flag, (small values, other values), may be left out)]; no
+# small value builds more than a generation-20 word, and only required
+# flags and those with cheap defaults are left out
+ARGV_FLAGS = {
+    "paperfold gen": [("--n", _int_values(0, 12, MAX_GENERATION), False),
+                      ("--format", _choices(["text", "pfw"], "yaml"), True)],
+    "paperfold census": [("--generation", _int_values(1, 14, MAX_GENERATION), True),
+                         ("--max-len", _int_values(2, 62), True)],
+    # p + n + 1 is at most 24; 2^(p+n+2) - 1 symbols are read
+    "paperfold verify self-similarity": [("--p", _int_values(0, 9, 23), True),
+                                         ("--n", _int_values(0, 9, 23), True)],
+    "paperfold verify recurrence": [("--p", _int_values(0, 6), True),
+                                    ("--generation", _int_values(4, 14, 24), True)],
+    "paperfold verify aperiodic": [("--prefix-len", _int_values(0, 600, MAX_PREFIX_LEN), True),
+                                   ("--max-period", _int_values(1, 64), True),
+                                   ("--preperiod", _int_values(0, 64), True)],
+    "dihedral freeness": [("--generation", _int_values(1, 14, MAX_GENERATION), True)],
+    "dihedral parity": [("--k", _int_values(0, 3000, MAX_PARITY_K), True),
+                        ("--generation", _int_values(4, 14, MAX_GENERATION), True)],
+    "dihedral extend": [("--seed", _choices(["1", "1101100"], "012x"), True),
+                        ("--steps", _int_values(0, 40, MAX_EXTEND_STEPS), True),
+                        ("--horizon", _int_values(1, 40), True),
+                        ("--generation", _int_values(8, 16, MAX_GENERATION), True)],
+    "subst info": [("--rules", BAD_RULES, True)],
+    "subst fixed-prefix": [("--len", _int_values(0, 5000, MAX_PREFIX_LEN), True),
+                           ("--rules", BAD_RULES, True)],
+    "subst verify recode": [("--len", _int_values(0, 5000, MAX_PREFIX_LEN // 2), True)],
+    "subst verify intertwine": [("--len", _int_values(0, 5000, MAX_PREFIX_LEN), True)],
+    "dimgroup verify": [("--index-max", _int_values(2, 4, MAX_MATRIX_POWER - 1), True),
+                        ("--samples", _int_values(1, 30, MAX_SAMPLES), False),
+                        ("--seed", _int_values(0, 2**64), True)],
+    "dimgroup matpow": [("--n", _int_values(0, 200, MAX_MATRIX_POWER), True)],
+    "dimgroup discrepancy": [("--n-max", _int_values(1, 16, 24), False)],
+    "report": [("--profile", _choices(["quick", "full"], "nope"), True),
+               ("--format", _choices(["json", "markdown"], "yaml"), True),
+               ("--seed", _int_values(0, 100), True)],
+}
+
+
+@pytest.mark.parametrize("command", list(ARGV_FLAGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_argument_vectors(command, data):
+    # whatever the argument vector, the exit code is 0, 1 or 2 and nothing
+    # prints a traceback; a rejected input prints one JSON error line and
+    # nothing else, and a check that errors prints its report.  Half the
+    # vectors are all small values; the other half mix in other values,
+    # left-out flags and an unknown flag
+    mixed = data.draw(st.booleans(), label="mixed")
+    argv = command.split()
+    for flag, (small, other), optional in ARGV_FLAGS[command]:
+        if mixed and optional and data.draw(st.booleans(), label=f"leave out {flag}"):
+            continue
+        values = (other if small is None else small | other) if mixed else small
+        if values is not None:
+            argv += [flag, data.draw(values, label=flag)]
+    if mixed and data.draw(st.booleans(), label="unknown flag"):
+        argv += ["--bogus", "1"]
+    with mock.patch.object(paperfold, "_prefix_array",
+                           side_effect=lambda length: _capped_prefix(length, 2**21 - 1)):
+        code, out, err = _run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if err:
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "error" in json.loads(err)
+    elif code:
+        body = json.loads(out)
+        statuses = {r["status"] for r in (body if isinstance(body, list) else [body])}
+        assert statuses & ({"error"} if code == 2 else {"fail", "inconclusive"})
+
+
+def _help(argv):
+    """The help text of ``pfkit <argv> --help``, which exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def test_help_states_the_contract_and_no_internals():
+    text = " ".join(_help([]).split())
+    assert "Exit code: 0" in text and 'one JSON "error" line' in text
+    # no function or module attribute name, such as generation_index
+    assert "generation_index" not in text and "language_generation" not in text
+    assert not re.search(r"\w_\w", text)
+
+
+@pytest.mark.parametrize("command", list(ARGV_FLAGS))
+def test_every_report_command_lists_out_in_its_help(command):
+    assert ("--out" in _help(command.split())) == (command != "subst fixed-prefix")
 
 
 def readme_commands():

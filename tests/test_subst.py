@@ -28,6 +28,8 @@ from pfkit.subst import (
 )
 from pfkit.words import QUATERNARY, Word
 
+from oracles import pair_codes_by_position
+
 RHO = PAPERFOLD_SUBSTITUTION
 
 R_PREFIX_32 = "31213021312030213121302031203021"
@@ -321,11 +323,6 @@ def test_recoding_proof_agrees_with_the_scan(monkeypatch):
 
 def pair_codes_with_swapped_weights(arr):
     return arr[0::2] + 2 * arr[1::2]
-
-
-def pair_codes_by_position(arr, real=subst._pair_codes):
-    codes = real(arr)
-    return codes ^ (np.arange(codes.size) & 1).astype(codes.dtype)
 
 
 @pytest.mark.parametrize("pair_codes, recoding, intertwining", [

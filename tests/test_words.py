@@ -42,13 +42,11 @@ from pfkit.words import (
     write_pfw,
 )
 
+from oracles import naive_anti
+
 
 def rand_word(rng, n, size=2):
     return Word("".join(str(rng.randrange(size)) for _ in range(n)), Alphabet(size))
-
-
-def naive_anti(s):
-    return "".join("1" if c == "0" else "0" for c in reversed(s))
 
 
 def test_alphabet_sizes():
