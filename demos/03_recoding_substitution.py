@@ -6,7 +6,9 @@
 
 from pfkit.paperfold import pf_prefix
 from pfkit.subst import (
+    LEFT_PROPER_BOUND,
     PAPERFOLD_SUBSTITUTION as rho,
+    PRIMITIVITY_BOUND,
     abelianization,
     apply,
     block_code,
@@ -26,8 +28,8 @@ print("image of 3121:", apply(rho, Word("3121", 4)))
 
 # The second iterates all start with 3 (left-proper), and by the third
 # iterate every letter shows up no matter the seed (primitive).
-print("left-proper at:", is_left_proper(rho, 6), "| first letters of squares:", first_letters(rho, 2))
-print("primitive at:", is_primitive(rho, 6))
+print("left-proper at:", is_left_proper(rho, LEFT_PROPER_BOUND), "| first letters of squares:", first_letters(rho, 2))
+print("primitive at:", is_primitive(rho, PRIMITIVITY_BOUND))
 
 m = abelianization(rho)
 print("occurrence matrix rows:", m.entries, "| row sums:", m.row_sums)

@@ -54,24 +54,26 @@ PROFILES = {
 
 
 def _check_self_similarity_battery(budget: int) -> CheckReport:
-    """Every (p, n) with p + n + 1 within budget, one comparison per p.
+    """Every (p, n) with p + n + 1 within budget, by one comparison at
+    p = 0 and n = budget - 1.  Over its 2^(budget + 1) - 1 symbols that
+    identity says t[2j] = t[0] xor (j mod 2) and t[2j+1] = t[j], which
+    fixes the word from its first symbol: it is the paper-folding word or
+    its complement, and both satisfy every (p, n) identity.  So no pair
+    fails unless this one does; on a failure the battery reports the
+    first failing pair, p = 0 at the least n whose comparison,
+    2^(n+2) - 1 symbols, reaches the first mismatch.
 
-    The symbol source must supply the 2^(budget + 1) - 1 symbols of the
-    first comparison: a shorter one errors there, not at the pair that
-    first reads past its end, and then the two sides of a comparison
-    never differ in size, so a failure always names its first
-    mismatch."""
+    A source shorter than 2^(budget + 1) - 1 symbols errors in the
+    comparison, so its two sides never differ in size and a failure
+    always names its first mismatch."""
     chk = Check("paperfold.self-similarity", {"budget": budget},
                 "block interleaving identity for all p+n+1 within budget")
-    for p in range(budget):
-        # on a failure, the first failing n is the least whose comparison,
-        # 2^(p+n+2) - 1 symbols, reaches the first mismatch
-        rep = paperfold.verify_self_similarity(p, budget - 1 - p)
-        if rep.status != "pass":
-            n = (rep.witness["first_mismatch"] + 1).bit_length() - p - 2
-            rep = paperfold.verify_self_similarity(p, max(n, 0))
-            return dataclasses.replace(rep, elapsed_ms=chk.ms)
-    return chk.passed()
+    rep = paperfold.verify_self_similarity(0, budget - 1)
+    if rep.status == "pass":
+        return chk.passed()
+    n = (rep.witness["first_mismatch"] + 1).bit_length() - 2
+    rep = paperfold.verify_self_similarity(0, max(n, 0))
+    return dataclasses.replace(rep, elapsed_ms=chk.ms)
 
 
 def _check_census(generation: int, max_len: int) -> CheckReport:
@@ -107,8 +109,8 @@ def _check_subst_structure() -> CheckReport:
                 "with head '3', matrix and fixed prefix match")
     s = subst.PAPERFOLD_SUBSTITUTION
     facts = {
-        "primitive_index": subst.is_primitive(s, 6),
-        "left_proper_index": subst.is_left_proper(s, 6),
+        "primitive_index": subst.is_primitive(s, subst.PRIMITIVITY_BOUND),
+        "left_proper_index": subst.is_left_proper(s, subst.LEFT_PROPER_BOUND),
         "first_letters": list(subst.first_letters(s, 2)),
         "matrix": subst.abelianization(s).to_json(),
         "fixed_prefix_32": str(subst.fixed_prefix(s, 32)),
@@ -285,8 +287,8 @@ def _cmd_subst_info(args) -> CheckReport:
     s = _load_substitution(args.rules)
     info = {
         "rules": json.loads(s.to_json())["rules"],
-        "primitive_index": subst.is_primitive(s, 8),
-        "left_proper_index": subst.is_left_proper(s, 8),
+        "primitive_index": subst.is_primitive(s, subst.PRIMITIVITY_BOUND),
+        "left_proper_index": subst.is_left_proper(s, subst.LEFT_PROPER_BOUND),
         "matrix": subst.abelianization(s).to_json(),
     }
     return chk.passed(info)

@@ -75,13 +75,12 @@ class LanguageOracle:
 
     Factor sets, saturation and membership all come from one
     :class:`~pfkit.words.FactorIndex` over the prefix, built on the first
-    query by one uint32 pass over its windows of min(max_len, 32 // bits)
-    symbols, and once more in int64 at min(max_len, MAX_CODE_BITS // bits)
+    query by one uint32 pass over its windows of 32 // bits symbols, and
+    once more in int64 at every codable length, MAX_CODE_BITS // bits,
     only if a query reaches past them, with each length's set read off it
-    as queries need it.  An oracle from ``from_generation`` reads the
-    generation's shared index instead (paperfold.generation_index), which
-    has no max_len: 32 symbols in its uint32 pass and every codable length
-    in int64, while the oracle still refuses queries past its own max_len.
+    as queries need it; the oracle refuses queries past its own max_len.
+    An oracle from ``from_generation`` reads the generation's shared index
+    instead (paperfold.generation_index).
     ``contains`` looks the query's code up in its length's set; a query
     longer than H = MAX_CODE_BITS // bits symbols has no integer code, so
     it scans the prefix, but only when its first H symbols are a factor.
@@ -102,7 +101,7 @@ class LanguageOracle:
         )
         if not 0 < self.reference_len <= source.length:
             raise DomainError("bad reference length")
-        self._index = FactorIndex(source.to_array(), source.alphabet.bits, self.reference_len, max_len)
+        self._index = FactorIndex(source.to_array(), source.alphabet.bits, self.reference_len)
 
     @classmethod
     def from_generation(cls, generation: int, max_len: int) -> "LanguageOracle":
@@ -153,10 +152,6 @@ class LanguageOracle:
 
     def saturated_to(self, n: int) -> bool:
         return all(self.is_saturated(ell) for ell in range(1, n + 1))
-
-    def antipalindrome_census(self, max_len: int) -> CensusResult:
-        """The anti-palindrome census of the stored prefix up to ``max_len``."""
-        return CensusResult.of(self.factor_codes, self.is_saturated, max_len)
 
 
 def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> CheckReport:
@@ -287,7 +282,7 @@ def freeness_certificate(oracle: LanguageOracle) -> FreenessCertificate:
     closure = check_closure_under_antireversal(oracle, check_to)
     if closure.status == "inconclusive":
         return FreenessCertificate(check_to, 0, "inconclusive", closure.witness)
-    counts = oracle.antipalindrome_census(check_to).counts
+    counts = CensusResult.of(oracle.factor_codes, oracle.is_saturated, check_to).counts
     sup = max((ell for ell, c in counts.items() if c > 0), default=0)
     if closure.status == "pass" and counts[check_to] == 0:
         return FreenessCertificate(check_to, sup, "pass", {"antipalindrome_counts": counts})

@@ -273,7 +273,9 @@ def language_generation(n: int) -> int:
     Generations p+3 and p+4 therefore both have the infinite word's
     factors at every length <= 2^(p+1).  The lemma's premises are the
     interleaving identity at (p, 2), which paperfold.self-similarity
-    checks, and t(2), which paperfold.generation-fidelity checks.
+    certifies through its comparison at p = 0 (that identity fixes the
+    word up to complement, and so every (p, n) identity within its
+    budget), and t(2), which paperfold.generation-fidelity checks.
 
     Premises: paperfold.generation-fidelity, paperfold.self-similarity."""
     if n < 1:

@@ -32,6 +32,8 @@ __all__ = [
     "apply",
     "is_primitive",
     "is_left_proper",
+    "PRIMITIVITY_BOUND",
+    "LEFT_PROPER_BOUND",
     "first_letters",
     "abelianization",
     "fixed_prefix",
@@ -42,6 +44,14 @@ __all__ = [
     "verify_intertwining_pairs",
 ]
 
+
+# the bounds that make is_primitive and is_left_proper exhaustive on 4
+# letters.  A primitive 4x4 non-negative matrix has a positive power at
+# most (4 - 1)^2 + 1 (Wielandt).  The images of the powers of the head map
+# shrink until they stop, so the head map becomes constant within 4 - 1
+# steps if it ever does
+PRIMITIVITY_BOUND = (4 - 1) ** 2 + 1
+LEFT_PROPER_BOUND = 4 - 1
 
 # pads the rows of a non-uniform rule table; letters are below 4
 _PAD = 255
@@ -63,6 +73,8 @@ class Substitution:
                 raise DomainError(f"rule letter {letter!r} is not an integer") from None
             if not 0 <= a < self.alphabet.size:
                 raise DomainError(f"rule letter {letter!r} outside the alphabet")
+            if a in table:
+                raise DomainError(f"rule letter {letter!r} names letter {a} a second time")
             w = image if isinstance(image, Word) else Word(str(image), self.alphabet)
             if w.alphabet != self.alphabet:
                 raise DomainError("rule image over the wrong alphabet")
@@ -270,10 +282,8 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
         raise DomainError("prefix length must be non-negative")
     if L > MAX_PREFIX_LEN:
         raise ResourceError(f"prefix length {L} exceeds the resource budget")
-    # head-map tails on 4 letters have length <= 3; primitivity exponent of
-    # a 4x4 non-negative matrix is <= 10, so these caps are exhaustive
-    p = is_left_proper(s, 4)
-    if p is None or is_primitive(s, 10) is None:
+    p = is_left_proper(s, LEFT_PROPER_BOUND)
+    if p is None or is_primitive(s, PRIMITIVITY_BOUND) is None:
         raise DomainError("substitution must be left-proper and primitive")
     if L == 0:
         return Word("", s.alphabet)

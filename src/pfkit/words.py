@@ -11,9 +11,9 @@ Factor languages have one engine, :class:`FactorIndex`: one chunked,
 sorted pass over a symbol array keeps the distinct codes of its windows of
 width W, and the factor codes of every shorter length, and their
 saturation against a reference prefix, are masks of those codes.  W is
-the widest width whose codes fit in uint32 until a request reaches past
-it; then one int64 pass codes the longest length the caller can ask for
-(at most MAX_CODE_BITS // bits symbols).
+the widest width whose codes fit in uint32 (32 // bits symbols) until a
+request reaches past it; then one int64 pass codes every codable length,
+MAX_CODE_BITS // bits symbols.  Each reader bounds its own lengths.
 The few windows near the array's end that the width-W windows miss are
 coded once per pass, zero-padded to width W, so every length is read off
 codes made in the pass.  ``window_codes`` codes one length from scratch;
@@ -184,14 +184,24 @@ class Word:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, alphabet=BINARY) -> "Word":
-        src, arr = arr, np.ascontiguousarray(arr, dtype=np.uint8)
+        """The word of ``arr``'s bool or integer symbols, each checked to
+        lie in the alphabet before it becomes uint8; else DomainError."""
+        alphabet = _as_alphabet(alphabet)
+        src, given = arr, np.asarray(arr)
+        narrowed = given.dtype != np.uint8
+        if narrowed and given.size:  # an empty list is float64 to numpy
+            if given.dtype.kind not in "biu":
+                raise DomainError(f"symbols must be bool or integer, not {given.dtype}")
+            if int(given.min()) < 0 or int(given.max()) >= alphabet.size:
+                raise DomainError(f"symbol out of range for alphabet of size {alphabet.size}")
+        arr = np.ascontiguousarray(given, dtype=np.uint8)
         # a conversion from an array or a list owns fresh memory that no one
         # else can reach, so it is kept as it is
         fresh = arr is not src and arr.base is None and isinstance(src, (np.ndarray, list, tuple))
         if not fresh and _writable(arr):
             arr = arr.copy()
         w = cls.__new__(cls)
-        w._init(_as_alphabet(alphabet), arr, check=True)
+        w._init(alphabet, arr, check=not narrowed)
         return w
 
     @classmethod
@@ -347,45 +357,42 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 
 
 class FactorIndex:
-    """The factor codes of every length up to ``max_len`` of one symbol
-    array, from one sorted pass over its windows of width W, as wide as
-    its requests have reached.
+    """The factor codes of every codable length of one symbol array, from
+    one sorted pass over its windows of width W, as wide as its requests
+    have reached.
 
-    ``codes(n)`` and ``saturated(n)`` accept 1 <= n <= min(max_len,
-    MAX_CODE_BITS // bits); with no ``max_len`` that is every codable
-    length.  Every factor of length n <= W <= len(arr) is a prefix of a
-    length-W window, or a window of the last W - 1 symbols.  Since a
-    window's first symbol sits in the low bits (see window_codes), a
-    prefix's code is a mask of the window's code.  So the index keeps only
-    the distinct length-W window codes, sorted: those of every start, and
-    those of the starts whose windows lie inside the first ``ref_len``
-    symbols (default: all of them).  Length n's codes are the first set
-    masked to n symbols plus the windows of the last W - 1 symbols;
-    ``saturated(n)`` compares them with the same formula over the
-    reference windows and the last W - 1 symbols before ``ref_len``.
-    The windows of those last symbols are coded in the pass (see _tail),
-    so a length codes no window again.  A length past the array has no
-    factors and is saturated.
+    ``codes(n)`` and ``saturated(n)`` accept 1 <= n <= MAX_CODE_BITS //
+    bits; each reader bounds its own lengths below that.  Every factor of
+    length n <= W <= len(arr) is a prefix of a length-W window, or a
+    window of the last W - 1 symbols.  Since a window's first symbol sits
+    in the low bits (see window_codes), a prefix's code is a mask of the
+    window's code.  So the index keeps only the distinct length-W window
+    codes, sorted: those of every start, and those of the starts whose
+    windows lie inside the first ``ref_len`` symbols (default: all of
+    them).  Length n's codes are the first set masked to n symbols plus the
+    windows of the last W - 1 symbols; ``saturated(n)`` compares them with
+    the same formula over the reference windows and the last W - 1 symbols
+    before ``ref_len``.  The windows of those last symbols are coded in the
+    pass (see _tail), so a length codes no window again.  A length past the
+    array has no factors and is saturated.
 
-    The pass runs on the first request, under a lock, at the widest
-    width whose codes fit in uint32, min(max_len, 32 // bits, len(arr)),
-    where numpy sorts them about twice as fast as int64.  A later request
-    past that width runs it once more at the full width, min(max_len,
-    MAX_CODE_BITS // bits, len(arr)), in int64; the lengths already read
-    keep their sets, which do not depend on W.  A pass codes the length-W
-    windows ``_CHUNK`` starts at a time, doubling the width in place, then
-    sorts each chunk and drops its duplicates; only the distinct codes
-    outlive a chunk, so nothing of the array's size is kept.  Each
-    length's set and saturation are cached on first request.
+    The pass runs on the first request, under a lock, at the widest width
+    whose codes fit in uint32, min(32 // bits, len(arr)), where numpy
+    sorts them about twice as fast as int64.  A later request past that
+    width runs it once more at the full width, min(MAX_CODE_BITS // bits,
+    len(arr)), in int64; the lengths already read keep their sets, which
+    do not depend on W.  A pass codes the length-W windows ``_CHUNK``
+    starts at a time, doubling the width in place, then sorts each chunk
+    and drops its duplicates; only the distinct codes outlive a chunk, so
+    nothing of the array's size is kept.  Each length's set and saturation
+    are cached on first request.
     """
 
-    def __init__(self, arr: np.ndarray, bits: int, ref_len: int | None = None,
-                 max_len: int | None = None):
+    def __init__(self, arr: np.ndarray, bits: int, ref_len: int | None = None):
         self._arr = arr
         self._bits = bits
         self._ref_len = arr.size if ref_len is None else ref_len
-        longest = MAX_CODE_BITS // bits
-        self._longest = longest if max_len is None else min(max_len, longest)
+        self._longest = MAX_CODE_BITS // bits
         self._width = 0  # W, the width built so far
         self._every = self._ref = None  # distinct length-W window codes
         self._every_tail = self._ref_tail = None  # see _tail
@@ -523,7 +530,7 @@ def factor_set(w: Word, n: int) -> set:
         return set()
     bits = w.alphabet.bits
     if n * bits <= MAX_CODE_BITS:
-        codes = FactorIndex(w.to_array(), bits, max_len=n).codes(n)
+        codes = FactorIndex(w.to_array(), bits).codes(n)
         return {code_to_word(c, n, w.alphabet) for c in codes}
     # long windows: fall back to hashing raw symbol slices
     raw = w.to_array().tobytes()

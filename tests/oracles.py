@@ -1,8 +1,11 @@
 """Test oracles that several test modules share."""
 
+import dataclasses
+
 import numpy as np
 
-from pfkit import subst
+from pfkit import paperfold, subst
+from pfkit.report import Check
 
 
 def random_bits(seed, n, density=0.5):
@@ -19,3 +22,19 @@ def pair_codes_by_position(arr, real=subst._pair_codes):
     no longer a function of the pair alone."""
     codes = real(arr)
     return codes ^ (np.arange(codes.size) & 1).astype(codes.dtype)
+
+
+def battery_by_block_size(budget):
+    """The self-similarity battery as one comparison per block size p, at
+    the largest n, and on a failure once more at the least n that reaches
+    the first mismatch: the oracle of the one comparison at p = 0 that the
+    suite makes."""
+    chk = Check("paperfold.self-similarity", {"budget": budget},
+                "block interleaving identity for all p+n+1 within budget")
+    for p in range(budget):
+        rep = paperfold.verify_self_similarity(p, budget - 1 - p)
+        if rep.status != "pass":
+            n = (rep.witness["first_mismatch"] + 1).bit_length() - p - 2
+            rep = paperfold.verify_self_similarity(p, max(n, 0))
+            return dataclasses.replace(rep, elapsed_ms=chk.ms)
+    return chk.passed()

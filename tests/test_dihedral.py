@@ -629,13 +629,13 @@ def test_parity_proof_reads_the_positional_rule(monkeypatch):
 def test_shared_index_answers_as_a_fresh_one(monkeypatch):
     # the census, closure and freeness read the same verdicts and
     # witnesses off the generation's shared index as off an index of
-    # their own, built for their max_len
+    # their own
     monkeypatch.setattr(paperfold, "_generation_indexes", {})
     paperfold._prefix_array(2**15 - 1)  # no growth drops an index below
     for g in range(6, 15):
         arr = paperfold._prefix_array(2 ** (g + 1) - 1)
         for max_len in (8, 16, 48):
-            own = FactorIndex(arr, 1, ref_len=2**g - 1, max_len=max_len)
+            own = FactorIndex(arr, 1, ref_len=2**g - 1)
             if arr.size >= 3 * max_len:
                 expected = CensusResult.of(own.codes, own.saturated, max_len)
                 assert antipalindrome_census(g, max_len) == expected, (g, max_len)

@@ -28,6 +28,8 @@ from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, pf_word
 from pfkit.report import Check, CheckReport, emit_report
 from pfkit.words import Word, read_pfw
 
+from oracles import battery_by_block_size, random_bits
+
 # SHA-256 of the quick-profile report at seed 42 with elapsed_ms removed;
 # any change to a report's bytes changes it
 QUICK_REPORT_DIGEST = "cf25dc67dbdaa39c163dc68d94e79c56110f29231ad4b9cb69af96fb25144c1c"
@@ -193,6 +195,18 @@ def test_cli_subst(capsys, tmp_path):
     assert main(["subst", "info", "--rules", str(rules)]) == 0
 
 
+@pytest.mark.parametrize("rules, primitive_index", [
+    ({"0": "1", "1": "2", "2": "3", "3": "01"}, 10), ({"0": "12", "1": "2", "2": "3", "3": "01"}, 9)])
+def test_subst_info_searches_primitivity_to_wielandts_bound(tmp_path, capsys, rules, primitive_index):
+    # primitive at 9 and 10, past any shorter search; the head maps cycle
+    # through the four letters, so neither table is left-proper
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": rules}))
+    assert main(["subst", "info", "--rules", str(path)]) == 0
+    info = json.loads(capsys.readouterr().out)["witness"]
+    assert info["primitive_index"] == primitive_index and info["left_proper_index"] is None
+
+
 def test_cli_dimgroup(capsys):
     assert main(["dimgroup", "matpow", "--n", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -337,14 +351,48 @@ def test_self_similarity_battery_matches_the_pair_loop(symbols, flips):
             assert dataclasses.replace(got, elapsed_ms=0) == dataclasses.replace(want, elapsed_ms=0)
 
 
+@st.composite
+def self_similarity_sources(draw):
+    """2^13 - 1 symbols, what the battery reads at budget 12: the word, its
+    complement, either with 1-4 flipped symbols or one flipped run, a
+    random word or a periodic one."""
+    word = pf_word(12).to_array()
+    size = word.size
+    kind = draw(st.sampled_from(["word", "flips", "run", "random", "periodic"]))
+    if kind == "random":
+        return random_bits(draw(st.integers(0, 2**32 - 1)), size, draw(st.sampled_from([0.1, 0.5, 0.9])))
+    if kind == "periodic":
+        period = draw(st.lists(st.integers(0, 1), min_size=1, max_size=16))
+        return np.resize(np.array(period, dtype=np.uint8), size)
+    arr = draw(st.sampled_from([word, 1 - word])).copy()
+    if kind == "flips":
+        arr[draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))] ^= 1
+    elif kind == "run":
+        start = draw(st.integers(0, size - 1))
+        arr[start : draw(st.integers(start + 1, size))] ^= 1
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=self_similarity_sources())
+def test_self_similarity_battery_matches_one_comparison_per_block_size(symbols, arr):
+    # the comparison at p = 0 decides every block size: the battery gives
+    # the report of the loop over p, first failing pair and all
+    with symbols(arr):
+        for budget in (1, 10, 12):
+            got, want = cli._check_self_similarity_battery(budget), battery_by_block_size(budget)
+            assert dataclasses.replace(got, elapsed_ms=0) == dataclasses.replace(want, elapsed_ms=0)
+
+
 @pytest.mark.parametrize("budget", [1, 10, 12])
 def test_self_similarity_battery_compares_once_per_block_size(monkeypatch, budget):
+    # one comparison, at p = 0, decides every block size
     calls = []
     compare = paperfold.verify_self_similarity
     monkeypatch.setattr(paperfold, "verify_self_similarity",
                         lambda p, n: calls.append((p, n)) or compare(p, n))
     assert cli._check_self_similarity_battery(budget).status == "pass"
-    assert calls == [(p, budget - 1 - p) for p in range(budget)]
+    assert calls == [(0, budget - 1)]
 
 
 def test_suite_imports_no_numpy_module_lazily():
@@ -571,11 +619,12 @@ def test_negative_seeds_are_refused_alike(capsys):
         (b'[["0", "20"]]', None),
         (b'{"alphabet": 4}', None),
         (b'{"rules": {"x": "20", "1": "21", "2": "30", "3": "31"}}', None),
+        (b'{"rules": {"0": "20", "00": "21", "1": "21", "2": "30", "3": "31"}}', None),
         (None, None),
         (b'{"rules": {"0": "20", "1": "21", "2": "30", "3": "31"}}', "missing/info.json"),
     ],
     ids=["invalid-json", "not-utf8", "json-array", "no-rules-key", "non-integer-letter",
-         "missing-rules-file", "out-in-missing-directory"],
+         "letter-named-twice", "missing-rules-file", "out-in-missing-directory"],
 )
 def test_bad_files_exit_2_without_traceback(tmp_path, capsys, rules, out):
     path = tmp_path / "rules.json"

@@ -174,6 +174,18 @@ def test_left_proper_index():
     assert is_left_proper(constant, 3) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3), min_size=4, max_size=4))
+@example([[1], [2], [3], [0, 1]])  # primitive at 10
+@example([[1, 2], [2], [3], [0, 1]])  # primitive at 9
+@example([[1], [2], [3], [3, 0]])  # left-proper at 3
+def test_search_bounds_are_exhaustive(images):
+    # a longer search finds no index that the named bounds miss
+    s = Substitution({a: "".join(map(str, image)) for a, image in enumerate(images)})
+    assert is_primitive(s, subst.PRIMITIVITY_BOUND) == is_primitive(s, 64)
+    assert is_left_proper(s, subst.LEFT_PROPER_BOUND) == is_left_proper(s, 64)
+
+
 def test_abelianization():
     m = abelianization(RHO)
     assert m.entries == ((1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1))
@@ -427,3 +439,7 @@ def test_substitution_validation():
         Substitution({0: "20", 1: "21", 2: "30", 3: ""})  # empty image
     with pytest.raises(DomainError):
         Substitution({0: "20", 1: "21", 2: "30", 5: "31"})  # bad letter
+    for twice in ({"0": "20", "00": "21", "1": "21", "2": "30", "3": "31"},
+                  {0: "20", "0": "21", 1: "21", 2: "30", 3: "31"}):
+        with pytest.raises(DomainError, match="second time"):
+            Substitution(twice)  # one letter named twice

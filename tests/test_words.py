@@ -256,9 +256,8 @@ def _unique_codes(arr, n, bits):
 @given(engine_words, st.sampled_from([1, 5, 1 << 16]), st.data())
 def test_factor_index_matches_window_codes(case, chunk, data):
     # the engine against the per-length formulation it replaces: every
-    # length up to the index's max_len (by default every codable one),
-    # also past the word's end, on the full array and on the reference
-    # prefix; small chunks put chunk edges inside the word.  The word may
+    # codable length, also past the word's end, on the full array and on
+    # the reference prefix; small chunks put chunk edges inside the word.  The word may
     # be cut shorter than the index width, down to the empty array, and
     # the reference may end within a width of either end of the word, so
     # the tail windows of both ends start anywhere from the first symbol
@@ -266,12 +265,11 @@ def test_factor_index_matches_window_codes(case, chunk, data):
     kept = data.draw(st.one_of(st.just(len(symbols)), st.integers(0, len(symbols))), label="kept")
     arr = np.array(symbols[:kept], dtype=np.uint8)
     bits = Alphabet(size).bits
-    max_len = data.draw(st.one_of(st.none(), st.integers(1, MAX_CODE_BITS // bits)), label="max_len")
-    longest = MAX_CODE_BITS // bits if max_len is None else max_len
+    longest = MAX_CODE_BITS // bits
     width = min(longest, arr.size)
     ref_len = data.draw(st.one_of(st.integers(0, arr.size), st.integers(0, width),
                                   st.integers(arr.size - width, arr.size)), label="ref_len")
-    index = FactorIndex(arr, bits, ref_len, max_len)
+    index = FactorIndex(arr, bits, ref_len)
     with mock.patch.object(words, "_CHUNK", chunk):
         index.codes(longest)
     for n in range(1, longest + 1):
@@ -343,19 +341,19 @@ def test_factor_index_widens_once_past_uint32(case, chunk, data):
         assert index._every is every
 
 
-@pytest.mark.parametrize("bits, max_len, dtype", [
+@pytest.mark.parametrize("bits, length, dtype", [
     (1, 32, np.uint32), (1, 33, np.int64), (2, 16, np.uint32), (2, 17, np.int64)])
-def test_factor_index_codes_fit_uint32_up_to_32_bits(bits, max_len, dtype):
+def test_factor_index_codes_fit_uint32_up_to_32_bits(bits, length, dtype):
     # windows of at most 32 bits are coded and sorted as uint32, wider ones
     # as int64; a random word uses the top bit of the widest codes, and
     # chunk edges fall inside it
     arr = np.random.default_rng(12).integers(0, 1 << bits, 3000).astype(np.uint8)
-    index = FactorIndex(arr, bits, 1700, max_len)
+    index = FactorIndex(arr, bits, 1700)
     with mock.patch.object(words, "_CHUNK", 1000):
-        index.codes(max_len)
+        index.codes(length)
     assert index._every.dtype == index._ref.dtype == dtype
-    assert max(index.codes(max_len)) >> (bits * max_len - 1) == 1
-    for n in (1, max_len - 1, max_len):
+    assert max(index.codes(length)) >> (bits * length - 1) == 1
+    for n in (1, length - 1, length):
         full = _unique_codes(arr, n, bits)
         assert index.codes(n) == full
         assert index.saturated(n) == (_unique_codes(arr[:1700], n, bits) == full)
@@ -402,22 +400,20 @@ def test_factor_index_edges():
 
 def test_factor_index_memory_over_generation_20():
     # the build keeps no array of the generation's size, and its pass
-    # stays within a few chunk buffers: int64 ones for the 62-windows,
-    # uint32 ones, under 1 MiB in all, for an index of length 8
+    # stays within a few chunk buffers
     arr = pf_word(20).to_array()
-    for max_len, longest, budget in ((None, 24, 2 << 20), (8, 8, 1 << 20)):
-        tracemalloc.start()
-        try:
-            index = FactorIndex(arr, 1, 2**20 - 1, max_len)
-            index.saturated(1)
-            kept = tracemalloc.get_traced_memory()[0]
-            for n in range(2, longest + 1):
-                index.saturated(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert kept < 64 << 10
-        assert peak < budget
+    tracemalloc.start()
+    try:
+        index = FactorIndex(arr, 1, 2**20 - 1)
+        index.saturated(1)
+        kept = tracemalloc.get_traced_memory()[0]
+        for n in range(2, 25):
+            index.saturated(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10
+    assert peak < 2 << 20
 
 
 def test_pfw_roundtrip(tmp_path):
@@ -715,6 +711,20 @@ def test_from_array_converts_without_a_second_copy():
     w = Word.from_array(sub)
     sub[0] = 1
     assert str(w) == "0000"
+
+
+def test_from_array_checks_symbols_before_narrowing_them():
+    # each value is checked as given, so none wraps, truncates or
+    # overflows into a symbol on its way to uint8
+    for bad in (np.array([257, 0]), np.array([-255, 1]), [256, 1], np.array([2, 0], np.int16),
+                np.array([1.9, 0.2]), np.array([1.0, 0.0]), ["1", "0"], [2**70]):
+        with pytest.raises(DomainError):
+            Word.from_array(bad)
+    with pytest.raises(DomainError):
+        Word.from_array(np.array([4, 0], np.uint8), 4)
+    assert Word.from_array(np.array([3, 1], np.int64), 4) == Word("31", 4)
+    assert Word.from_array(np.array([True, False])) == Word("10")
+    assert Word.from_array([]) == Word("")
 
 
 def test_scan_paths_build_words_without_a_copy():
