@@ -243,7 +243,7 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
 def _reversed_word(rev: list, alphabet) -> Word:
     arr = np.array(rev[::-1], dtype=np.uint8)
     arr.setflags(write=False)  # so that the Word keeps it
-    return Word.from_array(arr, alphabet)
+    return Word._of(arr, alphabet)
 
 
 @dataclass(frozen=True)

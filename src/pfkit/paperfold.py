@@ -118,7 +118,7 @@ def pf_word(n: int) -> Word:
         raise DomainError("generation must be non-negative")
     if n > MAX_GENERATION:
         raise ResourceError(f"generation {n} exceeds the cap of {MAX_GENERATION}")
-    return Word.from_array(_prefix_array(2 ** (n + 1) - 1), BINARY)
+    return Word._of(_prefix_array(2 ** (n + 1) - 1), BINARY)
 
 
 def pf_prefix(L: int) -> Word:
@@ -127,7 +127,7 @@ def pf_prefix(L: int) -> Word:
         raise DomainError("prefix length must be non-negative")
     if L > MAX_PREFIX_LEN:
         raise ResourceError(f"prefix length {L} exceeds the resource budget")
-    return Word.from_array(_prefix_array(L), BINARY)
+    return Word._of(_prefix_array(L), BINARY)
 
 
 def verify_generation_fidelity() -> CheckReport:

@@ -11,12 +11,20 @@ and the first letter; verify_intertwining_pairs proves the intertwining
 from the 16 binary words of length 4.  Neither reads a symbol of the
 word.  The scans verify_recoding and verify_intertwining, which compare a
 prefix of given length, are their oracles.
+
+``apply`` and ``fixed_prefix`` image letters by one of two gathers from
+a table built on first use.  A uniform table of at most ``_ROW`` letters
+an image, the canonical one among them, reads the letters four at a time
+as uint32 quads and gathers the joined images of each quad from a
+256-row table; any other table gathers padded rows of at most ``_ROW``
+symbols and drops the padding.  See ``_image``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,21 +92,37 @@ class Substitution:
         if set(table) != set(range(self.alphabet.size)):
             raise DomainError("rules must cover every letter of the alphabet")
         self.rules = table
-        # apply is a gather of w-byte void items, rows of the table: each
-        # image fills _rows[a] rows from row _first[a], the last padded
-        # with _PAD.  Uniform images of q letters are one row of w = q
-        # each, without padding; other tables pad to the longest image up
-        # to _ROW symbols, and split a longer image over several rows
         self._lengths = np.array([table[a].length for a in range(self.alphabet.size)])
         q = int(self._lengths.max())
         self._uniform = q if int(self._lengths.min()) == q else None
-        w = self._uniform or min(q, _ROW)
-        self._rows = -(-self._lengths // w)
+        # uniform images of at most _ROW letters take the quad gather; the
+        # row gather splits each other image into _rows[a] rows of
+        # _row_len letters from row _first[a], the last padded with _PAD
+        self._quad = self._uniform if q <= _ROW else None
+        self._row_len = min(q, _ROW)
+        self._rows = -(-self._lengths // self._row_len)
         self._first = np.cumsum(self._rows) - self._rows
-        images = np.full(int(self._rows.sum()) * w, _PAD, dtype=np.uint8)
-        for a, image in table.items():
-            images[self._first[a] * w : self._first[a] * w + image.length] = image.to_array()
-        self._table = images.view(np.dtype((np.void, w)))
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The gather table, built on the first _image call: an array of
+        void items, one table row each.  The quad gather's row
+        b0 + 4b1 + 16b2 + 64b3 is the join of the images of b0, b1, b2 and
+        b3, 4q symbols, so its 256 rows take at most 8 KiB; they are
+        joined as bytes, which touches less of numpy in a short run than
+        an index array would.  The row gather's rows hold _row_len
+        symbols."""
+        q = self._quad
+        if q:
+            image = [self.rules[a].to_array().tobytes() for a in range(self.alphabet.size)]
+            rows = b"".join(image[v & 3] + image[v >> 2 & 3] + image[v >> 4 & 3] + image[v >> 6]
+                            for v in range(256))
+            return np.frombuffer(rows, dtype=np.dtype((np.void, 4 * q)))
+        w = self._row_len
+        rows = np.full(int(self._rows.sum()) * w, _PAD, dtype=np.uint8)
+        for a, image in self.rules.items():
+            rows[self._first[a] * w : self._first[a] * w + image.length] = image.to_array()
+        return rows.view(np.dtype((np.void, w)))
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Substitution":
@@ -135,44 +159,76 @@ def apply(s: Substitution, w: Word) -> Word:
         raise DomainError("word is over a different alphabet than the substitution")
     if w.length == 0:
         return w
-    return Word.from_array(_image(s, w.to_array()), s.alphabet)
+    return Word._of(_image(s, w.to_array()), s.alphabet)
 
 
-_GATHER_CHUNK = 1 << 16  # letters per np.take of the uniform gather
+_GATHER_CHUNK = 1 << 16  # table rows per np.take: quads of the quad gather, letters of the row gather
+_QUAD = np.uint32(0x01041040)  # see _image
 
 
 def _image(s: Substitution, arr: np.ndarray) -> np.ndarray:
-    """Symbols of the image of a nonempty letter array.  The uniform gather
-    fills one preallocated array 2^16 letters at a time: np.take copies
-    its indices to intp, eight bytes per letter, and a chunk keeps that
-    copy and the images it writes in cache.  A non-uniform table gathers
-    each chunk's rows, one run of rows per letter, and drops the padding by
-    a mask into the result, sized beforehand from the letter counts; the
-    rows take less than the chunk's images plus _ROW bytes per letter."""
-    if s._uniform:
-        out = np.empty(arr.size, dtype=s._table.dtype)
-        for a in range(0, arr.size, _GATHER_CHUNK):
-            np.take(s._table, arr[a : a + _GATHER_CHUNK], out=out[a : a + _GATHER_CHUNK])
-    else:
-        out = np.empty(int(np.bincount(arr, minlength=s._lengths.size) @ s._lengths), np.uint8)
-        end = 0
-        for a in range(0, arr.size, _GATHER_CHUNK):
-            chunk = arr[a : a + _GATHER_CHUNK]
-            rows = s._rows[chunk]
-            # row j of the chunk's run for a letter whose run starts at j0
-            # is table row _first[letter] + j - j0
-            offsets = s._first[chunk]
-            offsets += rows
-            offsets -= np.cumsum(rows)
-            index = np.repeat(offsets, rows)
-            index += np.arange(index.size)
-            images = np.take(s._table, index).view(np.uint8)
-            kept = images != _PAD
-            n = int(np.count_nonzero(kept))
-            np.compress(kept, images, out=out[end : end + n])
-            end += n
+    """Symbols of the image of a nonempty contiguous letter array, a
+    read-only array that a Word keeps as it is.
+
+    A uniform table of at most _ROW letters an image gathers four letters
+    per lookup.  The letters, read as little-endian uint32 quads
+    v = b0 + 2^8 b1 + 2^16 b2 + 2^24 b3, give their quad table row
+    b0 + 4b1 + 16b2 + 64b3 as the top byte of 0x01041040 * v mod 2^32,
+    since the multiplier's terms 2^24, 2^18, 2^12 and 2^6 move b0 .. b3 to
+    bits 24, 26, 28 and 30 and the other terms carry less than 2^24 for
+    letters below 4.  The product is taken in uint32 and written to an
+    intp buffer, the index type of np.take, so no index is copied again;
+    the buffer holds 2^16 quads, and a chunk keeps it and the images it
+    writes in cache, on their way into one preallocated result.  Every
+    index is a byte, inside the table, so np.take runs in "clip" mode,
+    which writes to its ``out`` directly where "raise" would buffer it.
+    The last 0-3 letters are padded with zeros into one more quad, whose
+    row is cut back to their images.
+
+    Any other table gathers each chunk's rows, one run of rows per letter,
+    and drops the padding by a mask into the result, sized beforehand from
+    the letter counts; the rows take less than the chunk's images plus
+    _ROW bytes per letter."""
+    table = s._table
+    if s._quad:
+        out = np.empty(-(-arr.size // 4), dtype=table.dtype)
+        buf = np.empty(min(out.size, _GATHER_CHUNK), dtype=np.intp)
+
+        def gather(quads, a):  # the rows of quads a, a + 1, ...
+            index = buf[: quads.size]
+            np.multiply(quads, _QUAD, out=index)
+            index >>= 24
+            np.take(table, index, out=out[a : a + quads.size], mode="clip")
+
+        whole = arr.size // 4
+        quads = arr[: 4 * whole].view("<u4")
+        for a in range(0, whole, _GATHER_CHUNK):
+            gather(quads[a : a + _GATHER_CHUNK], a)
+        if whole < out.size:
+            pad = np.zeros(4, dtype=np.uint8)
+            pad[: arr.size - 4 * whole] = arr[4 * whole :]
+            gather(pad.view("<u4"), whole)
+        out.setflags(write=False)  # so that a Word keeps views of it
+        return out.view(np.uint8)[: arr.size * s._quad]
+    out = np.empty(int(np.bincount(arr, minlength=s._lengths.size) @ s._lengths), np.uint8)
+    end = 0
+    for a in range(0, arr.size, _GATHER_CHUNK):
+        chunk = arr[a : a + _GATHER_CHUNK]
+        rows = s._rows[chunk]
+        # row j of the chunk's run for a letter whose run starts at j0
+        # is table row _first[letter] + j - j0
+        offsets = s._first[chunk]
+        offsets += rows
+        offsets -= np.cumsum(rows)
+        index = np.repeat(offsets, rows)
+        index += np.arange(index.size)
+        images = np.take(table, index).view(np.uint8)
+        kept = images != _PAD
+        n = int(np.count_nonzero(kept))
+        np.compress(kept, images, out=out[end : end + n])
+        end += n
     out.setflags(write=False)  # so that a Word keeps views of it
-    return out.view(np.uint8)
+    return out
 
 
 def _letter_sets(s: Substitution) -> dict:
@@ -272,7 +328,7 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     iterations.  Each application reads only the letters whose images
     cover the first L symbols, so no iterate is longer than L plus one
     image.  The iterates are plain symbol arrays, imaged by the kernel
-    behind ``apply`` (a gather 2^16 letters at a time)
+    behind ``apply`` (a gather of 2^16 table rows at a time)
     and compared a chunk at a time by ``words.same_symbols``; only the
     result becomes a Word, which keeps the array as it is.  ``L`` is
     capped at paperfold.MAX_PREFIX_LEN (2^31 - 1), the budget of
@@ -291,13 +347,14 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     # starts with it: head(c) = head(head^p(c)) = head^p(head(c)) = c
     seed = first_letters(s, p)[0]
     cur = np.array([seed], dtype=np.uint8)
+    cur.setflags(write=False)  # so that the Word keeps it when L is 1
     while cur.size < L:
         nxt = _image(s, _covering_prefix(s, cur, L))
         # images are never empty, so nxt is at least as long as cur
         if not same_symbols(nxt[: cur.size], cur):
             raise DomainError("iteration is not prefix-stable; no fixed point")
         cur = nxt
-    return Word.from_array(cur[:L], s.alphabet)
+    return Word._of(cur[:L], s.alphabet)
 
 
 _PAIR_CHUNK = 1 << 16  # pairs per step of _pair_codes; its buffer takes 128 KiB
@@ -335,7 +392,7 @@ def block_code(x: Word, offset: int = 0) -> Word:
         raise DomainError("offset must be 0 or 1")
     if (x.length - offset) % 2 != 0:
         raise DomainError("block code needs an even number of symbols to pair")
-    return Word.from_array(_pair_codes(x.to_array()[offset:]), QUATERNARY)
+    return Word._of(_pair_codes(x.to_array()[offset:]), QUATERNARY)
 
 
 def verify_recoding(L: int) -> CheckReport:

@@ -1,10 +1,15 @@
 """Immutable words over binary/quaternary alphabets.
 
 A word holds one read-only numpy uint8 array, one symbol a byte, which
-every scan reads directly.  Words are packed (1 bit per symbol for
-alphabet size 2, 2 bits for size 4, least-significant-bit first within
-each byte) only for the PFW format and for ``word_code``; the PFW decoder
-unpacks once.  All values are immutable after construction and every
+every scan reads directly.  Every constructor ends in the core
+constructor ``Word._of``, which keeps its array as it is; pfkit's own
+producers (prefixes, segments, images, block codes and the rest) hand
+their read-only arrays to it directly, and only ``Word.from_array``, for
+arrays from outside, checks shape, dtype and range and copies what may
+still be written.  Words are packed (1 bit per symbol for alphabet size
+2, 2 bits for size 4, least-significant-bit first within each byte) only
+for the PFW format and for ``word_code``; the PFW encoder copies the
+packed array once, behind its header, and the decoder unpacks once.  All values are immutable after construction and every
 operation is pure, so words are safe to share between threads.
 
 Factor languages have one engine, :class:`FactorIndex`: one chunked,
@@ -87,11 +92,12 @@ def _as_alphabet(a) -> Alphabet:
     return Alphabet(int(a))
 
 
-def _pack(arr: np.ndarray, bits: int) -> bytes:
-    if arr.size == 0:
-        return b""
+def _pack(arr: np.ndarray, bits: int) -> memoryview:
+    """The packed symbols, a view of a fresh uint8 array that equals their
+    bytes: the PFW encoder joins it to its header, so that the payload is
+    copied once, and ``Word.payload`` copies it to ``bytes``."""
     if bits == 1:
-        return np.packbits(arr, bitorder="little").tobytes()
+        return memoryview(np.packbits(arr, bitorder="little"))
     # four symbols a byte, filled in place from the whole groups by
     # Horner's rule; the last partial group is packed on its own
     whole = arr.size // 4 * 4
@@ -103,13 +109,13 @@ def _pack(arr: np.ndarray, bits: int) -> bytes:
         body |= q[:, k]
     if whole < arr.size:
         out[-1] = sum(int(s) << (2 * k) for k, s in enumerate(arr[whole:]))
-    return out.tobytes()
+    return memoryview(out)
 
 
 def _unpack(payload: bytes, length: int, bits: int) -> np.ndarray:
     raw = np.frombuffer(payload, dtype=np.uint8)
     if bits == 1:
-        return np.unpackbits(raw, count=length, bitorder="little")
+        return _frozen(np.unpackbits(raw, count=length, bitorder="little"))
     out = np.empty(raw.size * 4, dtype=np.uint8)
     for k in range(4):
         out[k::4] = (raw >> (2 * k)) & 3
@@ -157,42 +163,50 @@ class Word:
     array without a copy only when the array and its base are read-only,
     and the fresh array it converts a list, or an array of another dtype
     or layout, into.  Any other array is copied, since writable views of
-    its memory may exist, so that no later write can change the word;
-    pfkit's own producers mark their fresh arrays read-only before they
-    hand them over.
+    its memory may exist, so that no later write can change the word.
+    All three end in the core constructor ``_of``, which sets the fields;
+    pfkit's own producers hand their read-only arrays straight to it, so
+    they pay no range scan or copy check.
     """
 
     __slots__ = ("alphabet", "length", "_arr")
 
-    def __init__(self, text: str = "", alphabet=BINARY):
+    def __new__(cls, text: str = "", alphabet=BINARY):
         try:
             arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
         except UnicodeEncodeError:
             raise DomainError(f"word text must be ASCII digits, got {text!r}")
-        self._init(_as_alphabet(alphabet), arr, check=True)
-
-    def _init(self, alphabet, arr, check):
-        if check and arr.size and int(arr.max()) >= alphabet.size:
+        alphabet = _as_alphabet(alphabet)
+        if arr.size and int(arr.max()) >= alphabet.size:
             raise DomainError(f"symbol out of range for alphabet of size {alphabet.size}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "length", arr.size)
-        object.__setattr__(self, "_arr", arr)
+        return cls._of(_frozen(arr), alphabet)
+
+    @classmethod
+    def _of(cls, arr: np.ndarray, alphabet: Alphabet) -> "Word":
+        """The word over ``arr`` as it is, unchecked: a 1-D contiguous
+        uint8 array, read-only down to its base, whose symbols lie in
+        ``alphabet``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "length", arr.size)
+        object.__setattr__(w, "_arr", arr)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
     @classmethod
     def from_array(cls, arr: np.ndarray, alphabet=BINARY) -> "Word":
-        """The word of ``arr``'s bool or integer symbols, each checked to
-        lie in the alphabet before it becomes uint8; else DomainError."""
+        """The word of a 1-D array of bool or integer symbols, each checked
+        to lie in the alphabet before it becomes uint8; else DomainError."""
         alphabet = _as_alphabet(alphabet)
         src, given = arr, np.asarray(arr)
-        narrowed = given.dtype != np.uint8
-        if narrowed and given.size:  # an empty list is float64 to numpy
+        if given.ndim != 1:
+            raise DomainError(f"symbols must form a 1-D array, not {given.ndim}-D")
+        if given.size:  # an empty list is float64 to numpy
             if given.dtype.kind not in "biu":
                 raise DomainError(f"symbols must be bool or integer, not {given.dtype}")
-            if int(given.min()) < 0 or int(given.max()) >= alphabet.size:
+            if int(given.max()) >= alphabet.size or (given.dtype.kind == "i" and int(given.min()) < 0):
                 raise DomainError(f"symbol out of range for alphabet of size {alphabet.size}")
         arr = np.ascontiguousarray(given, dtype=np.uint8)
         # a conversion from an array or a list owns fresh memory that no one
@@ -200,9 +214,7 @@ class Word:
         fresh = arr is not src and arr.base is None and isinstance(src, (np.ndarray, list, tuple))
         if not fresh and _writable(arr):
             arr = arr.copy()
-        w = cls.__new__(cls)
-        w._init(alphabet, arr, check=not narrowed)
-        return w
+        return cls._of(_frozen(arr), alphabet)
 
     @classmethod
     def from_packed(cls, payload: bytes, length: int, alphabet=BINARY) -> "Word":
@@ -214,14 +226,12 @@ class Word:
             raise DomainError(
                 f"payload has {len(payload)} bytes, expected {need} for length {length}"
             )
-        w = cls.__new__(cls)
-        w._init(alphabet, _unpack(payload, length, alphabet.bits), check=False)
-        return w
+        return cls._of(_unpack(payload, length, alphabet.bits), alphabet)
 
     @property
     def payload(self) -> bytes:
         """The packed symbols, with zero padding bits, packed on each read."""
-        return _pack(self._arr, self.alphabet.bits)
+        return _pack(self._arr, self.alphabet.bits).tobytes()
 
     def to_array(self) -> np.ndarray:
         """The read-only uint8 symbol array."""
@@ -263,7 +273,7 @@ def concat(a: Word, b: Word) -> Word:
         return b
     if b.length == 0:
         return a
-    return Word.from_array(_frozen(np.concatenate([a.to_array(), b.to_array()])), a.alphabet)
+    return Word._of(_frozen(np.concatenate([a.to_array(), b.to_array()])), a.alphabet)
 
 
 def segment(w: Word, k: int, l: int) -> Word:
@@ -273,7 +283,7 @@ def segment(w: Word, k: int, l: int) -> Word:
         raise DomainError(
             f"segment bounds [{k},{l}] out of range for word of length {w.length}"
         )
-    return Word.from_array(w.to_array()[k : l + 1], w.alphabet)
+    return Word._of(w.to_array()[k : l + 1], w.alphabet)
 
 
 def _as_symbol(a, alphabet: Alphabet) -> int:
@@ -301,7 +311,7 @@ def anti_reverse(v: Word) -> Word:
         raise DomainError("anti-reversal is defined only on the binary alphabet")
     if v.length == 0:
         return v
-    return Word.from_array(_frozen(1 - v.to_array()[::-1]), BINARY)
+    return Word._of(_frozen(1 - v.to_array()[::-1]), BINARY)
 
 
 def is_anti_palindrome(v: Word) -> bool:
@@ -515,7 +525,7 @@ def anti_palindrome_codes(codes, n: int) -> list:
 def code_to_word(code: int, n: int, alphabet: Alphabet = BINARY) -> Word:
     bits, mask = alphabet.bits, alphabet.size - 1
     arr = np.array([(code >> (bits * j)) & mask for j in range(n)], dtype=np.uint8)
-    return Word.from_array(_frozen(arr), alphabet)
+    return Word._of(_frozen(arr), alphabet)
 
 
 def factor_set(w: Word, n: int) -> set:
@@ -548,8 +558,9 @@ _PFW_HEADER_LEN = 14
 
 
 def to_pfw_bytes(w: Word) -> bytes:
-    header = _PFW_MAGIC + bytes([_PFW_VERSION, w.alphabet.size])
-    return header + w.length.to_bytes(8, "little") + w.payload
+    """The header, then the payload, copied once from the packed array."""
+    header = _PFW_MAGIC + bytes([_PFW_VERSION, w.alphabet.size]) + w.length.to_bytes(8, "little")
+    return b"".join((header, _pack(w.to_array(), w.alphabet.bits)))
 
 
 def from_pfw_bytes(data: bytes) -> Word:

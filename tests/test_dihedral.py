@@ -31,7 +31,6 @@ from pfkit.paperfold import (
 )
 from pfkit.subst import block_code
 from pfkit.words import (
-    BINARY,
     MAX_CODE_BITS,
     FactorIndex,
     Word,
@@ -363,15 +362,16 @@ def test_left_extend_searches_only_probes_with_a_factor_head():
 
 def test_left_extend_builds_a_constant_number_of_words():
     oracle, seed = LanguageOracle.from_generation(14, 1100), pf_word(3)
-    from_array = Word.__dict__["from_array"].__func__
+    # every Word ends in the core constructor Word._of
+    core = Word.__dict__["_of"].__func__
     for steps in (1, 1000):
         built = []
 
-        def counting(cls, arr, alphabet=BINARY):
+        def counting(cls, arr, alphabet):
             built.append(len(arr))
-            return from_array(cls, arr, alphabet)
+            return core(cls, arr, alphabet)
 
-        with mock.patch.object(Word, "from_array", classmethod(counting)):
+        with mock.patch.object(Word, "_of", classmethod(counting)):
             out = left_extend(oracle, seed, steps, 40)
         assert built == [out.length]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfkit import subst, words
+from pfkit.dihedral import LanguageOracle, left_extend
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_prefix, pf_word
 from pfkit.subst import (
@@ -725,6 +726,69 @@ def test_from_array_checks_symbols_before_narrowing_them():
     assert Word.from_array(np.array([3, 1], np.int64), 4) == Word("31", 4)
     assert Word.from_array(np.array([True, False])) == Word("10")
     assert Word.from_array([]) == Word("")
+
+
+def test_from_array_takes_only_one_dimensional_arrays():
+    # a 2-D array made a word that printed, then failed w[1] with a
+    # TypeError and factor_set with a ValueError; a 0-d array made a
+    # one-symbol word
+    for bad in (np.array([[1, 0], [0, 1]], np.uint8), np.array([[1, 0, 1]]), np.array(1, np.uint8),
+                np.array(0), [[1, 0]]):
+        with pytest.raises(DomainError):
+            Word.from_array(bad)
+    assert Word.from_array(np.array([[1, 0], [0, 1]], np.uint8)[0]) == Word("10")
+
+
+def _core_words():
+    """A word from every producer that hands its array straight to the
+    core constructor, Word._of, and from each public constructor."""
+    s = PAPERFOLD_SUBSTITUTION
+    wide = subst.Substitution({a: str(a) + "3120" * 3 for a in range(4)})
+    ragged = subst.Substitution({3: "312", 2: "30", 1: "21", 0: "20"})
+    oracle = LanguageOracle.from_generation(10, 200)
+    w = pf_word(12)
+    return [
+        pf_word(0), w, pf_prefix(0), pf_prefix(1), pf_prefix(5001),
+        segment(w, 3, 1000), segment(w, 0, 0), concat(Word("110"), Word("01")),
+        concat(Word("3", 4), Word("012", 4)), anti_reverse(pf_word(5)),
+        words.code_to_word(0b1101, 4), words.code_to_word(0b11100100, 4, QUATERNARY),
+        block_code(pf_prefix(4096)), block_code(pf_prefix(4001), 1),
+        fixed_prefix(s, 0), fixed_prefix(s, 1), fixed_prefix(s, 4097), fixed_prefix(ragged, 1),
+        fixed_prefix(ragged, 1001), apply(s, Word("31203", 4)), apply(wide, Word("0123", 4)),
+        apply(ragged, Word("3120", 4)), left_extend(oracle, pf_word(3), 20, 40),
+        Word("1101"), Word.from_array([3, 1], 4), Word.from_packed(b"\x1b", 7),
+        from_pfw_bytes(to_pfw_bytes(w)),
+    ]
+
+
+def test_every_producer_hands_over_a_read_only_uint8_array():
+    # the core constructor keeps its array as it is, so every array handed
+    # to it must already be 1-D, contiguous, uint8, inside the alphabet
+    # and read-only down to its base
+    for w in _core_words():
+        arr = w.to_array()
+        assert arr.ndim == 1 and arr.flags.c_contiguous and arr.dtype == np.uint8, repr(w)
+        assert arr.size == w.length and (not arr.size or int(arr.max()) < w.alphabet.size), repr(w)
+        assert not words._writable(arr), repr(w)
+
+
+def _pfw_words():
+    rng = np.random.default_rng(17)
+    for size in (2, 4):
+        for n in range(18):
+            yield Word.from_array(rng.integers(0, size, n).astype(np.uint8), size)
+    yield pf_word(12)
+    yield fixed_prefix(PAPERFOLD_SUBSTITUTION, 2**13 - 1)
+
+
+def test_pfw_bytes_are_header_then_payload(tmp_path):
+    path = tmp_path / "word.pfw"
+    for w in _pfw_words():
+        blob = to_pfw_bytes(w)
+        assert blob == b"PFW1\x01" + bytes([w.alphabet.size]) + w.length.to_bytes(8, "little") + w.payload
+        write_pfw(w, path)
+        assert path.read_bytes() == blob
+        assert read_pfw(path) == from_pfw_bytes(blob) == w
 
 
 def test_scan_paths_build_words_without_a_copy():
