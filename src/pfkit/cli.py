@@ -12,9 +12,10 @@ whole suite as a JSON array (or a markdown table with --format markdown).
 Two runs with identical flags and seed produce identical output except
 for the elapsed_ms fields.  Exit code: 0 when everything passes, 1 when
 some check fails or is inconclusive, 2 when a check errors out or the
-input is rejected (a bad argument, a resource cap, or a file that cannot
-be read or written).  A rejected input, argparse's rejections included,
-prints one JSON ``error`` line on stderr and nothing on stdout.
+input is rejected (a bad argument, a resource cap, running out of
+memory, or a file that cannot be read or written).  A rejected input,
+argparse's rejections and running out of memory included, prints one
+JSON ``error`` line on stderr and nothing on stdout.
 
 The suite runs its checks one after another on the calling thread, in
 registry order, and reports them in that order.  A check whose lemma
@@ -214,8 +215,9 @@ _DESCRIPTION = (
     "and 'report --format markdown' a table. 'paperfold gen' and 'subst "
     "fixed-prefix' print symbols. --out writes to a file instead of stdout. Exit "
     "code: 0 when every check passes, 1 when some check fails or is inconclusive, "
-    "2 when a check errors or the input is rejected; a rejected input prints one "
-    "JSON \"error\" line on stderr and nothing on stdout."
+    "2 when a check errors, the input is rejected or memory runs out; a rejected "
+    "input or a lack of memory prints one JSON \"error\" line on stderr and nothing "
+    "on stdout."
 )
 
 
@@ -412,7 +414,9 @@ def main(argv=None) -> int:
             return 0
         _emit(result, args)
         return exit_code([result] if isinstance(result, CheckReport) else result)
-    except (PfkitError, OSError) as exc:
+    except (PfkitError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # a request the host cannot hold
+            exc = ResourceError(f"out of memory ({type(exc).__name__}: {exc})")
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
 

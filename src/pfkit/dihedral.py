@@ -41,6 +41,7 @@ from .words import (
     MAX_CODE_BITS,
     FactorIndex,
     Word,
+    _frozen,
     anti_palindrome_codes,
     anti_reverse_codes,
     code_to_word,
@@ -241,9 +242,7 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
 
 
 def _reversed_word(rev: list, alphabet) -> Word:
-    arr = np.array(rev[::-1], dtype=np.uint8)
-    arr.setflags(write=False)  # so that the Word keeps it
-    return Word._of(arr, alphabet)
+    return Word._of(_frozen(np.array(rev[::-1], dtype=np.uint8)), alphabet)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -301,6 +302,15 @@ def verify_lattice_image() -> CheckReport:
 # dyadic normal forms
 
 
+def _index(x, what: str) -> int:
+    """``x`` as an int through ``operator.index``, which truncates no
+    float or Fraction; anything else is a DomainError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, not {type(x).__name__}") from None
+
+
 @dataclass(frozen=True)
 class DyadicRational:
     """num / 2^exp in canonical form: exp == 0 or num odd; zero is (0, 0)."""
@@ -309,7 +319,7 @@ class DyadicRational:
     exp: int
 
     def __post_init__(self):
-        num, exp = int(self.num), int(self.exp)
+        num, exp = _index(self.num, "numerator"), _index(self.exp, "exponent")
         if exp < 0:
             raise DomainError("exponent must be non-negative")
         if num == 0:
@@ -399,6 +409,11 @@ class DyadicPair:
 
     s: DyadicRational
     m: int
+
+    def __post_init__(self):
+        if not isinstance(self.s, DyadicRational):
+            raise DomainError(f"s must be a DyadicRational, not {type(self.s).__name__}")
+        object.__setattr__(self, "m", _index(self.m, "m"))
 
     def __add__(self, other):
         return DyadicPair(self.s + other.s, self.m + other.m)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .paperfold import MAX_PREFIX_LEN, pf_prefix
 from .report import Check, CheckReport
-from .words import QUATERNARY, Word, same_symbols
+from .words import QUATERNARY, Word, _frozen, same_symbols
 
 __all__ = [
     "Substitution",
@@ -208,8 +208,7 @@ def _image(s: Substitution, arr: np.ndarray) -> np.ndarray:
             pad = np.zeros(4, dtype=np.uint8)
             pad[: arr.size - 4 * whole] = arr[4 * whole :]
             gather(pad.view("<u4"), whole)
-        out.setflags(write=False)  # so that a Word keeps views of it
-        return out.view(np.uint8)[: arr.size * s._quad]
+        return _frozen(out).view(np.uint8)[: arr.size * s._quad]
     out = np.empty(int(np.bincount(arr, minlength=s._lengths.size) @ s._lengths), np.uint8)
     end = 0
     for a in range(0, arr.size, _GATHER_CHUNK):
@@ -227,8 +226,7 @@ def _image(s: Substitution, arr: np.ndarray) -> np.ndarray:
         n = int(np.count_nonzero(kept))
         np.compress(kept, images, out=out[end : end + n])
         end += n
-    out.setflags(write=False)  # so that a Word keeps views of it
-    return out
+    return _frozen(out)
 
 
 def _letter_sets(s: Substitution) -> dict:
@@ -346,8 +344,7 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     # the seed c is the first letter of every p-th image, so its own image
     # starts with it: head(c) = head(head^p(c)) = head^p(head(c)) = c
     seed = first_letters(s, p)[0]
-    cur = np.array([seed], dtype=np.uint8)
-    cur.setflags(write=False)  # so that the Word keeps it when L is 1
+    cur = _frozen(np.array([seed], dtype=np.uint8))
     while cur.size < L:
         nxt = _image(s, _covering_prefix(s, cur, L))
         # images are never empty, so nxt is at least as long as cur
@@ -374,8 +371,7 @@ def _pair_codes(arr: np.ndarray) -> np.ndarray:
         b = buf[: min(_PAIR_CHUNK, v.size - a)]
         np.multiply(v[a : a + b.size], 513, out=b)
         np.right_shift(b, 8, out=out[a : a + b.size], casting="unsafe")
-    out.setflags(write=False)  # so that a Word keeps it
-    return out
+    return _frozen(out)
 
 
 def block_code(x: Word, offset: int = 0) -> Word:

@@ -1,16 +1,13 @@
 """Immutable words over binary/quaternary alphabets.
 
 A word holds one read-only numpy uint8 array, one symbol a byte, which
-every scan reads directly.  Every constructor ends in the core
-constructor ``Word._of``, which keeps its array as it is; pfkit's own
-producers (prefixes, segments, images, block codes and the rest) hand
-their read-only arrays to it directly, and only ``Word.from_array``, for
-arrays from outside, checks shape, dtype and range and copies what may
-still be written.  Words are packed (1 bit per symbol for alphabet size
-2, 2 bits for size 4, least-significant-bit first within each byte) only
-for the PFW format and for ``word_code``; the PFW encoder copies the
-packed array once, behind its header, and the decoder unpacks once.  All values are immutable after construction and every
-operation is pure, so words are safe to share between threads.
+every scan reads directly; :class:`Word` states who owns it.  Words are
+packed (1 bit per symbol for alphabet size 2, 2 bits for size 4,
+least-significant-bit first within each byte) only for the PFW format
+and for ``word_code``; the PFW encoder copies the packed array once,
+behind its header, and the decoder unpacks once.  All values are
+immutable after construction and every operation is pure, so words are
+safe to share between threads.
 
 Factor languages have one engine, :class:`FactorIndex`: one chunked,
 sorted pass over a symbol array keeps the distinct codes of its windows of
@@ -126,7 +123,8 @@ _EQ_CHUNK = 1 << 18  # symbols per step of same_symbols; its temporary takes 256
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, a fresh array, made read-only so that a Word keeps it."""
+    """``arr``, an array its producer made, made read-only so that a Word
+    can keep it (see Word)."""
     arr.setflags(write=False)
     return arr
 
@@ -140,38 +138,23 @@ def same_symbols(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _writable(arr: np.ndarray) -> bool:
-    """Whether the memory of ``arr`` can still be written, through ``arr``
-    or through its base.  numpy points a view's base at the array that
-    owns the memory, or at the array that wraps a foreign buffer."""
-    if arr.flags.writeable:
-        return True
-    base = arr.base
-    if isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            return True
-        base = base.base
-    return base is not None and not memoryview(base).readonly
-
-
 class Word:
     """An immutable finite symbol sequence over one read-only uint8 array.
 
-    Construct from text (``Word("110")``, ``Word("3121", 4)``), from a
-    numpy uint8 array via :meth:`from_array`, or from packed payload bytes
-    via :meth:`from_packed`.  ``from_array`` keeps a contiguous uint8
-    array without a copy only when the array and its base are read-only,
-    and the fresh array it converts a list, or an array of another dtype
-    or layout, into.  Any other array is copied, since writable views of
-    its memory may exist, so that no later write can change the word.
-    All three end in the core constructor ``_of``, which sets the fields;
-    pfkit's own producers hand their read-only arrays straight to it, so
-    they pay no range scan or copy check.
+    Construct from text (``Word("110")``, ``Word("3121", 4)``), from an
+    array of symbols via :meth:`from_array`, or from packed payload bytes
+    via :meth:`from_packed`.  All three end in the core constructor
+    ``_of``.  Who owns the symbols: pfkit's producers hand arrays they
+    froze themselves (``_frozen``) to ``_of``, and every other array goes
+    through ``from_array``, which validates it and keeps exactly one fresh
+    read-only copy, so that no later write can change a word.
     """
 
     __slots__ = ("alphabet", "length", "_arr")
 
     def __new__(cls, text: str = "", alphabet=BINARY):
+        if not isinstance(text, str):
+            raise DomainError(f"word text must be a str, not {type(text).__name__}")
         try:
             arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
         except UnicodeEncodeError:
@@ -184,8 +167,8 @@ class Word:
     @classmethod
     def _of(cls, arr: np.ndarray, alphabet: Alphabet) -> "Word":
         """The word over ``arr`` as it is, unchecked: a 1-D contiguous
-        uint8 array, read-only down to its base, whose symbols lie in
-        ``alphabet``."""
+        uint8 array, frozen by its producer and read-only down to its
+        base, whose symbols lie in ``alphabet``."""
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
         object.__setattr__(w, "length", arr.size)
@@ -200,7 +183,7 @@ class Word:
         """The word of a 1-D array of bool or integer symbols, each checked
         to lie in the alphabet before it becomes uint8; else DomainError."""
         alphabet = _as_alphabet(alphabet)
-        src, given = arr, np.asarray(arr)
+        given = np.asarray(arr)
         if given.ndim != 1:
             raise DomainError(f"symbols must form a 1-D array, not {given.ndim}-D")
         if given.size:  # an empty list is float64 to numpy
@@ -208,13 +191,7 @@ class Word:
                 raise DomainError(f"symbols must be bool or integer, not {given.dtype}")
             if int(given.max()) >= alphabet.size or (given.dtype.kind == "i" and int(given.min()) < 0):
                 raise DomainError(f"symbol out of range for alphabet of size {alphabet.size}")
-        arr = np.ascontiguousarray(given, dtype=np.uint8)
-        # a conversion from an array or a list owns fresh memory that no one
-        # else can reach, so it is kept as it is
-        fresh = arr is not src and arr.base is None and isinstance(src, (np.ndarray, list, tuple))
-        if not fresh and _writable(arr):
-            arr = arr.copy()
-        return cls._of(_frozen(arr), alphabet)
+        return cls._of(_frozen(np.array(given, dtype=np.uint8)), alphabet)
 
     @classmethod
     def from_packed(cls, payload: bytes, length: int, alphabet=BINARY) -> "Word":
@@ -542,10 +519,11 @@ def factor_set(w: Word, n: int) -> set:
     if n * bits <= MAX_CODE_BITS:
         codes = FactorIndex(w.to_array(), bits).codes(n)
         return {code_to_word(c, n, w.alphabet) for c in codes}
-    # long windows: fall back to hashing raw symbol slices
+    # long windows: fall back to hashing raw symbol slices; a view of
+    # immutable bytes is read-only down to its base, so a Word keeps it
     raw = w.to_array().tobytes()
     seen = {raw[i : i + n] for i in range(w.length - n + 1)}
-    return {Word.from_array(np.frombuffer(s, dtype=np.uint8), w.alphabet) for s in seen}
+    return {Word._of(np.frombuffer(s, dtype=np.uint8), w.alphabet) for s in seen}
 
 
 # ---------------------------------------------------------------------------

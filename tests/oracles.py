@@ -17,6 +17,20 @@ def naive_anti(s):
     return "".join("1" if c == "0" else "0" for c in reversed(s))
 
 
+def writable(arr):
+    """Whether the memory of ``arr`` can still be written, through ``arr``
+    or through its base.  numpy points a view's base at the array that
+    owns the memory, or at the array that wraps a foreign buffer."""
+    if arr.flags.writeable:
+        return True
+    base = arr.base
+    if isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    return base is not None and not memoryview(base).readonly
+
+
 def pair_codes_by_position(arr, real=subst._pair_codes):
     """The pair codes with the parity of each pair's position flipped in:
     no longer a function of the pair alone."""

@@ -224,6 +224,23 @@ def test_dyadic_rational_canonical_form():
         DyadicRational(1, -1)
 
 
+def test_dyadic_types_take_exact_integers_only():
+    # int() truncated: 1.5 and 3/2 became 1/2^0, exponent 2.7 became 2,
+    # and a float m made staged_cone_witness raise AttributeError
+    for num, exp in ((1.5, 0), (Fraction(3, 2), 0), (1, 2.7), ("1", 0), (None, 0)):
+        with pytest.raises(DomainError):
+            DyadicRational(num, exp)
+    for s, m in ((DyadicRational(1, 0), 2.5), (DYADIC_ONE, Fraction(2)), (Fraction(1, 2), 0), (1, 0)):
+        with pytest.raises(DomainError):
+            staged_cone_witness(DyadicPair(s, m))
+    # integer types convert exactly, and a float operand still goes
+    # through its exact Fraction
+    assert DyadicRational(np.int64(6), np.uint8(1)) == DyadicRational(3, 0)
+    m = DyadicPair(DYADIC_ONE, np.int32(-2)).m
+    assert m == -2 and type(m) is int
+    assert DyadicRational(1, 1) + 0.25 == DyadicRational(3, 2)
+
+
 def test_dyadic_arithmetic_against_fractions():
     rng = random.Random(31)
     for _ in range(500):

@@ -597,6 +597,23 @@ def test_bad_input_exits_2_without_traceback(monkeypatch, capsys, argv):
     assert "error" in json.loads(lines[0])
 
 
+@pytest.mark.parametrize("argv, producer", [
+    (["paperfold", "gen", "--n", "30"], (paperfold, "_prefix_array")),
+    (["subst", "fixed-prefix", "--len", str(MAX_PREFIX_LEN)], (subst, "_image")),
+], ids=["gen", "fixed-prefix"])
+def test_running_out_of_memory_exits_2_as_a_resource_error(monkeypatch, capsys, argv, producer):
+    # numpy's failed allocation is a MemoryError; it ended the run with a
+    # traceback and exit 1, which means that a check failed
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array")
+
+    monkeypatch.setattr(*producer, out_of_memory)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.strip().splitlines()
+    assert out == "" and json.loads(line)["error"].startswith("ResourceError: out of memory")
+
+
 def test_negative_seeds_are_refused_alike(capsys):
     # the suite echoes its seed and dimgroup verify draws from it; both
     # refuse a negative one before any check runs

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import subst, words
+from pfkit import paperfold, subst, words
 from pfkit.dihedral import LanguageOracle, left_extend
 from pfkit.errors import DomainError
 from pfkit.paperfold import pf_prefix, pf_word
@@ -21,7 +21,6 @@ from pfkit.subst import (
     verify_recoding,
 )
 from pfkit.words import (
-    BINARY,
     MAX_CODE_BITS,
     QUATERNARY,
     Alphabet,
@@ -43,7 +42,7 @@ from pfkit.words import (
     write_pfw,
 )
 
-from oracles import naive_anti
+from oracles import naive_anti, writable
 
 
 def rand_word(rng, n, size=2):
@@ -68,6 +67,10 @@ def test_word_construction_and_text_roundtrip():
         Word("012", 2)
     with pytest.raises(DomainError):
         Word("4", 4)
+    # text that is not a str is refused by name, not by an AttributeError
+    for bad in (b"10", 5, None, ["1", "0"]):
+        with pytest.raises(DomainError, match=type(bad).__name__):
+            Word(bad)
 
 
 def test_word_is_immutable_and_hashable():
@@ -651,16 +654,60 @@ def test_from_array_copies_views_of_writable_memory():
     v = Word.from_array(wrap[1:])
     buf[2] = 1
     assert str(w) == "0000" and str(v) == "000"
-    # a writable array that owns its memory is copied and left writable;
-    # read-only arrays that own their memory, and views of them, are kept
+    # a writable array is copied and left writable
     own = np.zeros(4, np.uint8)
     assert Word.from_array(own).to_array() is not own and own.flags.writeable
-    own.setflags(write=False)
-    assert Word.from_array(own).to_array() is own
+
+
+def test_from_array_keeps_its_symbols_when_a_read_only_array_is_written():
+    # read-only arrays over memory that its owner can still write, which
+    # from_array kept without a copy: a read-only memoryview of a
+    # bytearray, and a memoryview of a read-only view of a writable array
+    buf, base = bytearray(4), np.zeros(4, np.uint8)
+    view = base[:]
+    view.setflags(write=False)
+    for arr, owner in ((np.frombuffer(memoryview(buf).toreadonly(), np.uint8), buf),
+                       (np.frombuffer(memoryview(view), np.uint8), base)):
+        w = Word.from_array(arr)
+        owner[1] = 1
+        assert arr[1] == 1 and str(w) == "0000" and hash(w) == hash(Word("0000"))
+
+
+def test_from_array_takes_memory_exposed_only_by_the_array_interface():
+    # a read-only array whose base has no buffer protocol, only
+    # __array_interface__, raised TypeError from memoryview(base)
+
+    class Symbols:
+        def __init__(self, arr):
+            self.arr = arr  # keeps the memory alive
+            self.__array_interface__ = dict(arr.__array_interface__, data=(arr.ctypes.data, True))
+
+    owner = np.zeros(4, np.uint8)
+    symbols = Symbols(owner)
+    for given in (symbols, np.asarray(symbols)):
+        w = Word.from_array(given)
+        owner[0] = 1
+        assert str(w) == "0000"
+        owner[0] = 0
+
+
+def test_public_constructors_share_no_memory_with_their_input():
+    # from_array copies every array, read-only ones included; text,
+    # payloads and PFW streams are decoded into fresh arrays
     frozen = np.zeros(8, np.uint8)
     frozen.setflags(write=False)
-    for arr in (frozen[2:6], np.frombuffer(b"\x00\x01\x01", np.uint8)):
-        assert Word.from_array(arr).to_array() is arr
+    made = (pf_word(5), block_code(pf_word(5), 1))
+    for arr in (np.zeros(4, np.uint8), frozen, frozen[2:6], np.frombuffer(b"\x00\x01\x01", np.uint8),
+                *(w.to_array() for w in made)):
+        w = Word.from_array(arr, 4)
+        assert not np.shares_memory(w.to_array(), arr) and np.array_equal(w.to_array(), arr)
+    text = "3120"
+    assert not np.shares_memory(Word(text, 4).to_array(), np.frombuffer(text.encode(), np.uint8))
+    for w in made:
+        payload, blob = w.payload, to_pfw_bytes(w)
+        for back, source in ((Word.from_packed(payload, w.length, w.alphabet), payload),
+                             (from_pfw_bytes(blob), blob)):
+            assert back == w and not np.shares_memory(back.to_array(), np.frombuffer(source, np.uint8))
 
 
 def test_from_array_copies_an_array_with_earlier_views():
@@ -671,13 +718,6 @@ def test_from_array_copies_an_array_with_earlier_views():
     w = Word.from_array(a)
     v[1] = 1
     assert str(w) == "00000000" and w == Word("00000000")
-    # the scan paths hand over read-only arrays, which are kept
-    word = pf_word(14)
-    assert np.shares_memory(segment(word, 3, 1000).to_array(), word.to_array())
-    made, real = [], subst._pair_codes
-    with mock.patch.object(subst, "_pair_codes", lambda arr: made.append(real(arr)) or made[-1]):
-        coded = block_code(word, 1)
-    assert np.shares_memory(coded.to_array(), made[0])
 
 
 def test_from_array_converts_without_a_second_copy():
@@ -702,8 +742,7 @@ def test_from_array_converts_without_a_second_copy():
     w = Word.from_array(strided[::2])
     strided[0] = 1
     assert str(w) == "0000"
-    # an ndarray subclass converts to a view of its own writable memory,
-    # which is copied
+    # an ndarray subclass is copied too
 
     class Symbols(np.ndarray):
         pass
@@ -769,7 +808,7 @@ def test_every_producer_hands_over_a_read_only_uint8_array():
         arr = w.to_array()
         assert arr.ndim == 1 and arr.flags.c_contiguous and arr.dtype == np.uint8, repr(w)
         assert arr.size == w.length and (not arr.size or int(arr.max()) < w.alphabet.size), repr(w)
-        assert not words._writable(arr), repr(w)
+        assert not writable(arr), repr(w)
 
 
 def _pfw_words():
@@ -791,24 +830,29 @@ def test_pfw_bytes_are_header_then_payload(tmp_path):
         assert read_pfw(path) == from_pfw_bytes(blob) == w
 
 
-def test_scan_paths_build_words_without_a_copy():
-    # every word the scan paths build keeps the array it was given:
-    # prefixes, segments, block codes, fixed points, images and decoded
-    # PFW words, and segments of each
-    from_array = Word.__dict__["from_array"].__func__
-    copied = []
+def test_scan_paths_build_words_without_a_copy(monkeypatch):
+    # each word a scan path builds shares memory with the array its
+    # producer computed: prefixes with the prefix cache; block codes,
+    # fixed points, images and decoded PFW words with what _pair_codes,
+    # _image and _unpack return; and segments of each with their word
+    made = []
+    for module, name in ((subst, "_pair_codes"), (subst, "_image"), (words, "_unpack")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: made.append(real(*args)) or made[-1])
 
-    def checking(cls, arr, alphabet=BINARY):
-        w = from_array(cls, arr, alphabet)
-        if not np.may_share_memory(w.to_array(), arr):
-            copied.append(len(arr))
-        return w
+    def with_source(make):
+        made.clear()
+        return make(), made[-1]
 
-    with mock.patch.object(Word, "from_array", classmethod(checking)):
-        made = [pf_word(14), pf_prefix(5000), block_code(pf_prefix(4096)), block_code(pf_prefix(4001), 1),
-                fixed_prefix(PAPERFOLD_SUBSTITUTION, 4096),
-                apply(PAPERFOLD_SUBSTITUTION, Word("3120", 4))]
-        made += [from_pfw_bytes(to_pfw_bytes(w)) for w in made[:4]]
-        for w in made:
-            assert segment(segment(w, 1, w.length - 1), 1, 2) == Word(str(w)[2:4], w.alphabet)
-    assert copied == []
+    built = [(pf_word(14), paperfold._prefix_cache)]
+    built.append((pf_prefix(5000), paperfold._prefix_cache))
+    built += [with_source(make) for make in (
+        lambda: block_code(pf_prefix(4096)), lambda: block_code(pf_prefix(4001), 1),
+        lambda: fixed_prefix(PAPERFOLD_SUBSTITUTION, 4096),
+        lambda: apply(PAPERFOLD_SUBSTITUTION, Word("3120", 4)))]
+    built += [with_source(lambda w=w: from_pfw_bytes(to_pfw_bytes(w))) for w, _ in built[:4]]
+    for w, source in built:
+        assert np.shares_memory(w.to_array(), source), repr(w)
+        part = segment(segment(w, 1, w.length - 1), 1, 2)
+        assert np.shares_memory(part.to_array(), w.to_array()), repr(w)
+        assert part == Word(str(w)[2:4], w.alphabet)
