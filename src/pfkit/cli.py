@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
 from . import dihedral, dimgroup, paperfold, subst
-from .errors import DomainError, ExtensionError, PfkitError, ResourceError
+from .errors import DomainError, ExtensionError, PfkitError, ResourceError, integer
 from .report import Check, CheckReport, emit_report
 from .words import Word, to_pfw_bytes, write_pfw
 
@@ -179,8 +180,7 @@ def run_all(profile: str = "quick", seed: int = DEFAULT_SEED):
     be non-negative, as for ``pfkit dimgroup verify``."""
     if profile not in PROFILES:
         raise PfkitError(f"unknown profile {profile!r}")
-    if seed < 0:
-        raise DomainError("seed must be non-negative")
+    seed = integer(seed, "seed", lo=0)
     params = PROFILES[profile]
     reports, status = [], {}
     for name, fn in REGISTRY:
@@ -257,11 +257,10 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_extend(args) -> CheckReport:
-    # refused before the oracle builds its generation
-    if args.steps < 0 or args.horizon < 1:
-        raise DomainError("need steps >= 0 and horizon >= 1")
-    if args.steps > dihedral.MAX_EXTEND_STEPS:
-        raise ResourceError(f"steps {args.steps} exceeds the cap of {dihedral.MAX_EXTEND_STEPS}")
+    # refused before the oracle builds its generation, which at
+    # --generation 30 fills 2 GiB
+    integer(args.steps, "steps", lo=0, cap=dihedral.MAX_EXTEND_STEPS)
+    integer(args.horizon, "horizon", lo=1)
     params = {"seed": args.seed, "steps": args.steps, "horizon": args.horizon,
               "generation": args.generation}
     chk = Check("dihedral.left-extend", params, "the seed extends leftwards inside the language")
@@ -314,9 +313,13 @@ def _cmd_dim_matpow(args) -> CheckReport:
     return chk.passed({"matrix": [list(row) for row in power]})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The pfkit parser.  Each leaf's ``func`` returns its report or list
-    of reports, or None when it wrote its own output (raw symbols)."""
+    """The pfkit parser, built once per process: parsing keeps no state
+    in it, a rejected argument vector included.  Each leaf's ``func``
+    returns its report or list of reports, or None when it wrote its own
+    output (raw symbols); the ``_cmd_*`` functions it names are bound at
+    the first build, so patching one afterwards does not reach it."""
     parser = _Parser(prog="pfkit", description=_DESCRIPTION)
     out = _Parser(add_help=False)
     out.add_argument("--out", help="write the output to this file instead of stdout")

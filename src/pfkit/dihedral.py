@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ExtensionError, ResourceError
+from .errors import DomainError, ExtensionError, integer
 from .paperfold import MAX_GENERATION, CensusResult, generation_index, pf_prefix, pf_word, symbol
 from .report import Check, CheckReport
 from .words import (
@@ -91,17 +91,13 @@ class LanguageOracle:
     """
 
     def __init__(self, source: Word, max_len: int, reference_len: Optional[int] = None):
-        if max_len < 1:
-            raise DomainError("oracle max_len must be positive")
+        max_len = integer(max_len, "oracle max_len", lo=1)
         if source.length < max_len:
             raise DomainError("oracle source shorter than max_len")
         self.source = source
         self.max_len = max_len
-        self.reference_len = (
-            (source.length + 1) // 2 if reference_len is None else reference_len
-        )
-        if not 0 < self.reference_len <= source.length:
-            raise DomainError("bad reference length")
+        self.reference_len = ((source.length + 1) // 2 if reference_len is None
+                              else integer(reference_len, "reference length", lo=1, hi=source.length))
         self._index = FactorIndex(source.to_array(), source.alphabet.bits, self.reference_len)
 
     @classmethod
@@ -111,8 +107,7 @@ class LanguageOracle:
         generation's shared factor index (paperfold.generation_index), so
         oracles of any max_len over one generation, and its census, make
         one pass over its windows."""
-        if generation < 1:
-            raise DomainError("need generation >= 1")
+        generation = integer(generation, "generation", lo=1, cap=MAX_GENERATION)
         oracle = cls(pf_word(generation), max_len, reference_len=2**generation - 1)
         oracle._index = generation_index(generation)
         return oracle
@@ -152,7 +147,7 @@ class LanguageOracle:
         return self._index.saturated(length)
 
     def saturated_to(self, n: int) -> bool:
-        return all(self.is_saturated(ell) for ell in range(1, n + 1))
+        return all(self.is_saturated(ell) for ell in range(1, integer(n, "n") + 1))
 
 
 def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> CheckReport:
@@ -160,10 +155,7 @@ def check_closure_under_antireversal(oracle: LanguageOracle, n_max: int) -> Chec
     is also a factor.  Inconclusive when any length up to n_max is not
     saturated.  A failure's witness is the shortest failing factor of least
     code."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
-    if n_max > oracle.max_len:
-        raise DomainError("n_max exceeds the oracle's max_len")
+    n_max = integer(n_max, "n_max", lo=1, hi=oracle.max_len)
     if oracle.source.alphabet != BINARY:
         raise DomainError("closure under anti-reversal needs a binary oracle")
     chk = Check("dihedral.antireversal-closure", {"n_max": n_max, "source_len": oracle.source.length},
@@ -206,10 +198,8 @@ def left_extend(oracle: LanguageOracle, seed: Word, steps: int, horizon: int) ->
     factor: a prefix of a factor is a factor, so the other searches would
     fail.
     """
-    if steps < 0 or horizon < 1:
-        raise DomainError("need steps >= 0 and horizon >= 1")
-    if steps > MAX_EXTEND_STEPS:
-        raise ResourceError(f"steps {steps} exceeds the cap of {MAX_EXTEND_STEPS}")
+    steps = integer(steps, "steps", lo=0, cap=MAX_EXTEND_STEPS)
+    horizon = integer(horizon, "horizon", lo=1)
     if steps + seed.length + horizon > oracle.max_len:
         raise DomainError("steps + |seed| + horizon must stay within oracle.max_len")
     alphabet = oracle.source.alphabet
@@ -327,12 +317,8 @@ def parity_class_separation(K: int, generation: int) -> CheckReport:
     window one of the four odd patterns.  K is capped at MAX_PARITY_K =
     2^23; a larger K raises ResourceError before any symbol is built.
     """
-    if K < 0:
-        raise DomainError("K must be non-negative")
-    if K > MAX_PARITY_K:
-        raise ResourceError(f"K {K} exceeds the cap of {MAX_PARITY_K}")
-    if generation > MAX_GENERATION:
-        raise ResourceError(f"generation {generation} exceeds the cap of {MAX_GENERATION}")
+    K = integer(K, "K", lo=0, cap=MAX_PARITY_K)
+    generation = integer(generation, "generation", lo=0, cap=MAX_GENERATION)
     if 2 * K + 8 > 2 ** (generation + 1) - 1:
         raise DomainError("generation too small for the requested K")
     chk = Check("dihedral.parity-separation", {"K": K, "generation": generation},

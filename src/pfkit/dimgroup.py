@@ -51,15 +51,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .paperfold import pf_prefix, symbol
+from .errors import DomainError, integer
+from .paperfold import MAX_PREFIX_LEN, MAX_SCAN_GENERATION, pf_prefix, symbol
 from .report import Check, CheckReport
 from .words import Word
 
@@ -67,6 +66,7 @@ __all__ = [
     "PAPERFOLD_MATRIX",
     "MAX_MATRIX_POWER",
     "MAX_SAMPLES",
+    "MAX_M_INDEX",
     "mat_pow",
     "closed_form_power",
     "verify_matrix_closed_form",
@@ -130,11 +130,8 @@ def mat_pow(M, n: int):
     entries of the paper-folding matrix power near 2^4094, well inside
     the decimal-printing limit of Python ints; larger exponents raise
     ResourceError."""
-    if n < 0:
-        raise DomainError("matrix power exponent must be non-negative")
-    if n > MAX_MATRIX_POWER:
-        raise ResourceError(f"matrix power {n} exceeds the cap of {MAX_MATRIX_POWER}")
-    M = tuple(tuple(int(x) for x in row) for row in M)
+    n = integer(n, "matrix power", lo=0, cap=MAX_MATRIX_POWER)
+    M = tuple(tuple(integer(x, "matrix entry") for x in row) for row in M)
     result = _IDENTITY
     base = M
     while n:
@@ -148,17 +145,16 @@ def mat_pow(M, n: int):
 def closed_form_power(n: int):
     """The closed form C(n) of the n-th power of the occurrence matrix,
     n >= 2: with e = 2^(n-2) the rows are (e + k, e - k, e, e) for
-    k = 1, 0, 0, -1."""
-    if n < 2:
-        raise DomainError("closed form starts at power 2")
+    k = 1, 0, 0, -1.  n is capped as in mat_pow."""
+    n = integer(n, "matrix power", lo=2, cap=MAX_MATRIX_POWER)
     e = 2 ** (n - 2)
     return tuple((e + k, e - k, e, e) for k in (1, 0, 0, -1))
 
 
 def verify_matrix_closed_form(n_max: int = 20) -> CheckReport:
-    """Exact entrywise equality of iterated powers with the closed form."""
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
+    """Exact entrywise equality of iterated powers with the closed form,
+    for the powers 2 .. n_max + 2, which mat_pow caps."""
+    n_max = integer(n_max, "n_max", lo=0, cap=MAX_MATRIX_POWER - 2)
     chk = Check("dimgroup.matrix-closed-form", {"n_max": n_max},
                 "matrix powers match the closed form with entries 2^n, 2^n +/- 1")
     for n in range(0, n_max + 1):
@@ -223,9 +219,8 @@ def _apply(P, v):
 
 def _image(v, n: int):
     """M^n v for n >= 2, read off S = sum(v) and D = v0 - v1:
-    (eS + D, eS, eS, eS - D) with e = 2^(n-2).  n is capped as in mat_pow."""
-    if n > MAX_MATRIX_POWER:
-        raise ResourceError(f"matrix power {n} exceeds the cap of {MAX_MATRIX_POWER}")
+    (eS + D, eS, eS, eS - D) with e = 2^(n-2).  Its callers cap n as
+    mat_pow does."""
     v0, v1, v2, v3 = v
     eS, D = (1 << (n - 2)) * (v0 + v1 + v2 + v3), v0 - v1
     return eS + D, eS, eS, eS - D
@@ -240,8 +235,7 @@ def _membership_triple(r, d):
 
 
 def _definitional_triple(q, n: int):
-    if n < 1:
-        raise DomainError("lattice index must be at least 1")
+    n = integer(n, "lattice index", lo=1, cap=MAX_MATRIX_POWER)
     v, d = _scaled(q)
     return _membership_triple(_apply(_power(n), v), d)
 
@@ -264,8 +258,7 @@ def in_G_plus(q, n: int) -> bool:
 def alpha(q, n: int) -> "DyadicPair":
     """Quotient map at stage n: q in G_{n+2} goes to (sum(q), q1 - q2)
     inside (1/2^n)Z (+) Z.  Kernel is H_{n+2}."""
-    if n < 0:
-        raise DomainError("stage must be non-negative")
+    n = integer(n, "stage", lo=0, cap=MAX_MATRIX_POWER - 2)
     v, d = _scaled(q)
     r = _image(v, n + 2)
     if not _membership_triple(r, d)[0]:
@@ -278,6 +271,7 @@ def alpha_preimage(s, m: int):
     """A canonical preimage (m, 0, s - m, 0) of the target (s, m); it lies
     in G_{n+2} whenever 2^n * s is an integer, and in (G_{n+2})+ exactly
     when the target satisfies the stage's cone inequality."""
+    m = integer(m, "m")
     s = Fraction(s) if not isinstance(s, DyadicRational) else s.to_fraction()
     return (Fraction(m), Fraction(0), s - m, Fraction(0))
 
@@ -302,15 +296,6 @@ def verify_lattice_image() -> CheckReport:
 # dyadic normal forms
 
 
-def _index(x, what: str) -> int:
-    """``x`` as an int through ``operator.index``, which truncates no
-    float or Fraction; anything else is a DomainError."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, not {type(x).__name__}") from None
-
-
 @dataclass(frozen=True)
 class DyadicRational:
     """num / 2^exp in canonical form: exp == 0 or num odd; zero is (0, 0)."""
@@ -319,9 +304,7 @@ class DyadicRational:
     exp: int
 
     def __post_init__(self):
-        num, exp = _index(self.num, "numerator"), _index(self.exp, "exponent")
-        if exp < 0:
-            raise DomainError("exponent must be non-negative")
+        num, exp = integer(self.num, "numerator"), integer(self.exp, "exponent", lo=0)
         if num == 0:
             exp = 0
         else:
@@ -413,7 +396,7 @@ class DyadicPair:
     def __post_init__(self):
         if not isinstance(self.s, DyadicRational):
             raise DomainError(f"s must be a DyadicRational, not {type(self.s).__name__}")
-        object.__setattr__(self, "m", _index(self.m, "m"))
+        object.__setattr__(self, "m", integer(self.m, "m"))
 
     def __add__(self, other):
         return DyadicPair(self.s + other.s, self.m + other.m)
@@ -497,8 +480,7 @@ def one_plus_sigma_preimage(inv: DyadicInvolution, target: DyadicPair) -> Dyadic
 
 def birkhoff_discrepancy(prefix: Word, n: int) -> int:
     """count of 1s minus count of 0s over slots 0..n of the prefix."""
-    if not 0 <= n < prefix.length:
-        raise DomainError("n out of range for the prefix")
+    n = integer(n, "n", lo=0, hi=prefix.length - 1)
     ones = int(np.count_nonzero(prefix.to_array()[: n + 1]))
     return 2 * ones - (n + 1)
 
@@ -514,20 +496,22 @@ def coboundary_partial_sums(prefix: Word, symbol: int = 1) -> np.ndarray:
     indicator f = [slot 0 reads ``symbol``], evaluated along the prefix.
     These telescope, so they stay bounded by 2*max|f| = 2, in contrast to
     the unbounded discrepancy sums."""
+    symbol = integer(symbol, "symbol", lo=0, hi=prefix.alphabet.size - 1)
     f = (prefix.to_array() == symbol).astype(np.int64)
     if f.size < 2:
         raise DomainError("prefix too short")
     return np.cumsum(f[1:] - f[:-1])
 
 
+# m(n) < 2^(n+1) stays a 62-bit int64 up to this index
+MAX_M_INDEX = 60
+
+
 def m_sequence(n: int) -> int:
     """The checkpoint positions: m(0) = 0 and m(n+1) = 2*m(n) + 2 for odd
     n, 2*m(n) + 1 for even n.  m(n) has the parity of n and is at most
     2^(n+1) - 2."""
-    if n < 0:
-        raise DomainError("index must be non-negative")
-    if n > 60:
-        raise ResourceError("m-sequence index capped at 60 to stay in machine range")
+    n = integer(n, "m-sequence index", lo=0, cap=MAX_M_INDEX)
     m = 0
     for k in range(n):
         m = 2 * m + (2 if k % 2 == 1 else 1)
@@ -553,11 +537,9 @@ def verify_unbounded_discrepancy(N: int = 20) -> CheckReport:
 
     Only the N + 1 checkpoints are read: the ones are counted slice by
     slice between them, so beyond the prefix the check allocates nothing
-    that grows with its length."""
-    if N < 0:
-        raise DomainError("N must be non-negative")
-    if N > 24:
-        raise ResourceError("discrepancy checkpoints capped at N = 24")
+    that grows with its length.  The prefix, m(N) + 1 <= 2^(N+1) - 1
+    symbols, is at most paperfold.MAX_SCAN_GENERATION's."""
+    N = integer(N, "N", lo=0, cap=MAX_SCAN_GENERATION)
     checkpoints = [m_sequence(n) for n in range(N + 1)]
     chk = Check("dimgroup.discrepancy-growth", {"N": N, "prefix_len": checkpoints[-1] + 1},
                 "discrepancy at checkpoint m(n) equals n+1 (unbounded growth)")
@@ -615,9 +597,7 @@ def _coboundary_max_abs(arr: np.ndarray, symbol: int):
     chunk to chunk, and the maximum is taken over all chunks even after a
     mismatch.  Each chunk's differences go straight into one reused int32
     buffer that is summed in place (int8 differences would make
-    ``np.cumsum`` copy them to int32 first)."""
-    if arr.size < 2:
-        raise DomainError("prefix too short")
+    ``np.cumsum`` copy them to int32 first).  Needs arr.size >= 2."""
     f0 = int(arr[0] == symbol)
     running, max_abs, telescopes = 0, 0, True
     f_buf = np.empty(min(arr.size, _COBOUNDARY_CHUNK + 1), dtype=bool)
@@ -651,6 +631,7 @@ def verify_coboundary_bound(prefix_len: int = 2**16) -> CheckReport:
     partial sum has at most prefix_len - 1 terms in {-1, 0, 1}, and
     prefix_len <= MAX_PREFIX_LEN = 2^31 - 1.  A failure reports the largest
     |sum| over the whole prefix."""
+    prefix_len = integer(prefix_len, "prefix length", lo=2, cap=MAX_PREFIX_LEN)
     chk = Check("dimgroup.coboundary-bound", {"prefix_len": prefix_len},
                 "cylinder coboundary partial sums stay bounded by 2")
     arr = pf_prefix(prefix_len).to_array()
@@ -674,14 +655,10 @@ MAX_SAMPLES = 1_000_000
 _BLOCK = 1024
 
 
-def _check_battery(samples: int, seed: int) -> None:
-    if samples < 1:
-        raise DomainError("samples must be at least 1")
-    if samples > MAX_SAMPLES:
-        raise ResourceError(f"samples {samples} exceeds the cap of {MAX_SAMPLES}")
+def _battery(samples: int, seed: int) -> tuple:
+    """The samples and seed of a seeded battery, as plain ints."""
     # random.Random seeds from |seed|, so -1 would draw the values of 1
-    if seed < 0:
-        raise DomainError("seed must be non-negative")
+    return integer(samples, "samples", lo=1, cap=MAX_SAMPLES), integer(seed, "seed", lo=0)
 
 
 def _draws(getrandbits, fields, count):
@@ -797,14 +774,9 @@ def verify_lattice_properties(index_max: int = 12, samples: int = 10_000, seed: 
 
     The total work (index_max - 1) * samples is capped at MAX_SAMPLES, and
     every cap is checked before any matrix power is built."""
-    if index_max < 2:
-        raise DomainError("index_max must be at least 2")
-    if index_max > MAX_MATRIX_POWER - 1:
-        raise ResourceError(f"index_max {index_max} exceeds the cap of {MAX_MATRIX_POWER - 1}")
-    _check_battery(samples, seed)
-    if (index_max - 1) * samples > MAX_SAMPLES:
-        raise ResourceError(
-            f"{index_max - 1} indices x {samples} samples exceeds the cap of {MAX_SAMPLES}")
+    index_max = integer(index_max, "index_max", lo=2, cap=MAX_MATRIX_POWER - 1)
+    samples, seed = _battery(samples, seed)
+    integer((index_max - 1) * samples, "lattice sample pairs", cap=MAX_SAMPLES)
     chk = Check("dimgroup.lattice-properties", {"index_max": index_max, "samples": samples},
                 "lattice membership, nesting, quotient kernel and cone all agree exactly", seed=seed)
     getrandbits = random.Random(seed).getrandbits
@@ -900,7 +872,7 @@ def verify_cone_identity(samples: int = 10_000, seed: int = 42) -> CheckReport:
 
     The pairs are drawn by the rule of _draws, a block of 1024 at a time,
     and checked one at a time."""
-    _check_battery(samples, seed)
+    samples, seed = _battery(samples, seed)
     chk = Check("dimgroup.cone-identity", {"samples": samples},
                 "staged cone union equals {s > 0} plus the origin; unit maps to (1,0)", seed=seed)
     specials = [
@@ -1010,7 +982,7 @@ def verify_involution_algebra(samples: int = 1000, seed: int = 42) -> CheckRepor
 
     The samples are drawn by the rule of _draws, a block of 1024 at a
     time, and checked one at a time."""
-    _check_battery(samples, seed)
+    samples, seed = _battery(samples, seed)
     chk = Check("dimgroup.involution", {"samples": samples},
                 "twist is an exact involution fixing (q, 0); 1+twist maps onto {(., 0)}", seed=seed)
     for inv, p in _twists(random.Random(seed).getrandbits, samples):

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one intake rule for
+integer arguments (:func:`integer`)."""
+
+import operator
 
 
 class PfkitError(Exception):
@@ -27,3 +30,25 @@ class ExtensionError(PfkitError):
             f"no admissible letter within horizon {horizon}; "
             f"stuck at prefix {stuck_prefix!s}"
         )
+
+
+def integer(value, name: str, *, lo=None, hi=None, cap=None) -> int:
+    """``value`` as a plain int: how every public callable takes its
+    integer arguments, before it allocates or loops.
+
+    ``operator.index`` accepts int, bool and numpy integers, and returns a
+    plain int (True is 1, numpy.int64(3) is 3).  It truncates nothing: a
+    float, a Fraction, a str or None is a DomainError that names ``name``
+    and the type.  A value below ``lo`` or above ``hi`` is a DomainError;
+    a value above ``cap``, a resource budget, is a ResourceError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {type(value).__name__}") from None
+    if lo is not None and n < lo:
+        raise DomainError(f"{name} must be non-negative" if lo == 0 else f"{name} must be at least {lo}")
+    if hi is not None and n > hi:
+        raise DomainError(f"{name} must be at most {hi}, not {n}")
+    if cap is not None and n > cap:
+        raise ResourceError(f"{name} {n} exceeds the cap of {cap}")
+    return n

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, integer
 from .report import Check, CheckReport
 from .words import BINARY, MAX_CODE_BITS, FactorIndex, Word, anti_palindrome_codes
 from .words import window_codes  # noqa: F401 - perfbench/spans.py times this name here
@@ -25,6 +25,7 @@ __all__ = [
     "T_REFERENCE",
     "MAX_GENERATION",
     "MAX_PREFIX_LEN",
+    "MAX_SCAN_GENERATION",
     "pf_word",
     "pf_prefix",
     "verify_generation_fidelity",
@@ -52,6 +53,9 @@ T_REFERENCE = (
 
 MAX_GENERATION = 30  # 2^31 - 1 symbols; anything larger is not desk-scale
 MAX_PREFIX_LEN = 2 ** (MAX_GENERATION + 1) - 1
+# the longest generation a scan check reads: 2^25 - 1 symbols
+# (self-similarity, recurrence, dimgroup's discrepancy growth)
+MAX_SCAN_GENERATION = 24
 
 _prefix_cache = np.array([1], dtype=np.uint8)
 _prefix_cache.setflags(write=False)
@@ -106,27 +110,19 @@ def symbol(i: int) -> int:
     the word, unrolled: the odd steps drop the trailing ones of i, and the
     even step reads the bit above them.  The suite's proofs about the
     word evaluate it; it reads no array."""
-    if i < 0:
-        raise DomainError("index must be non-negative")
-    k = i + 1
+    k = integer(i, "index", lo=0) + 1
     return int(k // (k & -k) % 4 == 1)
 
 
 def pf_word(n: int) -> Word:
     """Generation n of the paper-folding word, of length 2^(n+1) - 1."""
-    if n < 0:
-        raise DomainError("generation must be non-negative")
-    if n > MAX_GENERATION:
-        raise ResourceError(f"generation {n} exceeds the cap of {MAX_GENERATION}")
+    n = integer(n, "generation", lo=0, cap=MAX_GENERATION)
     return Word._of(_prefix_array(2 ** (n + 1) - 1), BINARY)
 
 
 def pf_prefix(L: int) -> Word:
     """First L symbols of the infinite paper-folding word."""
-    if L < 0:
-        raise DomainError("prefix length must be non-negative")
-    if L > MAX_PREFIX_LEN:
-        raise ResourceError(f"prefix length {L} exceeds the resource budget")
+    L = integer(L, "prefix length", lo=0, cap=MAX_PREFIX_LEN)
     return Word._of(_prefix_array(L), BINARY)
 
 
@@ -147,11 +143,10 @@ def verify_generation_fidelity() -> CheckReport:
 def verify_self_similarity(p: int, n: int) -> CheckReport:
     """Check the interleaving identity: generation p+n+1 equals the blocks
     t(p), anti(t(p)) alternating, separated by the successive letters of
-    t(n).  Reports the first mismatch position on failure."""
-    if p < 0 or n < 0:
-        raise DomainError("p and n must be non-negative")
-    if p + n + 1 > 24:
-        raise ResourceError("p + n + 1 must stay within the budget of 24")
+    t(n).  Reports the first mismatch position on failure.  Generation
+    p+n+1 is capped at MAX_SCAN_GENERATION."""
+    p, n = integer(p, "p", lo=0), integer(n, "n", lo=0)
+    integer(p + n + 1, "self-similarity generation", cap=MAX_SCAN_GENERATION)
     chk = Check("paperfold.self-similarity", {"p": p, "n": n},
                 "block interleaving identity for generation p+n+1")
     block = _prefix_array(2 ** (p + 1) - 1)
@@ -215,13 +210,11 @@ def antipalindrome_census(generation: int, max_len: int) -> CensusResult:
     Counts and saturation (against generation - 1) come from the
     generation's factor index (generation_index), which closure and
     freeness over the same generation read too."""
-    if max_len % 2 != 0 or max_len < 2:
-        raise DomainError("max_len must be even and at least 2")
-    if max_len > MAX_CODE_BITS:
-        raise DomainError(f"max_len {max_len} exceeds the coding limit of {MAX_CODE_BITS}")
-    if generation > MAX_GENERATION:
-        raise ResourceError(f"generation {generation} exceeds the cap of {MAX_GENERATION}")
-    if generation < 1 or 2 ** (generation + 1) - 1 < 3 * max_len:
+    generation = integer(generation, "generation", lo=1, cap=MAX_GENERATION)
+    max_len = integer(max_len, "max_len", lo=2, hi=MAX_CODE_BITS)
+    if max_len % 2 != 0:
+        raise DomainError("max_len must be even")
+    if 2 ** (generation + 1) - 1 < 3 * max_len:
         raise DomainError(
             f"generation {generation} too small to census lengths up to {max_len}"
         )
@@ -244,10 +237,7 @@ def generation_index(generation: int) -> FactorIndex:
     another source (a patched _prefix_array) gets an index of its own,
     which is not kept.  Two threads may build one generation's index
     twice; neither is served for another array."""
-    if generation < 1:
-        raise DomainError("need generation >= 1")
-    if generation > MAX_GENERATION:
-        raise ResourceError(f"generation {generation} exceeds the cap of {MAX_GENERATION}")
+    generation = integer(generation, "generation", lo=1, cap=MAX_GENERATION)
     memo = _generation_indexes  # read before the cache: growth replaces both, cache first
     arr = _prefix_array(2 ** (generation + 1) - 1)
     kept, index = memo.get(generation, (None, None))
@@ -278,8 +268,7 @@ def language_generation(n: int) -> int:
     budget), and t(2), which paperfold.generation-fidelity checks.
 
     Premises: paperfold.generation-fidelity, paperfold.self-similarity."""
-    if n < 1:
-        raise DomainError("factor length must be positive")
+    n = integer(n, "factor length", lo=1)
     return max(1, (n - 1).bit_length()) + 3
 
 
@@ -379,14 +368,13 @@ def verify_recurrence(p: int, test_generation: int) -> CheckReport:
     array of positions is built.  The scan runs over blocks of 2^20 window
     starts in order: the windows that start in [a, b) lie in
     text[a : b + W - 1], and the first block with an uncovered window
-    gives the first such window of the whole prefix.
+    gives the first such window of the whole prefix.  The test generation
+    is capped at MAX_SCAN_GENERATION.
     """
-    if p < 0:
-        raise DomainError("p must be non-negative")
+    p = integer(p, "p", lo=0)
+    test_generation = integer(test_generation, "test generation", cap=MAX_SCAN_GENERATION)
     if test_generation < p + 4:
         raise DomainError("test generation must be at least p + 4")
-    if test_generation > 24:
-        raise ResourceError("test generation exceeds the budget of 24")
     W = 3 * 2 ** (p + 1)
     chk = Check("paperfold.recurrence", {"p": p, "test_generation": test_generation, "window": W},
                 "every window of length 3*2^(p+1) contains generation p")
@@ -470,12 +458,11 @@ def check_aperiodic(prefix_len: int, max_period: int, preperiod: int) -> CheckRe
     A period exits early on the first mismatch within 256 symbols of
     ``preperiod``; only a period that survives that block is scanned over
     the whole prefix."""
-    if max_period < 1 or preperiod < 0:
-        raise DomainError("max_period must be >= 1 and preperiod >= 0")
+    prefix_len = integer(prefix_len, "prefix length", cap=MAX_PREFIX_LEN)
+    max_period = integer(max_period, "max_period", lo=1)
+    preperiod = integer(preperiod, "preperiod", lo=0)
     if prefix_len < preperiod + 2 * max_period:
         raise DomainError("prefix too short: need prefix_len >= preperiod + 2*max_period")
-    if prefix_len > MAX_PREFIX_LEN:
-        raise ResourceError(f"prefix length {prefix_len} exceeds the resource budget")
     chk = Check("paperfold.aperiodicity",
                 {"prefix_len": prefix_len, "max_period": max_period, "preperiod": preperiod},
                 f"no period <= {max_period} detected after any cut <= {preperiod}")

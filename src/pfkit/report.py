@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
+from .errors import DomainError
+
 __all__ = ["Check", "CheckReport", "emit_report", "jsonable"]
 
 _STATUSES = ("pass", "fail", "inconclusive", "error")
@@ -57,8 +59,8 @@ class CheckReport:
         return {
             "check": self.check,
             "status": self.status,
-            "params": jsonable(self.params),
-            "witness": jsonable(self.witness),
+            "params": jsonable(self.params, "params"),
+            "witness": jsonable(self.witness, "witness"),
             "elapsed_ms": self.elapsed_ms,
             "seed": self.seed,
             "certifies": self.certifies,
@@ -102,25 +104,29 @@ class Check:
         return self.report("fail", witness)
 
 
-def jsonable(value):
+def jsonable(value, where: str = "value"):
     """Recursively convert witness/params values to JSON-safe data.
 
     Words render as their text form, Fractions as "a/b", objects with a
-    to_json hook via that hook, tuples as lists.
+    to_json hook via what that hook returns, tuples as lists.  Every
+    certificate is exact, so a float is refused: DomainError names where
+    it sits, starting from ``where``.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if value is None or isinstance(value, (bool, int, str)):
         return value
+    if isinstance(value, float):
+        raise DomainError(f"{where} is the float {value!r}; a report holds exact values only")
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if hasattr(value, "to_json"):
-        return value.to_json()
+        return jsonable(value.to_json(), where)
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v, f"{where}[{str(k)!r}]") for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = list(value)
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=str)
-        return [jsonable(v) for v in items]
+        return [jsonable(v, f"{where}[{i}]") for i, v in enumerate(items)]
     return str(value)
 
 

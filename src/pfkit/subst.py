@@ -28,10 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, integer
 from .paperfold import MAX_PREFIX_LEN, pf_prefix
 from .report import Check, CheckReport
-from .words import QUATERNARY, Word, _frozen, same_symbols
+from .words import QUATERNARY, Word, _as_symbol, _frozen, same_symbols
 
 __all__ = [
     "Substitution",
@@ -54,12 +54,16 @@ __all__ = [
 
 
 # the bounds that make is_primitive and is_left_proper exhaustive on 4
-# letters.  A primitive 4x4 non-negative matrix has a positive power at
-# most (4 - 1)^2 + 1 (Wielandt).  The images of the powers of the head map
-# shrink until they stop, so the head map becomes constant within 4 - 1
-# steps if it ever does
+# letters, so neither searches past them.  A primitive 4x4 non-negative
+# matrix has a positive power at most (4 - 1)^2 + 1 (Wielandt).  The images
+# of the powers of the head map shrink until they stop, so the head map
+# becomes constant within 4 - 1 steps if it ever does
 PRIMITIVITY_BOUND = (4 - 1) ** 2 + 1
 LEFT_PROPER_BOUND = 4 - 1
+# within 4 - 1 steps a map of 4 letters takes every letter onto a cycle of
+# length 1, 2, 3 or 4, so from there on its powers repeat with period 12,
+# their lcm
+_HEAD_PERIOD = 12
 
 # pads the rows of a non-uniform rule table; letters are below 4
 _PAD = 255
@@ -69,20 +73,14 @@ _ROW = 8
 
 
 class Substitution:
-    """A letter -> word rule table over the quaternary alphabet."""
+    """A letter -> word rule table over the quaternary alphabet.  Its
+    letters are integers; from_json reads them from one-digit keys."""
 
     def __init__(self, rules: dict):
         self.alphabet = QUATERNARY
         table = {}
         for letter, image in rules.items():
-            try:
-                a = int(letter)
-            except (TypeError, ValueError):
-                raise DomainError(f"rule letter {letter!r} is not an integer") from None
-            if not 0 <= a < self.alphabet.size:
-                raise DomainError(f"rule letter {letter!r} outside the alphabet")
-            if a in table:
-                raise DomainError(f"rule letter {letter!r} names letter {a} a second time")
+            a = integer(letter, "rule letter", lo=0, hi=self.alphabet.size - 1)
             w = image if isinstance(image, Word) else Word(str(image), self.alphabet)
             if w.alphabet != self.alphabet:
                 raise DomainError("rule image over the wrong alphabet")
@@ -128,14 +126,14 @@ class Substitution:
     def from_json(cls, text: str | bytes) -> "Substitution":
         try:
             data = json.loads(text)
-            alphabet, rules = int(data.get("alphabet", 4)), data["rules"]
+            alphabet, rules = data.get("alphabet", 4), data["rules"]
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise DomainError(f"malformed substitution JSON: {type(exc).__name__}: {exc}") from None
-        if alphabet != 4:
+        if integer(alphabet, "alphabet") != 4:
             raise DomainError("only the quaternary alphabet is supported")
         if not isinstance(rules, dict):
             raise DomainError('"rules" must map letters to images')
-        return cls(rules)
+        return cls({_as_symbol(key, QUATERNARY): image for key, image in rules.items()})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -235,13 +233,13 @@ def _letter_sets(s: Substitution) -> dict:
 
 def is_primitive(s: Substitution, n_max: int) -> int | None:
     """Least n <= n_max such that the n-th image of every letter contains
-    every letter; None if there is no such n."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    every letter; None if there is no such n.  No n past
+    PRIMITIVITY_BOUND is tried: none is the least."""
+    n_max = integer(n_max, "n_max", lo=1)
     step = _letter_sets(s)
     full = set(range(s.alphabet.size))
     reach = {a: {a} for a in full}
-    for n in range(1, n_max + 1):
+    for n in range(1, min(n_max, PRIMITIVITY_BOUND) + 1):
         reach = {a: set().union(*(step[b] for b in letters)) for a, letters in reach.items()}
         if all(letters == full for letters in reach.values()):
             return n
@@ -249,9 +247,11 @@ def is_primitive(s: Substitution, n_max: int) -> int | None:
 
 
 def first_letters(s: Substitution, p: int) -> tuple:
-    """First letter of the p-th image of each letter, indexed by letter."""
-    if p < 1:
-        raise DomainError("p must be at least 1")
+    """First letter of the p-th image of each letter, indexed by letter.
+    p past LEFT_PROPER_BOUND is reduced by the head map's period."""
+    p = integer(p, "p", lo=1)
+    if p > LEFT_PROPER_BOUND:
+        p = LEFT_PROPER_BOUND + (p - LEFT_PROPER_BOUND) % _HEAD_PERIOD
     head = {a: w[0] for a, w in s.rules.items()}
     out = []
     for a in range(s.alphabet.size):
@@ -263,10 +263,10 @@ def first_letters(s: Substitution, p: int) -> tuple:
 
 
 def is_left_proper(s: Substitution, p_max: int) -> int | None:
-    """Least p <= p_max such that all p-th images share one first letter."""
-    if p_max < 1:
-        raise DomainError("p_max must be at least 1")
-    for p in range(1, p_max + 1):
+    """Least p <= p_max such that all p-th images share one first letter.
+    No p past LEFT_PROPER_BOUND is tried: none is the least."""
+    p_max = integer(p_max, "p_max", lo=1)
+    for p in range(1, min(p_max, LEFT_PROPER_BOUND) + 1):
         if len(set(first_letters(s, p))) == 1:
             return p
     return None
@@ -332,10 +332,7 @@ def fixed_prefix(s: Substitution, L: int) -> Word:
     capped at paperfold.MAX_PREFIX_LEN (2^31 - 1), the budget of
     paperfold.pf_prefix; larger requests raise ResourceError.
     """
-    if L < 0:
-        raise DomainError("prefix length must be non-negative")
-    if L > MAX_PREFIX_LEN:
-        raise ResourceError(f"prefix length {L} exceeds the resource budget")
+    L = integer(L, "prefix length", lo=0, cap=MAX_PREFIX_LEN)
     p = is_left_proper(s, LEFT_PROPER_BOUND)
     if p is None or is_primitive(s, PRIMITIVITY_BOUND) is None:
         raise DomainError("substitution must be left-proper and primitive")
@@ -384,8 +381,7 @@ def block_code(x: Word, offset: int = 0) -> Word:
     """
     if x.alphabet.size != 2:
         raise DomainError("block code takes a binary word")
-    if offset not in (0, 1):
-        raise DomainError("offset must be 0 or 1")
+    offset = integer(offset, "offset", lo=0, hi=1)
     if (x.length - offset) % 2 != 0:
         raise DomainError("block code needs an even number of symbols to pair")
     return Word._of(_pair_codes(x.to_array()[offset:]), QUATERNARY)
@@ -394,9 +390,9 @@ def block_code(x: Word, offset: int = 0) -> Word:
 def verify_recoding(L: int) -> CheckReport:
     """Check that recoding the binary prefix of length 2L by two-letter
     blocks reproduces the first L symbols of the substitution's fixed
-    point."""
-    if L < 1:
-        raise DomainError("L must be positive")
+    point.  It reads 2L binary symbols, so L is capped at
+    paperfold.MAX_PREFIX_LEN // 2."""
+    L = integer(L, "L", lo=1, cap=MAX_PREFIX_LEN // 2)
     chk = Check("subst.recoding", {"L": L},
                 "two-block recoding of the binary word is the substitution fixed point")
     recoded = block_code(pf_prefix(2 * L))
@@ -464,8 +460,9 @@ def verify_intertwining(L: int) -> CheckReport:
     symbols that hold pairs a .. a + 2^16, for a = 0, 2^16, 2^17, ...; so
     the pair codes are two arrays of 2^16 letters, not of L / 2, and the
     scan stops at the first block that differs."""
-    if L % 2 != 0 or L < 4:
-        raise DomainError("L must be even and at least 4")
+    L = integer(L, "L", lo=4, cap=MAX_PREFIX_LEN)
+    if L % 2 != 0:
+        raise DomainError("L must be even")
     chk = Check("subst.intertwining", {"L": L},
                 "block code intertwines the squared binary shift with the quaternary shift")
     arr = pf_prefix(L).to_array()

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 __all__ = [
     "Alphabet",
@@ -71,8 +71,10 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if self.size not in (2, 4):
-            raise DomainError(f"alphabet size must be 2 or 4, got {self.size}")
+        size = integer(self.size, "alphabet size")
+        if size not in (2, 4):
+            raise DomainError(f"alphabet size must be 2 or 4, got {size}")
+        object.__setattr__(self, "size", size)
 
     @property
     def bits(self) -> int:
@@ -84,9 +86,7 @@ QUATERNARY = Alphabet(4)
 
 
 def _as_alphabet(a) -> Alphabet:
-    if isinstance(a, Alphabet):
-        return a
-    return Alphabet(int(a))
+    return a if isinstance(a, Alphabet) else Alphabet(a)
 
 
 def _pack(arr: np.ndarray, bits: int) -> memoryview:
@@ -198,6 +198,7 @@ class Word:
         """The word of ``length`` symbols packed in ``payload``; padding
         bits past the last symbol are ignored."""
         alphabet = _as_alphabet(alphabet)
+        length = integer(length, "length", lo=0)
         need = (length * alphabet.bits + 7) // 8
         if len(payload) != need:
             raise DomainError(
@@ -256,6 +257,7 @@ def concat(a: Word, b: Word) -> Word:
 def segment(w: Word, k: int, l: int) -> Word:
     """The inclusive segment w[k..l], 0-indexed; bounds must satisfy
     0 <= k <= l < len(w)."""
+    k, l = integer(k, "k"), integer(l, "l")
     if not (0 <= k <= l < w.length):
         raise DomainError(
             f"segment bounds [{k},{l}] out of range for word of length {w.length}"
@@ -264,14 +266,11 @@ def segment(w: Word, k: int, l: int) -> Word:
 
 
 def _as_symbol(a, alphabet: Alphabet) -> int:
-    if isinstance(a, str):
-        if len(a) != 1 or not a.isdigit():
-            raise DomainError(f"bad symbol {a!r}")
-        a = int(a)
-    a = int(a)
-    if not 0 <= a < alphabet.size:
-        raise DomainError(f"symbol {a} invalid for alphabet of size {alphabet.size}")
-    return a
+    """A symbol of ``alphabet`` given as an integer, or as one digit of
+    text, the only str that is a symbol."""
+    if isinstance(a, str) and len(a) == 1 and "0" <= a <= "9":
+        a = ord(a) - ord("0")
+    return integer(a, "symbol", lo=0, hi=alphabet.size - 1)
 
 
 def count(w: Word, a) -> int:
@@ -307,13 +306,14 @@ def window_codes(arr: np.ndarray, n: int, bits: int = 1) -> np.ndarray:
     """Integer codes of all length-n windows of a symbol array.
 
     Position j of a window contributes ``symbol << (bits*j)``, so the first
-    symbol sits in the least significant bits.  Requires n*bits <= 62.
-    The codes are uint8 when n*bits <= 8 and int64 otherwise.  They are
-    built in place by Horner's rule, last symbol first, so no slice of
-    ``arr`` is copied to the code type.
+    symbol sits in the least significant bits.  Requires bits in {1, 2}
+    and 1 <= n <= MAX_CODE_BITS // bits.  The codes are uint8 when
+    n*bits <= 8 and int64 otherwise.  They are built in place by Horner's
+    rule, last symbol first, so no slice of ``arr`` is copied to the code
+    type.
     """
-    if n * bits > MAX_CODE_BITS:
-        raise DomainError(f"window length {n} too large for integer coding")
+    bits = integer(bits, "bits", lo=1, hi=2)
+    n = integer(n, "window length", lo=1, hi=MAX_CODE_BITS // bits)
     dtype = np.uint8 if n * bits <= 8 else np.int64
     m = arr.size - n + 1
     if m <= 0:
@@ -377,8 +377,8 @@ class FactorIndex:
 
     def __init__(self, arr: np.ndarray, bits: int, ref_len: int | None = None):
         self._arr = arr
-        self._bits = bits
-        self._ref_len = arr.size if ref_len is None else ref_len
+        self._bits = bits = integer(bits, "bits", lo=1, hi=2)
+        self._ref_len = arr.size if ref_len is None else integer(ref_len, "ref_len", lo=0, hi=arr.size)
         self._longest = MAX_CODE_BITS // bits
         self._width = 0  # W, the width built so far
         self._every = self._ref = None  # distinct length-W window codes
@@ -479,8 +479,7 @@ def anti_reverse_codes(codes, n: int) -> np.ndarray:
     1 <= n <= MAX_CODE_BITS, as an int64 array: the code's n bits reversed
     a byte at a time through a table, then complemented.  The reversal
     runs in uint64, since an int64 right shift would carry the sign."""
-    if not 1 <= n <= MAX_CODE_BITS:
-        raise DomainError(f"window length {n} outside 1..{MAX_CODE_BITS}")
+    n = integer(n, "window length", lo=1, hi=MAX_CODE_BITS)
     codes = np.asarray(codes).astype(np.uint64)
     width = -(-n // 8)  # bytes holding the n bits
     # Horner's rule over the bytes, lowest first: its reversal ends highest
@@ -495,6 +494,7 @@ def anti_reverse_codes(codes, n: int) -> np.ndarray:
 
 def anti_palindrome_codes(codes, n: int) -> list:
     """The anti-palindromes among length-n binary window codes, ascending."""
+    n = integer(n, "window length", lo=1, hi=MAX_CODE_BITS)
     codes = np.fromiter(codes, dtype=np.int64, count=len(codes))
     return sorted(codes[codes == anti_reverse_codes(codes, n)].tolist())
 
@@ -511,8 +511,7 @@ def factor_set(w: Word, n: int) -> set:
     Empty set when n > len(w); n == 0 is rejected (the empty factor
     carries no information).
     """
-    if n <= 0:
-        raise DomainError("factor length must be positive")
+    n = integer(n, "factor length", lo=1)
     if n > w.length:
         return set()
     bits = w.alphabet.bits

@@ -52,3 +52,32 @@ def battery_by_block_size(budget):
             rep = paperfold.verify_self_similarity(p, max(n, 0))
             return dataclasses.replace(rep, elapsed_ms=chk.ms)
     return chk.passed()
+
+
+def primitive_index(s, n_max):
+    """is_primitive's search as a plain loop to n_max: the least n whose
+    n-th image of every letter holds every letter, or None."""
+    step = {a: set(w.to_array().tolist()) for a, w in s.rules.items()}
+    reach = {a: {a} for a in step}
+    for n in range(1, n_max + 1):
+        reach = {a: set().union(*(step[b] for b in letters)) for a, letters in reach.items()}
+        if all(letters == set(step) for letters in reach.values()):
+            return n
+    return None
+
+
+def head_power(s, p):
+    """The first letters of the p-th images, by applying the head map p
+    times."""
+    head = {a: w[0] for a, w in s.rules.items()}
+    out = []
+    for a in sorted(head):
+        for _ in range(p):
+            a = head[a]
+        out.append(a)
+    return tuple(out)
+
+
+def left_proper_index(s, p_max):
+    """is_left_proper's search as a plain loop to p_max."""
+    return next((p for p in range(1, p_max + 1) if len(set(head_power(s, p))) == 1), None)

@@ -103,6 +103,21 @@ def test_emit_report_empty_and_markdown():
         emit_report([rep], "yaml")
 
 
+def test_a_float_never_reaches_a_report(monkeypatch):
+    # a certificate is exact: the report refuses a float and names where
+    # it sits, and the command line turns that into one JSON error line
+    rep = CheckReport(check="demo", status="fail", params={"n": 3}, witness={"ratio": [1, 0.5]})
+    message = "witness['ratio'][1] is the float 0.5; a report holds exact values only"
+    with pytest.raises(DomainError) as exc:
+        rep.to_dict()
+    assert str(exc.value) == message
+    with pytest.raises(DomainError, match=r"^params\['x'\] is the float 1.0"):
+        CheckReport(check="demo", status="pass", params={"x": 1.0}).to_dict()
+    monkeypatch.setattr(paperfold, "verify_self_similarity", lambda p, n: rep)
+    assert _run_cli(["paperfold", "verify", "self-similarity", "--p", "0", "--n", "1"]) == (
+        2, "", json.dumps({"error": f"DomainError: {message}"}) + "\n")
+
+
 def test_registry_shape():
     names = [name for name, _ in REGISTRY]
     assert len(names) == len(set(names))
@@ -894,6 +909,39 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_caps_table_matches_the_constants():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)\.(MAX_\w+)` \| (\d+) \|", text, re.M)
+    table = {(mod, name): int(value) for mod, name, value in rows}
+    constants = {(mod.__name__.rsplit(".", 1)[1], name): getattr(mod, name)
+                 for mod in (words, paperfold, dihedral, subst, dimgroup)
+                 for name in mod.__all__ if name.startswith("MAX_")}
+    assert len(rows) == len(table) and table == constants
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls():
+    assert cli.build_parser() is cli.build_parser()
+    vectors = (["paperfold", "verify", "recurrence", "--p", "1.5", "--generation", "6"],
+               ["paperfold", "verify", "recurrence", "--p", "1"],
+               ["paperfold", "verify", "recurrence", "--p", "1", "--generation", "6"],
+               ["report", "--profile", "nope"],
+               ["dimgroup", "verify", "--samples", "3", "--seed", "x"],
+               ["dimgroup", "verify", "--samples", "3"])
+
+    def run_all_vectors():
+        results = []
+        for argv in vectors:
+            code, out, err = _run_cli(argv)
+            results.append((code, strip_elapsed(json.loads(out)) if out else out, err))
+        return results
+
+    cached = run_all_vectors()
+    with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+        fresh = run_all_vectors()
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 2, 0, 2, 2, 0]
 
 
 def test_report_command_writes_file(tmp_path, capsys):

@@ -28,7 +28,7 @@ from pfkit.subst import (
 )
 from pfkit.words import QUATERNARY, Word
 
-from oracles import pair_codes_by_position
+from oracles import head_power, left_proper_index, pair_codes_by_position, primitive_index
 
 RHO = PAPERFOLD_SUBSTITUTION
 
@@ -211,8 +211,38 @@ def test_left_proper_index():
 def test_search_bounds_are_exhaustive(images):
     # a longer search finds no index that the named bounds miss
     s = Substitution({a: "".join(map(str, image)) for a, image in enumerate(images)})
-    assert is_primitive(s, subst.PRIMITIVITY_BOUND) == is_primitive(s, 64)
-    assert is_left_proper(s, subst.LEFT_PROPER_BOUND) == is_left_proper(s, 64)
+    assert is_primitive(s, subst.PRIMITIVITY_BOUND) == primitive_index(s, 64)
+    assert is_left_proper(s, subst.LEFT_PROPER_BOUND) == left_proper_index(s, 64)
+
+
+def _head_power_by_squaring(s, p):
+    """head^p by repeated squaring of the head map, p of any size."""
+    head, power = [s.rules[a][0] for a in range(4)], list(range(4))
+    while p:
+        if p & 1:
+            power = [head[c] for c in power]
+        head, p = [head[c] for c in head], p >> 1
+    return tuple(power)
+
+
+def test_searches_stop_at_their_exhaustive_bounds():
+    # on the identity the plain loops ran to their argument: is_primitive
+    # took 5.1 s at 10**6 and is_left_proper grew quadratically
+    tables = [RHO, Substitution({a: str(a) * 2 for a in range(4)}),
+              Substitution({0: "1", 1: "2", 2: "0", 3: "30"}), Substitution({0: "1", 1: "0", 2: "3", 3: "2"})]
+    big = 10**12
+    for s in tables:
+        assert is_primitive(s, big) == primitive_index(s, subst.PRIMITIVITY_BOUND)
+        assert is_left_proper(s, big) == left_proper_index(s, subst.LEFT_PROPER_BOUND)
+        for p in (big, big + 1, big + 5):
+            assert first_letters(s, p) == _head_power_by_squaring(s, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=4, max_size=4), st.integers(1, 40))
+def test_first_letters_match_the_plain_loop(heads, p):
+    s = Substitution({a: f"{c}{a}" for a, c in enumerate(heads)})
+    assert first_letters(s, p) == head_power(s, p)
 
 
 def test_abelianization():
@@ -468,7 +498,11 @@ def test_substitution_validation():
         Substitution({0: "20", 1: "21", 2: "30", 3: ""})  # empty image
     with pytest.raises(DomainError):
         Substitution({0: "20", 1: "21", 2: "30", 5: "31"})  # bad letter
-    for twice in ({"0": "20", "00": "21", "1": "21", "2": "30", "3": "31"},
-                  {0: "20", "0": "21", 1: "21", 2: "30", 3: "31"}):
-        with pytest.raises(DomainError, match="second time"):
-            Substitution(twice)  # one letter named twice
+    # a letter is an integer; only from_json reads letters from text, one
+    # digit each, so no letter can be named twice
+    for text_keys in ({"0": "20", "1": "21", "2": "30", "3": "31"},
+                      {0: "20", "0": "21", 1: "21", 2: "30", 3: "31"}):
+        with pytest.raises(DomainError, match="rule letter must be an integer, not str"):
+            Substitution(text_keys)
+    with pytest.raises(DomainError):
+        Substitution.from_json('{"rules": {"0": "20", "00": "21", "1": "21", "2": "30", "3": "31"}}')
