@@ -39,7 +39,7 @@ import sys
 from . import dihedral, dimgroup, paperfold, subst
 from .errors import DomainError, ExtensionError, PfkitError, ResourceError, integer
 from .report import Check, CheckReport, emit_report
-from .words import Word, to_pfw_bytes, write_pfw
+from .words import Word, to_pfw_bytes
 
 DEFAULT_SEED = 42
 
@@ -229,31 +229,30 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _emit(result, args) -> None:
+def _emit(result, args) -> int:
+    """Write a command's result to --out, or else to stdout, and return
+    its exit code.  A report or a list of reports is written as JSON (a
+    list by --format, when the command has one); raw symbols, text or PFW
+    bytes, are written as they are and exit 0."""
+    code = 0
     if isinstance(result, CheckReport):
-        text = json.dumps(result.to_dict(), indent=2)
+        result, code = json.dumps(result.to_dict(), indent=2), exit_code([result])
+    elif isinstance(result, list):
+        result, code = emit_report(result, getattr(args, "format", "json")), exit_code(result)
+    if isinstance(result, str):
+        result += "\n"
+    binary = isinstance(result, bytes)
+    if getattr(args, "out", None):
+        with open(args.out, "wb" if binary else "w") as fh:
+            fh.write(result)
     else:
-        text = emit_report(result, getattr(args, "format", "json"))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        (sys.stdout.buffer if binary else sys.stdout).write(result)
+    return code
 
 
-def _cmd_gen(args) -> None:
+def _cmd_gen(args) -> str | bytes:
     word = paperfold.pf_word(args.n)
-    if args.format == "pfw":
-        if not args.out:
-            sys.stdout.buffer.write(to_pfw_bytes(word))
-        else:
-            write_pfw(word, args.out)
-    else:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(str(word) + "\n")
-        else:
-            print(word)
+    return to_pfw_bytes(word) if args.format == "pfw" else str(word)
 
 
 def _cmd_extend(args) -> CheckReport:
@@ -269,10 +268,9 @@ def _cmd_extend(args) -> CheckReport:
     oracle = dihedral.LanguageOracle.from_generation(args.generation, max_len)
     try:
         extended = dihedral.left_extend(oracle, seed_word, args.steps, args.horizon)
-        report = chk.passed({"word": str(extended)})
+        return chk.passed({"word": str(extended)})
     except ExtensionError as exc:
-        report = chk.report("error", {"stuck_prefix": str(exc.stuck_prefix), "horizon": exc.horizon})
-    return report
+        return chk.report("error", {"stuck_prefix": str(exc.stuck_prefix), "horizon": exc.horizon})
 
 
 def _load_substitution(path):
@@ -295,128 +293,105 @@ def _cmd_subst_info(args) -> CheckReport:
     return chk.passed(info)
 
 
-def _cmd_subst_fixed_prefix(args) -> None:
-    print(subst.fixed_prefix(_load_substitution(args.rules), args.len))
-
-
-def _cmd_dim_verify(args) -> list:
-    return [
-        dimgroup.verify_lattice_properties(args.index_max, args.samples, args.seed),
-        dimgroup.verify_cone_identity(args.samples, args.seed),
-        dimgroup.verify_involution_algebra(min(args.samples, 1000), args.seed),
-    ]
-
-
 def _cmd_dim_matpow(args) -> CheckReport:
     chk = Check("dimgroup.matpow", {"n": args.n}, "exact matrix power")
     power = dimgroup.mat_pow(dimgroup.PAPERFOLD_MATRIX, args.n)
     return chk.passed({"matrix": [list(row) for row in power]})
 
 
+# the command groups: words -> (help, or None for none; the dest its
+# subcommand parses into)
+_GROUPS = {
+    "": (None, "command"),
+    "paperfold": ("generation and word-level checks", "subcommand"),
+    "paperfold verify": ("word-level verifications", "verification"),
+    "dihedral": ("dihedral-action certificates", "subcommand"),
+    "subst": ("substitution facts and recoding", "subcommand"),
+    "subst verify": (None, "verification"),
+    "dimgroup": ("exact dimension-group arithmetic", "subcommand"),
+}
+
+_INT = dict(type=int, required=True)
+
+# the commands, in the order --help lists them: words, help (or None for
+# none), whether --out is taken, the flags (name -> argparse keywords) and the
+# handler, which returns a report, a list of reports, or raw symbols as
+# text or bytes; every dest is the one argparse derives from the flag
+COMMANDS = (
+    ("paperfold gen", "emit a generation", True,
+     {"--n": dict(type=int, default=20), "--format": dict(choices=("text", "pfw"), default="text")},
+     _cmd_gen),
+    ("paperfold census", "anti-palindrome census", True, {"--generation": _INT, "--max-len": _INT},
+     lambda a: _check_census(a.generation, a.max_len)),
+    ("paperfold verify self-similarity", None, True, {"--p": _INT, "--n": _INT},
+     lambda a: paperfold.verify_self_similarity(a.p, a.n)),
+    ("paperfold verify recurrence", None, True, {"--p": _INT, "--generation": _INT},
+     lambda a: paperfold.verify_recurrence(a.p, a.generation)),
+    ("paperfold verify aperiodic", None, True,
+     {"--max-period": _INT, "--preperiod": _INT, "--prefix-len": _INT},
+     lambda a: paperfold.check_aperiodic(a.prefix_len, a.max_period, a.preperiod)),
+    ("dihedral freeness", None, True, {"--generation": _INT}, lambda a: _check_freeness(a.generation)),
+    ("dihedral parity", None, True, {"--k": _INT, "--generation": _INT},
+     lambda a: dihedral.parity_class_separation(a.k, a.generation)),
+    ("dihedral extend", None, True,
+     {"--seed": dict(required=True, help="seed word (binary text)"), "--steps": _INT,
+      "--horizon": _INT, "--generation": dict(type=int, default=16)},
+     _cmd_extend),
+    ("subst info", None, True, {"--rules": dict(help="substitution JSON file")}, _cmd_subst_info),
+    # no --out: the symbols go to stdout
+    ("subst fixed-prefix", None, False, {"--len": _INT, "--rules": {}},
+     lambda a: str(subst.fixed_prefix(_load_substitution(a.rules), a.len))),
+    ("subst verify recode", None, True, {"--len": _INT}, lambda a: subst.verify_recoding(a.len)),
+    ("subst verify intertwine", None, True, {"--len": _INT}, lambda a: subst.verify_intertwining(a.len)),
+    ("dimgroup verify", None, True,
+     {"--index-max": dict(type=int, default=12), "--samples": dict(type=int, default=10_000),
+      "--seed": dict(type=int, default=DEFAULT_SEED)},
+     lambda a: [dimgroup.verify_lattice_properties(a.index_max, a.samples, a.seed),
+                dimgroup.verify_cone_identity(a.samples, a.seed),
+                dimgroup.verify_involution_algebra(min(a.samples, 1000), a.seed)]),
+    ("dimgroup matpow", None, True, {"--n": _INT}, _cmd_dim_matpow),
+    ("dimgroup discrepancy", None, True, {"--n-max": dict(type=int, default=20)},
+     lambda a: dimgroup.verify_unbounded_discrepancy(a.n_max)),
+    ("report", "run the whole verification suite", True,
+     {"--profile": dict(choices=tuple(PROFILES), default="quick"),
+      "--format": dict(choices=("json", "markdown"), default="json"),
+      "--seed": dict(type=int, default=DEFAULT_SEED)},
+     lambda a: run_all(a.profile, a.seed)),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The pfkit parser, built once per process: parsing keeps no state
-    in it, a rejected argument vector included.  Each leaf's ``func``
-    returns its report or list of reports, or None when it wrote its own
-    output (raw symbols); the ``_cmd_*`` functions it names are bound at
-    the first build, so patching one afterwards does not reach it."""
-    parser = _Parser(prog="pfkit", description=_DESCRIPTION)
+    """The pfkit parser, built once per process from COMMANDS and _GROUPS:
+    parsing keeps no state in it, a rejected argument vector included.
+    Each command's handler is bound at the first build, so patching a
+    ``_cmd_*`` function afterwards does not reach it."""
     out = _Parser(add_help=False)
     out.add_argument("--out", help="write the output to this file instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+    root, groups = _Parser(prog="pfkit", description=_DESCRIPTION), {}
 
-    pf = sub.add_parser("paperfold", help="generation and word-level checks")
-    pf_sub = pf.add_subparsers(dest="subcommand", required=True)
-    gen = pf_sub.add_parser("gen", parents=[out], help="emit a generation")
-    gen.add_argument("--n", type=int, default=20)
-    gen.add_argument("--format", choices=("text", "pfw"), default="text")
-    gen.set_defaults(func=_cmd_gen)
-    census = pf_sub.add_parser("census", parents=[out], help="anti-palindrome census")
-    census.add_argument("--generation", type=int, required=True)
-    census.add_argument("--max-len", dest="max_len", type=int, required=True)
-    census.set_defaults(func=lambda a: _check_census(a.generation, a.max_len))
-    pf_verify = pf_sub.add_parser("verify", help="word-level verifications")
-    pfv_sub = pf_verify.add_subparsers(dest="verification", required=True)
-    ss = pfv_sub.add_parser("self-similarity", parents=[out])
-    ss.add_argument("--p", type=int, required=True)
-    ss.add_argument("--n", type=int, required=True)
-    ss.set_defaults(func=lambda a: paperfold.verify_self_similarity(a.p, a.n))
-    rec = pfv_sub.add_parser("recurrence", parents=[out])
-    rec.add_argument("--p", type=int, required=True)
-    rec.add_argument("--generation", type=int, required=True)
-    rec.set_defaults(func=lambda a: paperfold.verify_recurrence(a.p, a.generation))
-    ape = pfv_sub.add_parser("aperiodic", parents=[out])
-    ape.add_argument("--max-period", dest="max_period", type=int, required=True)
-    ape.add_argument("--preperiod", type=int, required=True)
-    ape.add_argument("--prefix-len", dest="prefix_len", type=int, required=True)
-    ape.set_defaults(
-        func=lambda a: paperfold.check_aperiodic(a.prefix_len, a.max_period, a.preperiod))
+    def add(words, help_, **kwargs):
+        # a group is made at its first member, which is where --help lists it
+        group, _, name = words.rpartition(" ")
+        if group not in groups:
+            parent = add(group, _GROUPS[group][0]) if group else root
+            groups[group] = parent.add_subparsers(dest=_GROUPS[group][1], required=True)
+        if help_ is not None:  # given help=None, argparse lists the name on a line of its own
+            kwargs["help"] = help_
+        return groups[group].add_parser(name, **kwargs)
 
-    di = sub.add_parser("dihedral", help="dihedral-action certificates")
-    di_sub = di.add_subparsers(dest="subcommand", required=True)
-    fr = di_sub.add_parser("freeness", parents=[out])
-    fr.add_argument("--generation", type=int, required=True)
-    fr.set_defaults(func=lambda a: _check_freeness(a.generation))
-    pa = di_sub.add_parser("parity", parents=[out])
-    pa.add_argument("--k", type=int, required=True)
-    pa.add_argument("--generation", type=int, required=True)
-    pa.set_defaults(func=lambda a: dihedral.parity_class_separation(a.k, a.generation))
-    ex = di_sub.add_parser("extend", parents=[out])
-    ex.add_argument("--seed", required=True, help="seed word (binary text)")
-    ex.add_argument("--steps", type=int, required=True)
-    ex.add_argument("--horizon", type=int, required=True)
-    ex.add_argument("--generation", type=int, default=16)
-    ex.set_defaults(func=_cmd_extend)
-
-    su = sub.add_parser("subst", help="substitution facts and recoding")
-    su_sub = su.add_subparsers(dest="subcommand", required=True)
-    info = su_sub.add_parser("info", parents=[out])
-    info.add_argument("--rules", help="substitution JSON file")
-    info.set_defaults(func=_cmd_subst_info)
-    fp = su_sub.add_parser("fixed-prefix")
-    fp.add_argument("--len", type=int, required=True)
-    fp.add_argument("--rules")
-    fp.set_defaults(func=_cmd_subst_fixed_prefix)
-    su_verify = su_sub.add_parser("verify")
-    suv_sub = su_verify.add_subparsers(dest="verification", required=True)
-    rc = suv_sub.add_parser("recode", parents=[out])
-    rc.add_argument("--len", type=int, required=True)
-    rc.set_defaults(func=lambda a: subst.verify_recoding(a.len))
-    it = suv_sub.add_parser("intertwine", parents=[out])
-    it.add_argument("--len", type=int, required=True)
-    it.set_defaults(func=lambda a: subst.verify_intertwining(a.len))
-
-    dg = sub.add_parser("dimgroup", help="exact dimension-group arithmetic")
-    dg_sub = dg.add_subparsers(dest="subcommand", required=True)
-    dv = dg_sub.add_parser("verify", parents=[out])
-    dv.add_argument("--index-max", dest="index_max", type=int, default=12)
-    dv.add_argument("--samples", type=int, default=10_000)
-    dv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    dv.set_defaults(func=_cmd_dim_verify)
-    mp = dg_sub.add_parser("matpow", parents=[out])
-    mp.add_argument("--n", type=int, required=True)
-    mp.set_defaults(func=_cmd_dim_matpow)
-    dd = dg_sub.add_parser("discrepancy", parents=[out])
-    dd.add_argument("--n-max", dest="n_max", type=int, default=20)
-    dd.set_defaults(func=lambda a: dimgroup.verify_unbounded_discrepancy(a.n_max))
-
-    rp = sub.add_parser("report", parents=[out], help="run the whole verification suite")
-    rp.add_argument("--profile", choices=tuple(PROFILES), default="quick")
-    rp.add_argument("--format", choices=("json", "markdown"), default="json")
-    rp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    rp.set_defaults(func=lambda a: run_all(a.profile, a.seed))
-
-    return parser
+    for words, help_, takes_out, flags, handler in COMMANDS:
+        leaf = add(words, help_, parents=[out] if takes_out else [])
+        for flag, keywords in flags.items():
+            leaf.add_argument(flag, **keywords)
+        leaf.set_defaults(func=handler)
+    return root
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        result = args.func(args)
-        if result is None:  # raw symbols, written by the command itself
-            return 0
-        _emit(result, args)
-        return exit_code([result] if isinstance(result, CheckReport) else result)
+        return _emit(args.func(args), args)
     except (PfkitError, OSError, MemoryError) as exc:
         if isinstance(exc, MemoryError):  # a request the host cannot hold
             exc = ResourceError(f"out of memory ({type(exc).__name__}: {exc})")

@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, integer
+from .errors import DomainError, integer, rational
 from .paperfold import MAX_PREFIX_LEN, MAX_SCAN_GENERATION, pf_prefix, symbol
 from .report import Check, CheckReport
 from .words import Word
@@ -65,6 +65,7 @@ from .words import Word
 __all__ = [
     "PAPERFOLD_MATRIX",
     "MAX_MATRIX_POWER",
+    "MAX_DYADIC_EXP",
     "MAX_SAMPLES",
     "MAX_M_INDEX",
     "mat_pow",
@@ -193,8 +194,12 @@ def verify_closed_form_induction() -> CheckReport:
 
 
 def _scaled(q):
-    """(integer vector, common denominator) with q = v / d."""
-    q = tuple(Fraction(x) for x in q)
+    """(integer vector, common denominator) with q = v / d; each entry is
+    an integer or a Fraction (errors.rational)."""
+    try:
+        q = tuple(rational(x, "vector entry") for x in q)
+    except TypeError:  # q is not iterable
+        raise DomainError(f"expected a rational 4-vector, not {type(q).__name__}") from None
     if len(q) != 4:
         raise DomainError("expected a rational 4-vector")
     d = math.lcm(*(x.denominator for x in q))
@@ -272,7 +277,7 @@ def alpha_preimage(s, m: int):
     in G_{n+2} whenever 2^n * s is an integer, and in (G_{n+2})+ exactly
     when the target satisfies the stage's cone inequality."""
     m = integer(m, "m")
-    s = Fraction(s) if not isinstance(s, DyadicRational) else s.to_fraction()
+    s = s.to_fraction() if isinstance(s, DyadicRational) else Fraction(rational(s, "s"))
     return (Fraction(m), Fraction(0), s - m, Fraction(0))
 
 
@@ -296,6 +301,13 @@ def verify_lattice_image() -> CheckReport:
 # dyadic normal forms
 
 
+# the given exponent of every DyadicRational made: each comparison and sum
+# shifts a numerator by one, which the cap keeps under 8 KiB, and a sum,
+# product or halving past it is a ResourceError; it is above
+# MAX_MATRIX_POWER, so every alpha value fits
+MAX_DYADIC_EXP = 2**16
+
+
 @dataclass(frozen=True)
 class DyadicRational:
     """num / 2^exp in canonical form: exp == 0 or num odd; zero is (0, 0)."""
@@ -304,7 +316,7 @@ class DyadicRational:
     exp: int
 
     def __post_init__(self):
-        num, exp = integer(self.num, "numerator"), integer(self.exp, "exponent", lo=0)
+        num, exp = integer(self.num, "numerator"), integer(self.exp, "exponent", lo=0, cap=MAX_DYADIC_EXP)
         if num == 0:
             exp = 0
         else:
@@ -317,7 +329,8 @@ class DyadicRational:
 
     @classmethod
     def from_fraction(cls, f) -> "DyadicRational":
-        f = Fraction(f)
+        """f, an integer or a dyadic Fraction (errors.rational)."""
+        f = rational(f, "dyadic value")
         k = f.denominator.bit_length() - 1
         if f.denominator != 2**k:
             raise DomainError(f"{f} is not dyadic (denominator not a power of 2)")
@@ -376,8 +389,6 @@ class DyadicRational:
 def _as_dyadic(x) -> DyadicRational:
     if isinstance(x, DyadicRational):
         return x
-    if isinstance(x, int):
-        return DyadicRational(x, 0)
     return DyadicRational.from_fraction(x)
 
 

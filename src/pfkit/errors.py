@@ -1,7 +1,8 @@
-"""Exception types shared across the toolkit, and the one intake rule for
-integer arguments (:func:`integer`)."""
+"""Exception types shared across the toolkit, and the intake rules for
+integer and exact rational arguments (:func:`integer`, :func:`rational`)."""
 
 import operator
+from fractions import Fraction
 
 
 class PfkitError(Exception):
@@ -52,3 +53,14 @@ def integer(value, name: str, *, lo=None, hi=None, cap=None) -> int:
     if cap is not None and n > cap:
         raise ResourceError(f"{name} {n} exceeds the cap of {cap}")
     return n
+
+
+def rational(value, name: str):
+    """``value`` as an exact rational: a Fraction, or an integer taken by
+    :func:`integer`.  Anything else is a DomainError that names the type."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return integer(value, name)
+    except DomainError:
+        raise DomainError(f"{name} must be an integer or a Fraction, not {type(value).__name__}") from None

@@ -14,7 +14,7 @@ import sys
 
 from pfkit import dihedral, dimgroup, paperfold, subst, words
 from pfkit.dihedral import MAX_EXTEND_STEPS, MAX_PARITY_K, LanguageOracle
-from pfkit.dimgroup import MAX_M_INDEX, MAX_MATRIX_POWER, MAX_SAMPLES
+from pfkit.dimgroup import MAX_DYADIC_EXP, MAX_M_INDEX, MAX_MATRIX_POWER, MAX_SAMPLES
 from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, MAX_SCAN_GENERATION
 from pfkit.words import Word
 
@@ -93,8 +93,9 @@ def cases():
         # stage n reads the power n + 2
         dimgroup.alpha: (dict(q=(1, 1, 1, 1), n=0), {"n": MAX_MATRIX_POWER - 2}),
         dimgroup.alpha_preimage: (dict(s=1, m=0), {"m": None}),
-        # a dyadic's parts and a pair's integer part cost their own size
-        dimgroup.DyadicRational: (dict(num=1, exp=0), {"num": None, "exp": None}),
+        # a dyadic's numerator and a pair's integer part cost their own
+        # size; the exponent is a shift that every sum and comparison makes
+        dimgroup.DyadicRational: (dict(num=1, exp=0), {"num": None, "exp": MAX_DYADIC_EXP}),
         dimgroup.DyadicPair: (dict(s=dimgroup.DyadicRational(1, 0), m=0), {"m": None}),
         # bounded by the prefix
         dimgroup.birkhoff_discrepancy: (dict(prefix=word, n=0), {"n": None}),

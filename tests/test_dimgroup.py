@@ -233,12 +233,14 @@ def test_dyadic_types_take_exact_integers_only():
     for s, m in ((DyadicRational(1, 0), 2.5), (DYADIC_ONE, Fraction(2)), (Fraction(1, 2), 0), (1, 0)):
         with pytest.raises(DomainError):
             staged_cone_witness(DyadicPair(s, m))
-    # integer types convert exactly, and a float operand still goes
-    # through its exact Fraction
+    # integer types convert exactly, a Fraction operand is taken exactly,
+    # and a float operand is refused (errors.rational)
     assert DyadicRational(np.int64(6), np.uint8(1)) == DyadicRational(3, 0)
     m = DyadicPair(DYADIC_ONE, np.int32(-2)).m
     assert m == -2 and type(m) is int
-    assert DyadicRational(1, 1) + 0.25 == DyadicRational(3, 2)
+    assert DyadicRational(1, 1) + Fraction(1, 4) == DyadicRational(3, 2)
+    with pytest.raises(DomainError):
+        DyadicRational(1, 1) + 0.25
 
 
 def test_dyadic_arithmetic_against_fractions():

@@ -16,7 +16,18 @@ import numpy as np
 import pytest
 
 import pfkit
-from pfkit.errors import DomainError, ResourceError, integer
+from pfkit.dimgroup import (
+    MAX_DYADIC_EXP,
+    DyadicPair,
+    DyadicRational,
+    alpha,
+    alpha_preimage,
+    in_G,
+    in_G_plus,
+    in_H,
+    rescale_unit,
+)
+from pfkit.errors import DomainError, ResourceError, integer, rational
 from pfkit.words import Alphabet, FactorIndex, Word, count, window_codes
 
 from intake_cases import EXCLUDED, MODULES, cases
@@ -119,3 +130,74 @@ def test_window_lengths_and_widths_start_at_one():
             window_codes(arr, 1, bits)
         with pytest.raises(DomainError):
             FactorIndex(arr, bits)
+
+
+def test_rational_takes_integers_and_fractions_only():
+    assert rational(Fraction(1, 3), "x") == Fraction(1, 3)
+    for value in (True, np.int64(3), 7):
+        got = rational(value, "x")
+        assert got == int(value) and type(got) is int
+    for bad in (0.5, "1/2", None, DyadicRational(1, 1)):
+        with pytest.raises(DomainError) as exc:
+            rational(bad, "x")
+        assert str(exc.value) == f"x must be an integer or a Fraction, not {type(bad).__name__}"
+
+
+def test_dimgroup_takes_exact_values_only():
+    # a float was taken as its binary value (0.1 as 3602879701896397/2^55),
+    # a str was parsed, and a non-vector or a DyadicRational entry raised
+    # TypeError, a str operand ValueError
+    one = DyadicRational(1, 0)
+    refused = (
+        lambda: in_G((0.1, 0, 0, 0), 2),
+        lambda: in_G(("1/2", 0, 0, 0), 2),
+        lambda: in_H((0.5, 0, 0, 0), 2),
+        lambda: in_G_plus((0, 0, 0, 0.25), 2),
+        lambda: alpha((1.0, 1, 1, 1), 0),
+        lambda: DyadicRational.from_fraction("1/4"),
+        lambda: DyadicRational.from_fraction(0.25),
+        lambda: alpha_preimage("1/3", 1),
+        lambda: alpha_preimage(0.5, 1),
+        lambda: one + 0.5,
+        lambda: one - 0.5,
+        lambda: one * 0.5,
+        lambda: one < 1.5,
+        lambda: one >= "x",
+        lambda: rescale_unit(DyadicPair(one, 0), 4.0),
+        lambda: in_G(5, 2),
+        lambda: in_G(None, 2),
+        lambda: in_G((DyadicRational(1, 1), 0, 0, 0), 2),
+    )
+    for call in refused:
+        with pytest.raises(DomainError):
+            call()
+    # int, numpy integer and Fraction values give what they gave before
+    half = Fraction(1, 2)
+    assert [in_G((half, half, 0, 0), n) for n in (1, 2, 3)] == [False, True, True]
+    assert not in_G((half, 0, 0, 0), 3)
+    assert in_G((np.int64(1), True, 0, 0), 2) and not in_H((1, 1, 1, 1), 2)
+    assert in_H((1, 1, -2, 0), 2) and in_G_plus((1, 1, 1, 1), 2) and not in_G_plus((half, 0, -1, 0), 3)
+    assert alpha((1, 1, 1, 1), 0) == DyadicPair(DyadicRational(4, 0), 0)
+    assert alpha((half, half, 0, 0), 1) == DyadicPair(DyadicRational(1, 0), 0)
+    got = alpha_preimage(Fraction(1, 3), 1)
+    assert got == (1, 0, Fraction(-2, 3), 0) and all(type(x) is Fraction for x in got)
+    assert alpha_preimage(3, 1) == (1, 0, 2, 0) and type(alpha_preimage(3, 1)[2]) is Fraction
+    assert alpha_preimage(DyadicRational(1, 2), 0) == (0, 0, Fraction(1, 4), 0)
+    assert DyadicRational.from_fraction(Fraction(1, 4)) == DyadicRational(1, 2)
+    assert DyadicRational.from_fraction(6) == DyadicRational(6, 0)
+    assert one + half == DyadicRational(3, 1) and one - 2 == DyadicRational(-1, 0)
+    assert one * Fraction(3, 4) == DyadicRational(3, 2) and 2 * one == DyadicRational(2, 0)
+    assert one < Fraction(3, 2) and not one < 1 and one >= np.int8(1)
+    assert rescale_unit(DyadicPair(one, 0), 4) == DyadicPair(DyadicRational(1, 2), 0)
+    assert rescale_unit(DyadicPair(one, 0), half) == DyadicPair(DyadicRational(2, 0), 0)
+
+
+def test_dyadic_exponents_stop_at_the_cap():
+    # a shift by an exponent of 10**12 ended in MemoryError
+    top = DyadicRational(1, MAX_DYADIC_EXP)
+    assert top < DyadicRational(1, 0) and (top + 1).exp == MAX_DYADIC_EXP
+    for call in (lambda: DyadicRational(1, 10**12), lambda: top.halve(),
+                 lambda: top * DyadicRational(1, 1),
+                 lambda: DyadicRational.from_fraction(Fraction(1, 2 ** (MAX_DYADIC_EXP + 1)))):
+        with pytest.raises(ResourceError, match="exponent"):
+            call()

@@ -911,6 +911,15 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
 
+def test_every_command_has_a_readme_line():
+    # test_readme_commands_exit_0 runs the lines there are; this notices a
+    # command of the table that has none
+    lines = readme_commands()
+    assert len(cli.COMMANDS) == 16
+    for command, *_ in cli.COMMANDS:
+        assert any(argv[:len(command.split())] == command.split() for argv in lines), command
+
+
 def test_readme_caps_table_matches_the_constants():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)\.(MAX_\w+)` \| (\d+) \|", text, re.M)
