@@ -1,4 +1,4 @@
-# Walk through the word layer: bit-packed words, anti-reversal, and the
+# Walk through the word layer: immutable words, anti-reversal, and the
 # recursively folded generations.
 #
 # Run from the repository root after `pip install -e .`:
@@ -16,7 +16,7 @@ from pfkit import (
 )
 from pfkit.paperfold import verify_self_similarity
 
-# Words are immutable and packed one bit per symbol.  The text form is
+# Words are immutable and hold one byte per symbol.  The text form is
 # the natural constructor and display.
 w = Word("1101100")
 print("word:", w, "| length", len(w), "| ones", count(w, "1"), "| zeros", count(w, "0"))

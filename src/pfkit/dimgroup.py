@@ -339,6 +339,21 @@ class DyadicRational:
     def to_fraction(self) -> Fraction:
         return Fraction(self.num, 2**self.exp)
 
+    def __eq__(self, other):
+        # equal by value to an int or a Fraction; any other type is
+        # NotImplemented, so == never raises where < refuses the operand
+        if isinstance(other, DyadicRational):
+            return self.num == other.num and self.exp == other.exp
+        try:
+            f = rational(other, "dyadic value")
+        except DomainError:
+            return NotImplemented
+        return self.num * f.denominator == f.numerator << self.exp
+
+    def __hash__(self):
+        # the hash of the value, as for ints and Fractions equal to it
+        return hash(self.to_fraction())
+
     def _cmp(self, other) -> int:
         other = _as_dyadic(other)
         lhs = self.num << other.exp
@@ -364,8 +379,13 @@ class DyadicRational:
             (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
         )
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-_as_dyadic(other))
+
+    def __rsub__(self, other):
+        return _as_dyadic(other) - self
 
     def __neg__(self):
         return DyadicRational(-self.num, self.exp)
@@ -469,6 +489,8 @@ class DyadicInvolution:
 
 
 def involution_apply(inv: DyadicInvolution, p: DyadicPair) -> DyadicPair:
+    """The twist of p = (s, m) by inv: (s + a m, -m) with a = inv.a.
+    Applying it twice gives p back."""
     return DyadicPair(p.s + inv.a * DyadicRational(p.m, 0), -p.m)
 
 

@@ -292,6 +292,8 @@ class AbelianMatrix:
 
 
 def abelianization(s: Substitution) -> AbelianMatrix:
+    """The occurrence-count matrix of ``s``: row i counts each letter in
+    the image of letter i."""
     size = s.alphabet.size
     rows = []
     for i in range(size):

@@ -500,9 +500,9 @@ def anti_palindrome_codes(codes, n: int) -> list:
 
 
 def code_to_word(code: int, n: int, alphabet: Alphabet = BINARY) -> Word:
-    bits, mask = alphabet.bits, alphabet.size - 1
-    arr = np.array([(code >> (bits * j)) & mask for j in range(n)], dtype=np.uint8)
-    return Word._of(_frozen(arr), alphabet)
+    """The length-n word whose word_code is ``code``: its bytes, least
+    significant first, are the packed payload."""
+    return Word.from_packed(code.to_bytes(-(-n * alphabet.bits // 8), "little"), n, alphabet)
 
 
 def factor_set(w: Word, n: int) -> set:
@@ -541,6 +541,10 @@ def to_pfw_bytes(w: Word) -> bytes:
 
 
 def from_pfw_bytes(data: bytes) -> Word:
+    """The word a PFW1 stream holds.  DomainError for a bad magic, a
+    header shorter than 14 bytes, a version other than 1, an
+    alphabet-size byte other than 2 or 4, and a payload whose length
+    disagrees with the symbol count in the header."""
     if data[:4] != _PFW_MAGIC:
         raise DomainError("not a PFW1 stream (bad magic)")
     if len(data) < _PFW_HEADER_LEN:
@@ -556,10 +560,12 @@ def from_pfw_bytes(data: bytes) -> Word:
 
 
 def write_pfw(w: Word, path) -> None:
+    """Write ``w`` to the file at ``path`` as a PFW1 stream."""
     with open(path, "wb") as fh:
         fh.write(to_pfw_bytes(w))
 
 
 def read_pfw(path) -> Word:
+    """The word in the PFW1 file at ``path`` (see from_pfw_bytes)."""
     with open(path, "rb") as fh:
         return from_pfw_bytes(fh.read())

@@ -255,6 +255,19 @@ def test_dyadic_arithmetic_against_fractions():
         assert (a < b) == (fa < fb)
         assert (a >= b) == (fa >= fb)
         assert a.halve().to_fraction() == fa / 2
+        # equality and hashing by value, also against ints and Fractions,
+        # and ints and Fractions added on the left
+        k = rng.randint(-40, 40)
+        assert (a == b) == (fa == fb) and (a == fb) == (fa == fb) and (fb == a) == (fa == fb)
+        assert a == fa and (a == k) == (fa == k) and (k == a) == (fa == k)
+        assert hash(a) == hash(fa)
+        assert (k + a).to_fraction() == k + fa and (k - a).to_fraction() == k - fa
+        assert (fb + a).to_fraction() == fb + fa and (fb - a).to_fraction() == fb - fa
+    assert hash(DyadicRational(2, 0)) == hash(2) and len({DyadicRational(2, 0), 2, Fraction(2)}) == 1
+    assert DyadicRational(1, 2) != Fraction(1, 3) and DyadicRational(1, 0) == np.int64(1)
+    # == and != with any other type are False and True, never an error
+    for other in (0.25, "1/4", None, DyadicPair(DyadicRational(1, 2), 0)):
+        assert not DyadicRational(1, 2) == other and DyadicRational(1, 2) != other
 
 
 def test_involution():

@@ -193,6 +193,15 @@ def test_anti_palindrome_codes():
     assert anti_palindrome_codes(set(), 4) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda size: st.tuples(
+    st.just(size), st.lists(st.integers(0, size - 1), max_size=MAX_CODE_BITS // Alphabet(size).bits))))
+def test_code_to_word_inverts_word_code(case):
+    size, symbols = case
+    w = Word.from_array(symbols, Alphabet(size))
+    assert words.code_to_word(word_code(w), w.length, w.alphabet) == w
+
+
 def test_factor_set_exhaustive_oracle():
     rng = random.Random(11)
     for size in (2, 4):
