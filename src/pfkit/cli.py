@@ -38,7 +38,7 @@ import sys
 
 from . import dihedral, dimgroup, paperfold, subst
 from .errors import DomainError, ExtensionError, PfkitError, ResourceError, integer
-from .report import Check, CheckReport, emit_report
+from .report import Check, CheckReport, emit_report, jsonable
 from .words import Word, to_pfw_bytes
 
 DEFAULT_SEED = 42
@@ -82,16 +82,18 @@ def _check_census(generation: int, max_len: int) -> CheckReport:
     """Anti-palindrome census of a generation, the same rule in the suite
     and the CLI: an unsaturated census is inconclusive; a saturated one
     passes when there are anti-palindromic factors of lengths 2, 4 and 6
-    (those <= max_len) and none of any length from 8 to max_len."""
+    and none of any length from 8 to max_len.  A max_len below 8 cannot
+    see where they stop, so it is refused before any symbol is built."""
+    max_len = integer(max_len, "max_len", lo=8)
     chk = Check("paperfold.antipalindrome-census", {"generation": generation, "max_len": max_len},
                 "anti-palindromic factors exist up to length 6 and stop at 8")
     census = paperfold.antipalindrome_census(generation, max_len)
     if not census.saturated:
-        return chk.report("inconclusive", census.to_json())
+        return chk.report("inconclusive", jsonable(census))
     counts = census.counts
-    present = all(counts[ell] >= 1 for ell in (2, 4, 6) if ell <= max_len)
+    present = all(counts[ell] >= 1 for ell in (2, 4, 6))
     absent = all(counts[ell] == 0 for ell in range(8, max_len + 1, 2))
-    return chk.report("pass" if present and absent else "fail", census.to_json())
+    return chk.report("pass" if present and absent else "fail", jsonable(census))
 
 
 def _check_closure(n_max: int) -> CheckReport:
@@ -103,7 +105,7 @@ def _check_freeness(generation: int) -> CheckReport:
     chk = Check("dihedral.freeness", {"generation": generation},
                 "closure plus bounded anti-palindromes: the dihedral action has no fixed points")
     cert = dihedral.freeness_certificate(dihedral.LanguageOracle.from_generation(generation, 8))
-    return chk.report(cert.verdict, cert.to_json())
+    return chk.report(cert.verdict, jsonable(cert))
 
 
 def _check_subst_structure() -> CheckReport:
@@ -114,14 +116,14 @@ def _check_subst_structure() -> CheckReport:
         "primitive_index": subst.is_primitive(s, subst.PRIMITIVITY_BOUND),
         "left_proper_index": subst.is_left_proper(s, subst.LEFT_PROPER_BOUND),
         "first_letters": list(subst.first_letters(s, 2)),
-        "matrix": subst.abelianization(s).to_json(),
+        "matrix": subst.abelianization(s).entries,
         "fixed_prefix_32": str(subst.fixed_prefix(s, 32)),
     }
     ok = (
         facts["primitive_index"] == 3
         and facts["left_proper_index"] == 2
         and set(facts["first_letters"]) == {3}
-        and tuple(map(tuple, facts["matrix"])) == dimgroup.PAPERFOLD_MATRIX
+        and facts["matrix"] == dimgroup.PAPERFOLD_MATRIX
         and facts["fixed_prefix_32"] == "31213021312030213121302031203021"
     )
     return chk.report("pass" if ok else "fail", facts)
@@ -288,7 +290,7 @@ def _cmd_subst_info(args) -> CheckReport:
         "rules": json.loads(s.to_json())["rules"],
         "primitive_index": subst.is_primitive(s, subst.PRIMITIVITY_BOUND),
         "left_proper_index": subst.is_left_proper(s, subst.LEFT_PROPER_BOUND),
-        "matrix": subst.abelianization(s).to_json(),
+        "matrix": subst.abelianization(s).entries,
     }
     return chk.passed(info)
 

@@ -248,14 +248,6 @@ class FreenessCertificate:
     verdict: str  # pass | fail | inconclusive
     witnesses: Optional[dict] = None
 
-    def to_json(self) -> dict:
-        return {
-            "closure_checked_to": self.closure_checked_to,
-            "antipalindrome_sup": self.antipalindrome_sup,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-        }
-
 
 def freeness_certificate(oracle: LanguageOracle) -> FreenessCertificate:
     """Build the freeness certificate off a saturated oracle.

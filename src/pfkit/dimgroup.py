@@ -441,9 +441,6 @@ class DyadicPair:
     def __str__(self):
         return f"({self.s}, {self.m})"
 
-    def to_json(self):
-        return {"s": str(self.s), "m": self.m}
-
 
 def cone_membership(p: DyadicPair) -> bool:
     """The positive cone: s > 0, together with the single boundary

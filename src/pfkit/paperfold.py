@@ -169,7 +169,8 @@ def verify_self_similarity(p: int, n: int) -> CheckReport:
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Counts of distinct anti-palindromic factors per even length.
+    """Counts of distinct anti-palindromic factors per even length, in
+    ascending order of length, the order a report lists them in.
 
     ``saturated`` records whether the factor sets at every censused length
     agree between the source generation and the previous one; only a
@@ -185,6 +186,7 @@ class CensusResult:
             raise DomainError("census max length must be even")
         if any(k % 2 != 0 for k in self.counts):
             raise DomainError("census counts keys must be even")
+        object.__setattr__(self, "counts", dict(sorted(self.counts.items())))
 
     @classmethod
     def of(cls, codes, saturated, max_len: int) -> "CensusResult":
@@ -194,13 +196,6 @@ class CensusResult:
         lengths = range(2, max_len + 1, 2)
         return cls(max_len, {ell: len(anti_palindrome_codes(codes(ell), ell)) for ell in lengths},
                    all(saturated(ell) for ell in lengths))
-
-    def to_json(self) -> dict:
-        return {
-            "max_length_checked": self.max_length_checked,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "saturated": self.saturated,
-        }
 
 
 def antipalindrome_census(generation: int, max_len: int) -> CensusResult:

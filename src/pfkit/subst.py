@@ -287,9 +287,6 @@ class AbelianMatrix:
     def row_sums(self) -> tuple:
         return tuple(sum(row) for row in self.entries)
 
-    def to_json(self):
-        return [list(row) for row in self.entries]
-
 
 def abelianization(s: Substitution) -> AbelianMatrix:
     """The occurrence-count matrix of ``s``: row i counts each letter in

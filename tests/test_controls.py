@@ -132,7 +132,7 @@ LANGUAGE_WITNESSES = {
     "dihedral.freeness": {
         "closure_checked_to": 8, "antipalindrome_sup": 0, "verdict": "fail",
         "witnesses": {"closure": "fail", "closure_witness": {"factor": "1"},
-                      "antipalindrome_counts": {2: 0, 4: 0, 6: 0, 8: 0}, "length_8_examples": []}},
+                      "antipalindrome_counts": {"2": 0, "4": 0, "6": 0, "8": 0}, "length_8_examples": []}},
 }
 
 

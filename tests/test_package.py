@@ -63,3 +63,11 @@ def test_every_public_function_and_class_has_a_docstring(module):
             doc = obj.__doc__ or ""
             # a dataclass without a docstring gets its signature as one
             assert doc.strip() and not doc.startswith(f"{name}("), f"{module.__name__}.{name}"
+
+
+def test_only_types_whose_json_is_not_their_fields_define_to_json():
+    # report.jsonable renders any other record by its fields; a to_json
+    # that restates them would be a second way to write the same JSON
+    hooks = {name for module in MODULES for name in module.__all__
+             if inspect.isclass(getattr(module, name)) and hasattr(getattr(module, name), "to_json")}
+    assert hooks == {"DyadicRational", "Substitution"}

@@ -25,7 +25,7 @@ from pfkit.dihedral import MAX_EXTEND_STEPS, MAX_PARITY_K, LanguageOracle
 from pfkit.dimgroup import MAX_MATRIX_POWER, MAX_SAMPLES
 from pfkit.errors import DomainError
 from pfkit.paperfold import MAX_GENERATION, MAX_PREFIX_LEN, pf_word
-from pfkit.report import Check, CheckReport, emit_report
+from pfkit.report import Check, CheckReport, emit_report, jsonable
 from pfkit.words import Word, read_pfw
 
 from oracles import battery_by_block_size, random_bits
@@ -35,6 +35,10 @@ from oracles import battery_by_block_size, random_bits
 QUICK_REPORT_DIGEST = "cf25dc67dbdaa39c163dc68d94e79c56110f29231ad4b9cb69af96fb25144c1c"
 # the same for the full-profile report at seed 42
 FULL_REPORT_DIGEST = "85bb030554a792ab1078dd0ddd1e58ccb050565e28446bd434b5c20cff0f661b"
+# the same for what the README's pfkit lines write, in order: each line,
+# its stdout with no elapsed time (see _timeless) and its stderr, then the
+# bytes of each file they leave
+README_OUTPUT_DIGEST = "e403d3e27665b39f34d8b0da6cb8a1263c69ef7968a5b9f84e7b0cc55b64c18c"
 
 
 def report_digest(reports):
@@ -116,6 +120,46 @@ def test_a_float_never_reaches_a_report(monkeypatch):
     monkeypatch.setattr(paperfold, "verify_self_similarity", lambda p, n: rep)
     assert _run_cli(["paperfold", "verify", "self-similarity", "--p", "0", "--n", "1"]) == (
         2, "", json.dumps({"error": f"DomainError: {message}"}) + "\n")
+
+
+# the JSON of each record as its own to_json wrote it, before jsonable
+# rendered every dataclass by its fields
+CENSUS_COUNTS = '"max_length_checked": 8, "counts": {"2": 2, "4": 2, "6": 1, "8": 0}'
+RECORD_JSON = {
+    "saturated census": '{%s, "saturated": true}' % CENSUS_COUNTS,
+    "unsaturated census": '{%s, "saturated": false}' % CENSUS_COUNTS,
+    "freeness pass": '{"closure_checked_to": 8, "antipalindrome_sup": 6, "verdict": "pass", '
+                     '"witnesses": {"antipalindrome_counts": {"2": 2, "4": 2, "6": 1, "8": 0}}}',
+    "freeness fail": '{"closure_checked_to": 8, "antipalindrome_sup": 8, "verdict": "fail", '
+                     '"witnesses": {"closure": "pass", "closure_witness": null, '
+                     '"antipalindrome_counts": {"2": 2, "4": 2, "6": 2, "8": 2}, '
+                     '"length_8_examples": ["11001100", "00110011"]}}',
+    "dyadic pair": '{"pair": {"s": "3/2^5", "m": 7}}',
+}
+
+
+def test_a_record_renders_as_its_fields():
+    records = {
+        "saturated census": paperfold.antipalindrome_census(12, 8),
+        "unsaturated census": paperfold.antipalindrome_census(5, 8),
+        "freeness pass": dihedral.freeness_certificate(LanguageOracle.from_generation(14, 8)),
+        # 11001100 is a length-8 anti-palindrome of the periodic word
+        "freeness fail": dihedral.freeness_certificate(LanguageOracle(Word("1100" * 10), 8)),
+        "dyadic pair": {"pair": dimgroup.DyadicPair(dimgroup.DyadicRational(3, 5), 7)},
+    }
+    assert records["freeness fail"].witnesses["antipalindrome_counts"] == {2: 2, 4: 2, 6: 2, 8: 2}
+    for name, record in records.items():
+        rep = CheckReport(check="demo", status="fail", witness=record)
+        assert json.dumps(rep.to_dict()["witness"]) == RECORD_JSON[name], name
+    # a census's counts may come in any order; the report lists them by length
+    shuffled = paperfold.CensusResult(8, {8: 0, 4: 2, 2: 2, 6: 1}, True)
+    assert json.dumps(jsonable(shuffled)) == RECORD_JSON["saturated census"]
+    # a float in a field is refused by its path, as anywhere in a report
+    rep = CheckReport(check="demo", status="fail",
+                      witness=paperfold.CensusResult(2, {2: 0.5}, True))
+    with pytest.raises(DomainError) as exc:
+        rep.to_dict()
+    assert str(exc.value) == "witness.counts['2'] is the float 0.5; a report holds exact values only"
 
 
 def test_registry_shape():
@@ -705,6 +749,20 @@ def test_cli_census_arguments(generation, max_len):
         assert code == 2 and not prefix.called  # refused before any prefix is built
 
 
+@pytest.mark.parametrize("max_len", [2, 4, 6])
+def test_cli_census_refuses_a_max_len_below_8(max_len):
+    # the census certifies that anti-palindromes stop at length 8, which
+    # a shorter census never reads; its counts stay there at every length
+    with mock.patch.object(paperfold, "_prefix_array") as prefix:
+        code, out, err = _run_cli(["paperfold", "census", "--generation", "3",
+                                   "--max-len", str(max_len)])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "DomainError: max_len must be at least 8"}) + "\n"
+    assert not prefix.called
+    counts = {ell: c for ell, c in {2: 2, 4: 2, 6: 1}.items() if ell <= max_len}
+    assert paperfold.antipalindrome_census(12, max_len).counts == counts
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.text("012x", max_size=12), st.integers(-2, 80), st.integers(-2, 80))
 def test_cli_extend_arguments(seed, steps, horizon):
@@ -902,13 +960,26 @@ def readme_commands():
     return lines
 
 
+def _timeless(out):
+    """``out`` with no elapsed time in it: every elapsed_ms of a JSON
+    report set to 0, the elapsed_ms column of a markdown table dropped."""
+    if out.startswith("| check |"):
+        return "".join(line.rsplit("|", 2)[0] + "|\n" for line in out.splitlines())
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+
+
 def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
     assert len(commands) >= 18
+    digest = hashlib.sha256()
     for argv in commands:
         assert main(argv) == 0, argv
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        digest.update(f"{shlex.join(argv)}\n{_timeless(out)}{err}".encode())
+    for path in sorted(tmp_path.iterdir()):  # t20.pfw
+        digest.update(path.name.encode() + path.read_bytes())
+    assert digest.hexdigest() == README_OUTPUT_DIGEST
 
 
 def test_every_command_has_a_readme_line():
